@@ -2,16 +2,12 @@
 
 Hidden layers use a smooth nonlinearity by default so finite-difference
 gradient checks are well behaved; the final layer is linear so embedding
-norms genuinely vary across samples. The parameter container carries a
-version counter that the trainer bumps after every update, which lets
-the sampler assert that selection norms came from the current encoder.
+norms genuinely vary across samples.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +19,6 @@ class EncoderParams:
     weights: list[np.ndarray]  # layer l: (out_dim, in_dim)
     biases: list[np.ndarray]
     activation: str = "tanh"
-    version: int = 0
 
     @property
     def dims(self) -> list[int]:
@@ -34,7 +29,6 @@ class EncoderParams:
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
             activation=self.activation,
-            version=self.version,
         )
 
 
@@ -122,26 +116,3 @@ def backward(
         delta = delta @ params.weights[l]
     return param_grads, delta
 
-
-def save_params(params: EncoderParams, path: str) -> None:
-    """Atomic JSON checkpoint with explicit shapes."""
-    payload = {
-        "activation": params.activation,
-        "dims": params.dims,
-        "weights": [w.tolist() for w in params.weights],
-        "biases": [b.tolist() for b in params.biases],
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
-
-
-def load_params(path: str) -> EncoderParams:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return EncoderParams(
-        weights=[np.asarray(w, dtype=np.float64) for w in payload["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in payload["biases"]],
-        activation=payload["activation"],
-    )

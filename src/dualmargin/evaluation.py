@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cosine_logits, stable_softmax
+from . import encoder
+from .core import cosine_logits, rows_normalize, stable_softmax
 from .priors import GROUP_NAMES, ClassPartition
 
 
@@ -42,23 +43,37 @@ class EvalReport:
         }
 
 
-def predict(units: np.ndarray, unit_prototypes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax over cosine logits; ties go to the lowest class index."""
-    scores = cosine_logits(units, unit_prototypes)
-    preds = np.argmax(scores, axis=1)
-    return preds, scores[np.arange(scores.shape[0]), preds]
+def prototype_scores(
+    enc: encoder.EncoderParams, prototypes: np.ndarray, features: np.ndarray, cosine: bool
+) -> np.ndarray:
+    """Score raw features against every class prototype.
+
+    The features pass through the encoder. With ``cosine`` set, the
+    scores are cosines between unit embeddings and unit prototype rows;
+    otherwise they are raw dot products (the ``ce`` decision rule).
+    """
+    emb, _ = encoder.forward(enc, features)
+    if not cosine:
+        return emb @ prototypes.T
+    units, _, _ = rows_normalize(emb)
+    unit_prototypes, _, _ = rows_normalize(prototypes)
+    return cosine_logits(units, unit_prototypes)
+
+
+def novelty_scores(cosines: np.ndarray, kind: str, s: float) -> np.ndarray:
+    """Per-sample novelty score from cosine scores: max cosine or max softmax probability."""
+    if kind == "cosine":
+        return cosines.max(axis=1)
+    if kind == "softmax":
+        return stable_softmax(s * cosines, axis=1).max(axis=1)
+    raise ValueError(f"novelty_scores: unknown score kind {kind!r}")
 
 
 def open_set_scores(
     units: np.ndarray, unit_prototypes: np.ndarray, kind: str = "cosine", s: float = 32.0
 ) -> np.ndarray:
-    """Per-sample novelty score: max cosine (default) or max softmax probability."""
-    logits = cosine_logits(units, unit_prototypes)
-    if kind == "cosine":
-        return logits.max(axis=1)
-    if kind == "softmax":
-        return stable_softmax(s * logits, axis=1).max(axis=1)
-    raise ValueError(f"open_set_scores: unknown score kind {kind!r}")
+    """Novelty scores of unit embeddings against unit prototypes."""
+    return novelty_scores(cosine_logits(units, unit_prototypes), kind, s)
 
 
 def closed_set_metrics(

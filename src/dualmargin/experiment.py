@@ -12,12 +12,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import encoder
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .evaluation import (EvalReport, calibrate_threshold, closed_set_metrics,
-                         open_set_eval, open_set_scores)
-from .priors import partition_classes
-from .sampler import EmbeddingBatch
+                         novelty_scores, open_set_eval, prototype_scores)
 from .synthdata import TEST, UNKNOWN, VAL, Dataset, generate, open_set_partition, split
 from .trainer import TrainState, train
 
@@ -28,11 +25,17 @@ METRIC_COLUMNS = (
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
-    """Generate, split and (optionally) open-set-partition the dataset."""
-    ds = generate(cfg.data)
-    ds = split(ds, cfg.split_fractions)
-    ds = open_set_partition(ds, cfg.data.unknown_class_count, seed=cfg.data.seed + 2)
-    return ds
+    """Generate, split and (optionally) open-set-partition the dataset.
+
+    The dataset depends on the config alone, so a failure here is a
+    config error.
+    """
+    try:
+        ds = generate(cfg.data)
+        ds = split(ds, cfg.split_fractions)
+        return open_set_partition(ds, cfg.data.unknown_class_count, seed=cfg.data.seed + 2)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def run_id_for(cfg: ExperimentConfig) -> str:
@@ -40,45 +43,26 @@ def run_id_for(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _scores_for(state_enc, prototypes, mode: str, features: np.ndarray) -> np.ndarray:
-    emb, _ = encoder.forward(state_enc, features)
-    if mode == "ce":
-        return emb @ prototypes.T
-    batch = EmbeddingBatch.from_raw(emb, np.zeros(emb.shape[0], dtype=np.int64))
-    from .core import rows_normalize
-
-    units_w, _, _ = rows_normalize(prototypes)
-    return batch.units @ units_w.T
-
-
 def evaluate_state(
     state: TrainState, dataset: Dataset, cfg: ExperimentConfig
 ) -> EvalReport:
     """Closed-set metrics on the test split plus open-set metrics when
     an unknown pool exists."""
-    mode = cfg.train.margin.mode
     enc = state.best_encoder_params
     protos = state.best_prototypes
-    partition = partition_classes(state.stats.counts, cfg.eval.head_threshold,
-                                  cfg.eval.tail_threshold)
 
     test_idx = dataset.indices(TEST)
-    logits = _scores_for(enc, protos, mode, dataset.features[test_idx])
+    logits = prototype_scores(enc, protos, dataset.features[test_idx],
+                              cosine=cfg.train.margin.mode != "ce")
     preds = np.argmax(logits, axis=1)
-    report = closed_set_metrics(preds, dataset.labels[test_idx], partition,
+    report = closed_set_metrics(preds, dataset.labels[test_idx], state.partition,
                                 dataset.num_classes)
 
     unknown_idx = dataset.indices(UNKNOWN)
     if unknown_idx.size:
-        from .core import rows_normalize
-
-        units_w, _, _ = rows_normalize(protos)
-
         def scores_of(idx):
-            emb, _ = encoder.forward(enc, dataset.features[idx])
-            units, _, _ = rows_normalize(emb)
-            return open_set_scores(units, units_w, kind=cfg.eval.score,
-                                   s=cfg.train.margin.s)
+            cosines = prototype_scores(enc, protos, dataset.features[idx], cosine=True)
+            return novelty_scores(cosines, cfg.eval.score, cfg.train.margin.s)
 
         val_scores = scores_of(dataset.indices(VAL))
         tau, _ = calibrate_threshold(val_scores, cfg.eval.target_tpr)

@@ -69,14 +69,6 @@ class MarginConfig:
             raise ValueError(f"MarginConfig: eq5_sign must be one of {SIGN_CHOICES}")
 
 
-@dataclass(frozen=True)
-class MarginVector:
-    """Per-class margins seen as target vs non-target."""
-
-    target_margins: np.ndarray  # m + scaled_delta[j]
-    nontarget_margins: np.ndarray  # scaled_delta[j]
-
-
 @dataclass
 class LossOutput:
     total: float
@@ -165,12 +157,6 @@ def margin_regularizer(
     dscaled = power_scaled_margins_grad_gamma(deltas, m, gamma, sign)
     dgamma = float(np.sum(-2.0 * gap * dscaled))
     return value, dgamma
-
-
-def margin_vectors(scaled_deltas: np.ndarray, m: float) -> MarginVector:
-    """Target/non-target margin views of the per-class scaled adjustments."""
-    scaled_deltas = np.asarray(scaled_deltas, dtype=np.float64)
-    return MarginVector(target_margins=m + scaled_deltas, nontarget_margins=scaled_deltas.copy())
 
 
 def _margin_matrix(labels: np.ndarray, num_classes: int, scaled_deltas: np.ndarray, m: float) -> np.ndarray:

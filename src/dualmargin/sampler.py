@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import rows_normalize
 from .priors import TAIL, ClassPartition
 
 log = logging.getLogger(__name__)
@@ -28,10 +27,6 @@ class BatchPlan:
     oversample_fired: bool
     perturbation_mask: np.ndarray
 
-    @property
-    def all_indices(self) -> np.ndarray:
-        return np.concatenate([self.base_indices, self.extra_indices])
-
     def to_dict(self) -> dict:
         return {
             "base_indices": self.base_indices.tolist(),
@@ -39,40 +34,6 @@ class BatchPlan:
             "oversample_fired": self.oversample_fired,
             "perturbation_mask": self.perturbation_mask.tolist(),
         }
-
-
-@dataclass
-class EmbeddingBatch:
-    """Raw embeddings with norms, unit views and labels.
-
-    ``params_token`` records the encoder parameter version that produced
-    the embeddings, so stale norms can be detected at selection time.
-    """
-
-    raw: np.ndarray
-    units: np.ndarray
-    norms: np.ndarray
-    labels: np.ndarray
-    params_token: int | None = None
-
-    @classmethod
-    def from_raw(cls, raw: np.ndarray, labels: np.ndarray, params_token: int | None = None) -> "EmbeddingBatch":
-        units, norms, _ = rows_normalize(raw)
-        return cls(raw=np.asarray(raw, dtype=np.float64), units=units, norms=norms,
-                   labels=np.asarray(labels, dtype=np.int64), params_token=params_token)
-
-    def take(self, rows: np.ndarray) -> "EmbeddingBatch":
-        return EmbeddingBatch(
-            raw=self.raw[rows], units=self.units[rows], norms=self.norms[rows],
-            labels=self.labels[rows], params_token=self.params_token,
-        )
-
-    def __len__(self) -> int:
-        return self.raw.shape[0]
-
-
-class StaleEmbeddingError(RuntimeError):
-    """Selection norms were produced by outdated encoder parameters."""
 
 
 def plan_batch(
@@ -148,21 +109,3 @@ def lowest_norm_indices(norms: np.ndarray, keep: int) -> np.ndarray:
     order = np.argsort(norms, kind="stable")
     return np.sort(order[:keep])
 
-
-def norm_select(
-    candidates: EmbeddingBatch,
-    keep: int,
-    expected_token: int | None = None,
-) -> tuple[EmbeddingBatch, np.ndarray]:
-    """Retain the ``keep`` lowest-norm candidates.
-
-    When ``expected_token`` is given, the candidate embeddings must carry
-    the same encoder-version token; selection on stale norms raises.
-    """
-    if expected_token is not None and candidates.params_token != expected_token:
-        raise StaleEmbeddingError(
-            f"norm_select: embeddings from params version {candidates.params_token}, "
-            f"current is {expected_token}"
-        )
-    rows = lowest_norm_indices(candidates.norms, keep)
-    return candidates.take(rows), rows

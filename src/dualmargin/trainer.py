@@ -16,9 +16,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import encoder
+from .evaluation import prototype_scores
 from .loss import DIVERGENCE_LIMIT, MarginConfig, margin_loss
 from .priors import ClassPartition, compute_class_stats, partition_classes
-from .sampler import EmbeddingBatch, lowest_norm_indices, perturb, plan_batch
+from .sampler import lowest_norm_indices, perturb, plan_batch
 from .synthdata import TRAIN, VAL, Dataset
 
 OPTIMIZERS = ("adaptive_decoupled", "sgd")
@@ -156,24 +157,13 @@ def _validate(enc: encoder.EncoderParams, prototypes: np.ndarray, dataset: Datas
     val_idx = dataset.indices(VAL)
     if val_idx.size == 0:
         return float("nan")
-    emb, _ = encoder.forward(enc, dataset.features[val_idx])
     labels = dataset.labels[val_idx]
-    if cfg.margin.mode == "ce":
-        scores = emb @ prototypes.T
-    else:
-        batch = EmbeddingBatch.from_raw(emb, labels)
-        units_w, _, _ = _unit_rows(prototypes)
-        scores = batch.units @ units_w.T
+    scores = prototype_scores(enc, prototypes, dataset.features[val_idx],
+                              cosine=cfg.margin.mode != "ce")
     preds = np.argmax(scores, axis=1)
     present = np.unique(labels)
     recalls = [float(np.mean(preds[labels == j] == j)) for j in present]
     return float(np.mean(recalls))
-
-
-def _unit_rows(mat: np.ndarray):
-    from .core import rows_normalize
-
-    return rows_normalize(mat)
 
 
 def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
@@ -271,7 +261,6 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                     grads[f"enc.w{l}"] = dw
                     grads[f"enc.b{l}"] = db
                 opt.step(params, grads, lr, decay_override)
-                enc.version += 1
                 state.step += 1
                 epoch_losses.append(out.total)
 

@@ -44,25 +44,6 @@ def central_difference(
     return grad
 
 
-def finite_diff_check(
-    f: Callable[[np.ndarray], float],
-    analytic_grad: np.ndarray,
-    x: np.ndarray,
-    h: float = 1e-6,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Relative error uses max(1, |analytic|) per coordinate so near-zero
-    gradients do not inflate the error.
-    """
-    numeric = central_difference(f, x, h)
-    analytic = np.asarray(analytic_grad, dtype=np.float64)
-    if analytic.shape != numeric.shape:
-        raise ValueError("finite_diff_check: gradient shape mismatch")
-    denom = np.maximum(1.0, np.abs(analytic))
-    return float(np.max(np.abs(numeric - analytic) / denom))
-
-
 @dataclass
 class AlignmentProbe:
     class_id: int

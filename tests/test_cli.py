@@ -153,6 +153,15 @@ class TestCliCommands:
         stderr = capsys.readouterr().err
         assert json.loads(stderr.strip())["exit_code"] == EXIT_CONFIG
 
+    def test_infeasible_dataset_is_config_error(self, tmp_path):
+        bad = tmp_path / "angle.ini"
+        bad.write_text("data.min_angle = 80\ndata.dim = 2\n")
+        out = str(tmp_path / "err")
+        assert main(["train", "--config", str(bad), "--out", out]) == EXIT_CONFIG
+        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        assert payload["exit_code"] == EXIT_CONFIG
+        assert "cannot place" in payload["error"]
+
     def test_missing_config_file(self, tmp_path):
         out = str(tmp_path / "err")
         code = main(["train", "--config", str(tmp_path / "nope.ini"), "--out", out])

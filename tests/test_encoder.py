@@ -129,15 +129,3 @@ class TestBackward:
         with pytest.raises(ValueError, match="shape mismatch"):
             encoder.backward(params, cache, np.ones((2, 5)))
 
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        params = encoder.init_params([5, 7, 3], seed=13)
-        path = str(tmp_path / "enc.json")
-        encoder.save_params(params, path)
-        loaded = encoder.load_params(path)
-        assert loaded.activation == params.activation
-        for wa, wb in zip(loaded.weights, params.weights):
-            np.testing.assert_array_equal(wa, wb)
-        for ba, bb in zip(loaded.biases, params.biases):
-            np.testing.assert_array_equal(ba, bb)

@@ -3,39 +3,59 @@
 import numpy as np
 import pytest
 
+from dualmargin import encoder
 from dualmargin.core import rows_normalize
 from dualmargin.evaluation import (
     calibrate_threshold,
     closed_set_metrics,
     open_set_eval,
     open_set_scores,
-    predict,
+    prototype_scores,
 )
 from dualmargin.priors import partition_classes
 
 
+def _identity_encoder(dim):
+    """A single linear layer that passes features through unchanged."""
+    return encoder.EncoderParams(weights=[np.eye(dim)], biases=[np.zeros(dim)])
+
+
 class TestPredict:
+    """Predictions are the argmax of ``prototype_scores``."""
+
     def test_self_prototype(self):
         protos = np.eye(4)
-        preds, scores = predict(protos[3][None, :], protos)
-        assert preds[0] == 3
-        assert scores[0] == pytest.approx(1.0)
+        scores = prototype_scores(_identity_encoder(4), protos, protos[3][None, :], cosine=True)
+        assert np.argmax(scores[0]) == 3
+        assert scores[0].max() == pytest.approx(1.0)
 
     def test_tie_goes_to_lower_index(self):
         units = np.array([[1.0, 0.0]])
         protos = np.array([[0.6, 0.8], [0.6, -0.8]])
-        preds, _ = predict(units, protos)
-        assert preds[0] == 0
+        scores = prototype_scores(_identity_encoder(2), protos, units, cosine=True)
+        assert np.argmax(scores, axis=1)[0] == 0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
-        units, _, _ = rows_normalize(rng.normal(size=(50, 5)))
-        protos, _, _ = rows_normalize(rng.normal(size=(7, 5)))
-        preds, scores = predict(units, protos)
+        feats = rng.normal(size=(50, 5))
+        protos = rng.normal(size=(7, 5))
+        scores = prototype_scores(_identity_encoder(5), protos, feats, cosine=True)
+        preds = np.argmax(scores, axis=1)
+        units, _, _ = rows_normalize(feats)
+        unit_protos, _, _ = rows_normalize(protos)
         for i in range(50):
-            sims = protos @ units[i]
+            sims = unit_protos @ units[i]
             assert preds[i] == np.argmax(sims)
-            assert scores[i] == pytest.approx(sims.max())
+            assert scores[i, preds[i]] == pytest.approx(sims.max())
+
+    def test_ce_uses_raw_dot_products(self):
+        rng = np.random.default_rng(3)
+        feats = rng.normal(size=(6, 3))
+        protos = rng.normal(size=(4, 3)) * np.array([[0.1], [5.0], [1.0], [2.0]])
+        enc = _identity_encoder(3)
+        scores = prototype_scores(enc, protos, feats, cosine=False)
+        np.testing.assert_array_equal(scores, feats @ protos.T)
+        assert not np.allclose(scores, prototype_scores(enc, protos, feats, cosine=True))
 
 
 class TestOpenSetScores:

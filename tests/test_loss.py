@@ -13,7 +13,6 @@ from dualmargin.loss import (
     margin_loss_backward,
     margin_loss_forward,
     margin_regularizer,
-    margin_vectors,
     power_scaled_margins,
     power_scaled_margins_grad_gamma,
     zeta,
@@ -135,14 +134,6 @@ class TestMarginRegularizer:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             margin_regularizer(np.zeros(2), np.zeros(3), 0.15, 0.0)
-
-
-class TestMarginVectors:
-    def test_target_exceeds_nontarget_by_m(self):
-        scaled = power_scaled_margins(np.array([0.0, 0.075, 0.15]), 0.15, 0.4)
-        mv = margin_vectors(scaled, 0.15)
-        np.testing.assert_allclose(mv.target_margins - mv.nontarget_margins, 0.15)
-        assert np.all(mv.target_margins > mv.nontarget_margins)
 
 
 def _two_class_half_cosines():

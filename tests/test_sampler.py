@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from dualmargin.priors import partition_classes
-from dualmargin.sampler import (
-    EmbeddingBatch,
-    StaleEmbeddingError,
-    lowest_norm_indices,
-    norm_select,
-    perturb,
-    plan_batch,
-)
+from dualmargin.sampler import lowest_norm_indices, perturb, plan_batch
 
 
 def _toy_population(seed=0):
@@ -125,44 +118,16 @@ class TestNormSelect:
         rows = lowest_norm_indices(np.ones(6), 3)
         np.testing.assert_array_equal(rows, [0, 1, 2])
 
-    def test_pass_through_when_exact(self):
-        rng = np.random.default_rng(0)
-        batch = EmbeddingBatch.from_raw(rng.normal(size=(4, 3)), np.arange(4))
-        kept, rows = norm_select(batch, 4)
-        np.testing.assert_array_equal(rows, np.arange(4))
-        np.testing.assert_array_equal(kept.raw, batch.raw)
-
     def test_retained_norms_below_discarded(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             n = int(rng.integers(5, 15))
             keep = int(rng.integers(1, n))
-            batch = EmbeddingBatch.from_raw(
-                rng.normal(size=(n, 4)) * rng.uniform(0.1, 3), np.zeros(n, dtype=int)
-            )
-            kept, rows = norm_select(batch, keep)
+            norms = np.linalg.norm(rng.normal(size=(n, 4)) * rng.uniform(0.1, 3), axis=1)
+            rows = lowest_norm_indices(norms, keep)
             discarded = np.setdiff1d(np.arange(n), rows)
-            if discarded.size:
-                assert kept.norms.max() <= batch.norms[discarded].min() + 1e-15
+            assert norms[rows].max() <= norms[discarded].min()
 
     def test_too_few_candidates(self):
         with pytest.raises(ValueError, match="candidates"):
             lowest_norm_indices(np.ones(2), 3)
-
-    def test_stale_token_rejected(self):
-        rng = np.random.default_rng(2)
-        batch = EmbeddingBatch.from_raw(
-            rng.normal(size=(5, 3)), np.zeros(5, dtype=int), params_token=3
-        )
-        with pytest.raises(StaleEmbeddingError):
-            norm_select(batch, 2, expected_token=4)
-        kept, _ = norm_select(batch, 2, expected_token=3)
-        assert len(kept) == 2
-
-    def test_batch_norms_match_rows(self):
-        rng = np.random.default_rng(3)
-        raw = rng.normal(size=(6, 4))
-        batch = EmbeddingBatch.from_raw(raw, np.arange(6))
-        np.testing.assert_allclose(batch.norms, np.linalg.norm(raw, axis=1))
-        lengths = np.linalg.norm(batch.units, axis=1)
-        np.testing.assert_allclose(lengths, 1.0, atol=1e-12)

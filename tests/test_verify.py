@@ -9,7 +9,6 @@ from dualmargin.verify import (
     alignment_probe,
     bound_probe,
     central_difference,
-    finite_diff_check,
 )
 
 
@@ -18,11 +17,6 @@ class TestCentralDifference:
         x = np.array([1.0, -2.0, 0.5])
         grad = central_difference(lambda v: float(v @ v), x, 1e-6)
         np.testing.assert_allclose(grad, 2 * x, atol=1e-8)
-
-    def test_finite_diff_check_wrapper(self):
-        x = np.array([0.3, 0.7])
-        err = finite_diff_check(lambda v: float(v @ v), 2 * x, x, 1e-6)
-        assert err < 1e-8
 
     def test_second_order_convergence(self):
         # Error of the central difference on a cubic decays like h^2.
@@ -39,10 +33,6 @@ class TestCentralDifference:
     def test_non_finite_function(self):
         with pytest.raises(ValueError, match="non-finite"):
             central_difference(lambda v: float("nan"), np.ones(2), 1e-6)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            finite_diff_check(lambda v: float(v @ v), np.ones(3), np.ones(2))
 
 
 def _random_setup(rng, n=6, c=4, d=5):
