@@ -274,18 +274,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        _emit_error(args, str(exc), EXIT_CONFIG)
+        _emit_error(args, exc, EXIT_CONFIG)
         return EXIT_CONFIG
     except (TrainingDiverged, FloatingPointError) as exc:
-        _emit_error(args, str(exc), EXIT_NUMERICAL)
+        _emit_error(args, exc, EXIT_NUMERICAL)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        _emit_error(args, str(exc), EXIT_NUMERICAL)
+        _emit_error(args, exc, EXIT_NUMERICAL)
         return EXIT_NUMERICAL
 
 
-def _emit_error(args, message: str, code: int) -> None:
-    payload = {"error": message, "exit_code": code}
+def _emit_error(args, exc: Exception, code: int) -> None:
+    payload = {"error": str(exc), "exit_code": code}
+    if isinstance(exc, TrainingDiverged):
+        payload["snapshot"] = exc.snapshot
     print(json.dumps(payload), file=sys.stderr)
     try:
         os.makedirs(args.out, exist_ok=True)

@@ -16,6 +16,10 @@ from . import encoder
 from .core import cosine_logits, rows_normalize, stable_softmax
 from .priors import GROUP_NAMES, ClassPartition
 
+# Fewest known validation scores a threshold is calibrated on: with fewer,
+# a 95% TPR target cannot be resolved.
+MIN_CALIBRATION_SCORES = 20
+
 
 @dataclass
 class EvalReport:
@@ -129,15 +133,15 @@ def calibrate_threshold(
 ) -> tuple[float, float]:
     """Largest threshold keeping at least ``target_tpr`` of known scores above it.
 
-    Returns ``(threshold, achieved_tpr)``. Requires enough scores for
-    the requested granularity: with fewer than 20 samples a 95% target
-    cannot be resolved.
+    Returns ``(threshold, achieved_tpr)``. Requires at least
+    ``MIN_CALIBRATION_SCORES`` scores for the requested granularity.
     """
     scores = np.sort(np.asarray(known_val_scores, dtype=np.float64))
     n = scores.size
-    if n < 20:
+    if n < MIN_CALIBRATION_SCORES:
         raise ValueError(
-            f"calibrate_threshold: need >= 20 scores for TPR granularity, have {n}"
+            f"calibrate_threshold: need >= {MIN_CALIBRATION_SCORES} scores "
+            f"for TPR granularity, have {n}"
         )
     if not 0.0 < target_tpr <= 1.0:
         raise ValueError(f"calibrate_threshold: target_tpr must be in (0, 1], got {target_tpr}")

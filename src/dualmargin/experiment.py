@@ -13,8 +13,9 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .evaluation import (EvalReport, calibrate_threshold, closed_set_metrics,
-                         novelty_scores, open_set_eval, prototype_scores)
+from .evaluation import (MIN_CALIBRATION_SCORES, EvalReport, calibrate_threshold,
+                         closed_set_metrics, novelty_scores, open_set_eval,
+                         prototype_scores)
 from .synthdata import TEST, UNKNOWN, VAL, Dataset, generate, open_set_partition, split
 from .trainer import TrainState, train
 
@@ -28,14 +29,22 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     """Generate, split and (optionally) open-set-partition the dataset.
 
     The dataset depends on the config alone, so a failure here is a
-    config error.
+    config error. That includes a validation split too small to calibrate
+    the open-set threshold on, which would otherwise fail after training.
     """
     try:
         ds = generate(cfg.data)
         ds = split(ds, cfg.split_fractions)
-        return open_set_partition(ds, cfg.data.unknown_class_count, seed=cfg.data.seed + 2)
+        ds = open_set_partition(ds, cfg.data.unknown_class_count, seed=cfg.data.seed + 2)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    n_val = ds.indices(VAL).size
+    if ds.indices(UNKNOWN).size and n_val < MIN_CALIBRATION_SCORES:
+        raise ConfigError(
+            f"open-set calibration needs >= {MIN_CALIBRATION_SCORES} validation "
+            f"samples of known classes, the split has {n_val}; raise data.val_frac "
+            f"or data.head_count")
+    return ds
 
 
 def run_id_for(cfg: ExperimentConfig) -> str:

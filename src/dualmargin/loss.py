@@ -96,6 +96,10 @@ class LossContext:
     proto_degenerate: np.ndarray | None = None
     deltas: np.ndarray | None = None
     scaled_deltas: np.ndarray | None = None
+    # Gamma terms (dual_margin mode only): d(scaled_delta)/d(gamma) and the
+    # regularizer's gamma gradient, computed once by the forward pass.
+    dscaled_dgamma: np.ndarray | None = None
+    dreg_dgamma: float | None = None
     # ce-mode fields.
     raw_embeddings: np.ndarray | None = None
     raw_prototypes: np.ndarray | None = None
@@ -143,25 +147,27 @@ def power_scaled_margins_grad_gamma(
 def margin_regularizer(
     deltas: np.ndarray,
     scaled_deltas: np.ndarray,
-    m: float,
-    gamma: float,
-    sign: str = "literal",
+    dscaled_dgamma: np.ndarray,
 ) -> tuple[float, float]:
-    """Sum of squared gaps between raw and scaled adjustments, and its gamma gradient."""
+    """Sum of squared gaps between raw and scaled adjustments, and its gamma gradient.
+
+    ``dscaled_dgamma`` is ``power_scaled_margins_grad_gamma`` at the gamma
+    that produced ``scaled_deltas``.
+    """
     deltas = np.asarray(deltas, dtype=np.float64)
     scaled_deltas = np.asarray(scaled_deltas, dtype=np.float64)
-    if deltas.shape != scaled_deltas.shape:
+    if not deltas.shape == scaled_deltas.shape == np.shape(dscaled_dgamma):
         raise ValueError("margin_regularizer: shape mismatch")
     gap = deltas - scaled_deltas
     value = float(np.sum(gap * gap))
-    dscaled = power_scaled_margins_grad_gamma(deltas, m, gamma, sign)
-    dgamma = float(np.sum(-2.0 * gap * dscaled))
+    dgamma = float(np.sum(-2.0 * gap * dscaled_dgamma))
     return value, dgamma
 
 
 def _margin_matrix(labels: np.ndarray, num_classes: int, scaled_deltas: np.ndarray, m: float) -> np.ndarray:
     n = labels.shape[0]
-    mm = np.broadcast_to(scaled_deltas, (n, num_classes)).copy()
+    mm = np.empty((n, num_classes))
+    mm[...] = scaled_deltas
     mm[np.arange(n), labels] += m
     return mm
 
@@ -202,13 +208,14 @@ def margin_loss_forward(
         if cfg.mode == "am_softmax":
             scaled = np.zeros(c, dtype=np.float64)
             used_deltas = np.zeros(c, dtype=np.float64)
-            reg_value = 0.0
+            reg_value, dscaled, dreg = 0.0, None, None
         else:
             if deltas is None:
                 raise ValueError("margin_loss_forward: dual_margin mode requires deltas")
             used_deltas = np.asarray(deltas, dtype=np.float64)
             scaled = power_scaled_margins(used_deltas, cfg.m, cfg.gamma, cfg.eq5_sign)
-            reg_value, _ = margin_regularizer(used_deltas, scaled, cfg.m, cfg.gamma, cfg.eq5_sign)
+            dscaled = power_scaled_margins_grad_gamma(used_deltas, cfg.m, cfg.gamma, cfg.eq5_sign)
+            reg_value, dreg = margin_regularizer(used_deltas, scaled, dscaled)
         adjusted = cfg.s * (logits - _margin_matrix(labels, c, scaled, cfg.m))
         ctx = LossContext(
             cfg=cfg, labels=labels, probs=np.empty(0),
@@ -216,6 +223,7 @@ def margin_loss_forward(
             proto_units=proto_units, proto_norms=proto_norms,
             proto_degenerate=proto_degenerate,
             deltas=used_deltas, scaled_deltas=scaled,
+            dscaled_dgamma=dscaled, dreg_dgamma=dreg,
         )
 
     bad = ~np.all(np.isfinite(adjusted), axis=1)
@@ -267,11 +275,7 @@ def margin_loss_backward(ctx: LossContext) -> LossGrads:
         # Data term: every margin-matrix column j is scaled_delta[j] (+m on
         # the target), so dL/d(scaled_delta[j]) = -s * column-sum of g.
         dscaled_data = -cfg.s * g.sum(axis=0)
-        _, dreg_dgamma = margin_regularizer(
-            ctx.deltas, ctx.scaled_deltas, cfg.m, cfg.gamma, cfg.eq5_sign
-        )
-        dscaled_dgamma = power_scaled_margins_grad_gamma(ctx.deltas, cfg.m, cfg.gamma, cfg.eq5_sign)
-        grad_gamma = float(np.sum(dscaled_data * dscaled_dgamma) + cfg.lam * dreg_dgamma)
+        grad_gamma = float(np.sum(dscaled_data * ctx.dscaled_dgamma) + cfg.lam * ctx.dreg_dgamma)
 
     return LossGrads(embeddings=grad_x, prototypes=grad_w, gamma=grad_gamma)
 

@@ -60,9 +60,6 @@ class ClassPartition:
     tail_threshold: int
     group_of: np.ndarray  # per-class group id (HEAD / BETWEEN / TAIL)
 
-    def classes_in(self, group: int) -> np.ndarray:
-        return np.flatnonzero(self.group_of == group)
-
 
 def class_counts(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Tally labels into per-class counts."""

@@ -2,10 +2,11 @@
 
 A batch plan draws a base batch uniformly without replacement, then with
 a fixed Bernoulli probability appends extra tail-class samples (with
-replacement; duplicates of base samples are allowed and logged per
-batch). After embedding all candidates, only the batch-size lowest-norm
-samples are kept; ties break by ascending candidate index so selection
-is a deterministic function of (dataset, seed, step).
+replacement; duplicates of base samples are allowed, and are counted and
+logged only when DEBUG logging is on). After embedding all candidates,
+only the batch-size lowest-norm samples are kept; ties break by ascending
+candidate index so selection is a deterministic function of (dataset,
+seed, step).
 """
 
 from __future__ import annotations
@@ -61,17 +62,17 @@ def plan_batch(
     extra = np.empty(0, dtype=np.int64)
     mask = np.empty(0, dtype=bool)
     if fired:
-        tail_classes = partition.classes_in(TAIL)
-        pool = train_indices[np.isin(labels[train_indices], tail_classes)]
+        pool = train_indices[partition.group_of[labels[train_indices]] == TAIL]
         if pool.size == 0:
             log.warning("plan_batch: oversample fired but no tail-class samples; skipping")
             fired = False
         else:
             extra = rng.choice(pool, size=oversample_size, replace=True)
             mask = rng.random(oversample_size) < perturb_prob
-            dup = np.intersect1d(extra, base).size
-            if dup:
-                log.debug("plan_batch: %d oversampled indices duplicate base batch", dup)
+            if log.isEnabledFor(logging.DEBUG):
+                dup = np.intersect1d(extra, base).size
+                if dup:
+                    log.debug("plan_batch: %d oversampled indices duplicate base batch", dup)
     return BatchPlan(base_indices=base, extra_indices=extra, oversample_fired=fired,
                      perturbation_mask=mask)
 

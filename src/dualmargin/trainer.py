@@ -1,6 +1,14 @@
-"""End-to-end training loop: margins precomputed once, oversampled batches,
-norm-guided retention, manual backprop, adaptive optimizer with decoupled
-weight decay, step-decay schedule.
+"""End-to-end training loop: oversampled batches, norm-guided retention,
+manual backprop, adaptive optimizer with decoupled weight decay, step-decay
+schedule.
+
+Computed once per run: the class statistics and their margin adjustments
+(deltas), the per-class index pools partners are drawn from, and the
+parameter layout. Encoder weights, encoder biases and prototypes are views
+into one flat buffer, and their gradients are gathered into a matching one,
+so the optimizer makes one update for them and one for gamma. Computed once
+per step: the gamma terms of the loss (the scaled margins, their gamma
+derivative and the regularizer), shared by its forward and backward pass.
 
 The loop is a single logical agent owning one RNG stream, so identical
 (config, dataset, seed) yields a bitwise-identical history.
@@ -107,12 +115,7 @@ class AdamW:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: float, decay_override: dict[str, float] | None = None) -> None:
-        for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise TrainingDiverged(
-                    f"non-finite gradient for parameter {name!r}",
-                    {"param": name},
-                )
+        _require_finite(grads)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -121,11 +124,14 @@ class AdamW:
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
             wd = self.weight_decay if decay_override is None else decay_override.get(name, self.weight_decay)
             p *= 1.0 - lr * wd
-            p -= lr * (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + self.eps)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 class SGD:
@@ -136,19 +142,39 @@ class SGD:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: float, decay_override: dict[str, float] | None = None) -> None:
+        _require_finite(grads)
         for name, p in params.items():
             wd = self.weight_decay if decay_override is None else decay_override.get(name, self.weight_decay)
             p *= 1.0 - lr * wd
             p -= lr * grads[name]
 
 
-def _flat_params(enc: encoder.EncoderParams, prototypes: np.ndarray,
-                 gamma_box: np.ndarray) -> dict[str, np.ndarray]:
-    params = {"prototypes": prototypes, "gamma": gamma_box}
-    for l, (w, b) in enumerate(zip(enc.weights, enc.biases)):
-        params[f"enc.w{l}"] = w
-        params[f"enc.b{l}"] = b
-    return params
+def _require_finite(grads: dict[str, np.ndarray]) -> None:
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise TrainingDiverged(
+                f"non-finite gradient for parameter {name!r}",
+                {"param": name},
+            )
+
+
+def _flat_layout(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copy ``arrays`` into one contiguous buffer; return it and a view per array."""
+    flat = np.concatenate(arrays, axis=None)
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return flat, views
+
+
+def _class_pools(train_idx: np.ndarray, train_labels: np.ndarray,
+                 num_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Training ids grouped by class, keeping split order within a class,
+    with each class's start and size in that order."""
+    by_class = train_idx[np.argsort(train_labels, kind="stable")]
+    sizes = np.bincount(train_labels, minlength=num_classes)
+    return by_class, np.cumsum(sizes) - sizes, sizes
 
 
 def _validate(enc: encoder.EncoderParams, prototypes: np.ndarray, dataset: Dataset,
@@ -188,12 +214,23 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     )
     partition = partition_classes(stats.counts, cfg.head_threshold, cfg.tail_threshold)
 
+    by_class, pool_starts, pool_sizes = _class_pools(
+        train_idx, dataset.labels[train_idx], dataset.num_classes)
+
     input_dim = dataset.features.shape[1]
     enc = encoder.init_params([input_dim, *cfg.hidden_dims, cfg.embed_dim],
                               seed=cfg.seed, activation="tanh")
     prototypes = rng.normal(0.0, 1.0 / math.sqrt(cfg.embed_dim),
                             size=(dataset.num_classes, cfg.embed_dim))
+    # Weights, biases and prototypes live in one flat buffer (the body);
+    # the arrays the loop uses are views into it.
+    num_layers = len(enc.weights)
+    body, views = _flat_layout([*enc.weights, *enc.biases, prototypes])
+    enc = replace(enc, weights=views[:num_layers], biases=views[num_layers:-1])
+    prototypes = views[-1]
+    grad_body = np.empty_like(body)
     gamma_box = np.asarray(float(mcfg.gamma))
+    params = {"body": body, "gamma": gamma_box}
 
     if cfg.optimizer == "adaptive_decoupled":
         opt = AdamW(weight_decay=cfg.weight_decay)
@@ -229,7 +266,9 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                 if plan.oversample_fired:
                     extra_feats = dataset.features[plan.extra_indices]
                     extra_labels = dataset.labels[plan.extra_indices]
-                    partners = _same_class_partners(dataset, train_idx, extra_labels, rng)
+                    # One uniform same-class training sample per extra row.
+                    draw = rng.integers(0, pool_sizes[extra_labels])
+                    partners = dataset.features[by_class[pool_starts[extra_labels] + draw]]
                     mixed = perturb(extra_feats, partners, cfg.perturb_strength, rng)
                     extra_feats = np.where(plan.perturbation_mask[:, None], mixed, extra_feats)
                     feats = np.concatenate([feats, extra_feats])
@@ -253,13 +292,9 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                          "lr": lr, "gamma": float(gamma_box)},
                     )
                 param_grads, _ = encoder.backward(enc, cache, out.grad_embeddings)
-
-                params = _flat_params(enc, prototypes, gamma_box)
-                grads = {"prototypes": out.grad_prototypes,
-                         "gamma": np.asarray(out.grad_gamma)}
-                for l, (dw, db) in enumerate(param_grads):
-                    grads[f"enc.w{l}"] = dw
-                    grads[f"enc.b{l}"] = db
+                dws, dbs = zip(*param_grads)
+                np.concatenate([*dws, *dbs, out.grad_prototypes], axis=None, out=grad_body)
+                grads = {"body": grad_body, "gamma": np.asarray(out.grad_gamma)}
                 opt.step(params, grads, lr, decay_override)
                 state.step += 1
                 epoch_losses.append(out.total)
@@ -291,17 +326,6 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
         state.best_gamma = state.gamma
         state.best_val_recall = float("nan")
     return state, history
-
-
-def _same_class_partners(dataset: Dataset, train_idx: np.ndarray,
-                         labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """For each label, draw a random training sample of the same class."""
-    partners = np.empty((labels.size, dataset.features.shape[1]))
-    train_labels = dataset.labels[train_idx]
-    for i, lab in enumerate(labels):
-        pool = train_idx[train_labels == lab]
-        partners[i] = dataset.features[rng.choice(pool)]
-    return partners
 
 
 def save_checkpoint(state: TrainState, path: str) -> None:

@@ -7,6 +7,7 @@ import pytest
 
 from dualmargin.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     main,
     verification_rows,
@@ -161,6 +162,29 @@ class TestCliCommands:
         payload = json.loads(open(os.path.join(out, "error.json")).read())
         assert payload["exit_code"] == EXIT_CONFIG
         assert "cannot place" in payload["error"]
+
+    def test_small_open_set_validation_split_is_config_error(self, tmp_path):
+        # 15 known validation samples cannot calibrate the open-set
+        # threshold; the run must stop before training, not after it.
+        bad = tmp_path / "small_val.ini"
+        bad.write_text("data.head_count = 30\ndata.unknown_classes = 1\n")
+        out = str(tmp_path / "err")
+        assert main(["train", "--config", str(bad), "--out", out]) == EXIT_CONFIG
+        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        assert payload["exit_code"] == EXIT_CONFIG
+        assert "data.val_frac" in payload["error"]
+        assert "data.head_count" in payload["error"]
+        assert not os.path.exists(os.path.join(out, "history.jsonl"))
+
+    def test_divergence_writes_snapshot(self, tmp_path):
+        bad = tmp_path / "diverge.ini"
+        bad.write_text("margin.lambda = 1e9\ntrain.epochs = 1\n")
+        out = str(tmp_path / "err")
+        assert main(["train", "--config", str(bad), "--out", out]) == EXIT_NUMERICAL
+        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        assert payload["exit_code"] == EXIT_NUMERICAL
+        assert set(payload["snapshot"]) == {"epoch", "step", "loss", "lr", "gamma"}
+        assert payload["snapshot"]["step"] == 0
 
     def test_missing_config_file(self, tmp_path):
         out = str(tmp_path / "err")

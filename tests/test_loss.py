@@ -102,19 +102,20 @@ class TestPowerScaledMargins:
 class TestMarginRegularizer:
     def test_exact_match(self):
         d = np.array([0.0, 0.1])
-        value, _ = margin_regularizer(d, d.copy(), 0.15, 0.0)
+        value, _ = margin_regularizer(d, d.copy(), np.zeros(2))
         assert value == 0.0
 
     def test_full_gap(self):
         m = 0.15
-        value, _ = margin_regularizer(np.array([m]), np.array([-m]), m, 0.0)
+        value, _ = margin_regularizer(np.array([m]), np.array([-m]), np.zeros(1))
         assert value == pytest.approx(4 * m * m)
 
     def test_scalar_example(self):
         # Frozen oracle: (0.075 - (-0.0463877))^2 = 0.0147350...
         deltas = np.array([0.075])
         scaled = power_scaled_margins(deltas, 0.15, 0.0)
-        value, _ = margin_regularizer(deltas, scaled, 0.15, 0.0)
+        dscaled = power_scaled_margins_grad_gamma(deltas, 0.15, 0.0)
+        value, _ = margin_regularizer(deltas, scaled, dscaled)
         assert value == pytest.approx(0.014735, abs=1e-6)
 
     def test_gamma_gradient(self):
@@ -123,17 +124,19 @@ class TestMarginRegularizer:
 
         def reg_value(g):
             scaled = power_scaled_margins(deltas, 0.15, g)
-            return margin_regularizer(deltas, scaled, 0.15, g)[0]
+            dscaled = power_scaled_margins_grad_gamma(deltas, 0.15, g)
+            return margin_regularizer(deltas, scaled, dscaled)[0]
 
         scaled = power_scaled_margins(deltas, 0.15, gamma)
-        _, dgamma = margin_regularizer(deltas, scaled, 0.15, gamma)
+        dscaled = power_scaled_margins_grad_gamma(deltas, 0.15, gamma)
+        _, dgamma = margin_regularizer(deltas, scaled, dscaled)
         h = 1e-6
         numeric = (reg_value(gamma + h) - reg_value(gamma - h)) / (2 * h)
         assert dgamma == pytest.approx(numeric, rel=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            margin_regularizer(np.zeros(2), np.zeros(3), 0.15, 0.0)
+            margin_regularizer(np.zeros(2), np.zeros(3), np.zeros(2))
 
 
 def _two_class_half_cosines():

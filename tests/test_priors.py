@@ -215,11 +215,6 @@ class TestPartitionClasses:
         part = partition_classes([2001, 2000, 100, 99], 2000, 100)
         np.testing.assert_array_equal(part.group_of, [HEAD, BETWEEN, BETWEEN, TAIL])
 
-    def test_classes_in(self):
-        part = partition_classes([5000, 500, 5], 2000, 100)
-        np.testing.assert_array_equal(part.classes_in(TAIL), [2])
-        np.testing.assert_array_equal(part.classes_in(HEAD), [0])
-
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="below head"):
             partition_classes([1], 100, 100)

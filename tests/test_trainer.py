@@ -106,6 +106,13 @@ class TestSGD:
         opt.step(p, {"w": np.zeros(1)}, lr=0.1)
         assert p["w"][0] == pytest.approx(0.95)
 
+    def test_non_finite_grad_aborts(self):
+        opt = SGD()
+        p = {"w": np.ones(2)}
+        with pytest.raises(TrainingDiverged):
+            opt.step(p, {"w": np.array([np.nan, 1.0])}, lr=0.1)
+        np.testing.assert_array_equal(p["w"], [1.0, 1.0])
+
 
 class TestTrainConfig:
     def test_defaults_match_recipe(self):
@@ -207,6 +214,31 @@ class TestTrainLoop:
         cfg = _fast_config(seed=9, margin=MarginConfig(mode="ce"))
         state, history = train(cfg, dataset)
         assert np.isfinite(history[-1]["train_loss"])
+
+    def test_best_params_are_copies_of_the_flat_buffer(self):
+        # Live parameters are views into one flat buffer; the best-epoch
+        # snapshot must not change when training goes on updating it.
+        dataset = _small_dataset(seed=13)
+        state, _ = train(_fast_config(seed=13, epochs=2), dataset)
+        flat = state.prototypes.base
+        live = [*state.encoder_params.weights, *state.encoder_params.biases,
+                state.prototypes]
+        assert flat.size == sum(a.size for a in live)
+        assert all(np.shares_memory(a, flat) for a in live)
+        best = [*state.best_encoder_params.weights, *state.best_encoder_params.biases,
+                state.best_prototypes]
+        assert not any(np.shares_memory(a, flat) for a in best)
+
+    def test_oversampled_run_matches_frozen_losses(self):
+        # Frozen oracle: every step oversamples, and two tail classes have
+        # a single training sample, so the tail-pool, extra-sample and
+        # partner draws all show in the losses. Any change to how they use
+        # the RNG stream changes these floats.
+        dataset = _small_dataset(seed=12, ratio=80.0)
+        cfg = _fast_config(seed=12, epochs=2, oversample_prob=1.0)
+        _, history = train(cfg, dataset)
+        assert [rec["train_loss"] for rec in history] == [10.097163493582725,
+                                                          10.727874049299244]
 
     def test_small_training_split_rejected(self):
         dataset = _small_dataset(seed=10, num_classes=2, head_count=6, ratio=1.0)
