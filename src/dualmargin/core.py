@@ -33,16 +33,17 @@ def l2_normalize(v: np.ndarray, eps: float = NORM_EPS) -> tuple[np.ndarray, floa
 def rows_normalize(mat: np.ndarray, eps: float = NORM_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise L2 normalization with the same zero-guard as ``l2_normalize``.
 
-    Returns ``(units, norms, degenerate_mask)``.
+    Returns ``(units, norms, degenerate_mask)``. Unlike ``l2_normalize`` it
+    does not check for non-finite entries: its callers check at their own
+    boundaries (encoder input, loss logits), and a NaN or inf row yields
+    NaN units there.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("rows_normalize: input contains non-finite entries")
-    norms = np.linalg.norm(mat, axis=1)
+    norms = np.sqrt((mat * mat).sum(axis=1))
     degenerate = norms <= eps
     safe = np.where(degenerate, 1.0, norms)
     units = mat / safe[:, None]
-    if np.any(degenerate):
+    if degenerate.any():
         units[degenerate] = 0.0
         units[degenerate, 0] = 1.0
     return units, norms, degenerate
@@ -56,14 +57,6 @@ def stable_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - np.max(logits, axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / np.sum(exp, axis=axis, keepdims=True)
-
-
-def logsumexp(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-shifted log-sum-exp along ``axis``."""
-    logits = np.asarray(logits, dtype=np.float64)
-    peak = np.max(logits, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(logits - peak), axis=axis, keepdims=True)) + peak
-    return np.squeeze(out, axis=axis)
 
 
 def cosine_logits(x_unit: np.ndarray, prototypes_unit: np.ndarray) -> np.ndarray:
@@ -88,13 +81,21 @@ def softplus(x: np.ndarray | float) -> np.ndarray | float:
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
-    """Logistic function, stable for large |x|."""
+    """Logistic function, stable for large |x|.
+
+    A Python float or 0-d input takes a scalar branch and returns a float,
+    bit-equal to the array branch at the same value.
+    """
+    if np.ndim(x) == 0:
+        x = float(x)
+        if x >= 0:
+            return float(1.0 / (1.0 + np.exp(-x)))
+        ex = np.exp(x)
+        return float(ex / (1.0 + ex))
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    if out.ndim == 0:
-        return float(out)
     return out

@@ -34,14 +34,11 @@ class EncoderParams:
 
 @dataclass
 class ForwardCache:
-    inputs: list[np.ndarray]  # input to each layer
-    preacts: list[np.ndarray]  # pre-activation of each layer
+    # Input to each layer, then the embeddings: activations[l] feeds layer l.
+    activations: list[np.ndarray]
 
     def subset(self, rows: np.ndarray) -> "ForwardCache":
-        return ForwardCache(
-            inputs=[a[rows] for a in self.inputs],
-            preacts=[z[rows] for z in self.preacts],
-        )
+        return ForwardCache(activations=[a[rows] for a in self.activations])
 
 
 def init_params(dims: list[int], seed: int, activation: str = "tanh") -> EncoderParams:
@@ -67,32 +64,29 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """Derivative of the activation, from its output ``a``."""
     if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return (z > 0).astype(np.float64)
+        return 1.0 - a * a
+    return (a > 0).astype(np.float64)
 
 
 def forward(params: EncoderParams, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Map (n, input_dim) features to (n, d) raw embeddings."""
     features = np.asarray(features, dtype=np.float64)
-    bad = ~np.all(np.isfinite(features), axis=1)
-    if bad.any():
+    if not np.isfinite(features).all():
+        bad = ~np.isfinite(features).all(axis=1)
         raise ValueError(f"encoder.forward: non-finite input at sample {int(np.flatnonzero(bad)[0])}")
     if features.shape[1] != params.weights[0].shape[1]:
         raise ValueError(
             f"encoder.forward: feature width {features.shape[1]} != input dim {params.weights[0].shape[1]}"
         )
     num_layers = len(params.weights)
-    a = features
-    inputs, preacts = [], []
+    activations = [features]
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        inputs.append(a)
-        z = a @ w.T + b
-        preacts.append(z)
-        a = z if l == num_layers - 1 else _activate(z, params.activation)
-    return a, ForwardCache(inputs=inputs, preacts=preacts)
+        z = activations[-1] @ w.T + b
+        activations.append(z if l == num_layers - 1 else _activate(z, params.activation))
+    return activations[-1], ForwardCache(activations=activations)
 
 
 def backward(
@@ -105,14 +99,14 @@ def backward(
     """
     grad_embeddings = np.asarray(grad_embeddings, dtype=np.float64)
     num_layers = len(params.weights)
-    if grad_embeddings.shape != cache.preacts[-1].shape:
+    if grad_embeddings.shape != cache.activations[-1].shape:
         raise ValueError("encoder.backward: upstream gradient shape mismatch")
     param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * num_layers  # type: ignore[list-item]
     delta = grad_embeddings
     for l in range(num_layers - 1, -1, -1):
         if l != num_layers - 1:
-            delta = delta * _activate_grad(cache.preacts[l], params.activation)
-        param_grads[l] = (delta.T @ cache.inputs[l], delta.sum(axis=0))
+            delta = delta * _activate_grad(cache.activations[l + 1], params.activation)
+        param_grads[l] = (delta.T @ cache.activations[l], delta.sum(axis=0))
         delta = delta @ params.weights[l]
     return param_grads, delta
 

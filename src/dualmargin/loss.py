@@ -17,6 +17,15 @@ Gradients are returned with respect to the *raw* (pre-normalization)
 embeddings and prototypes plus the margin-scaling scalar, so the trainer
 can update raw parameters directly. Forward and backward are pure
 functions of their inputs.
+
+Once per call, the forward pass computes the gamma terms (scaled margins,
+their gamma derivative, the regularizer value and its gamma gradient) from
+one power of |delta|/m, and one max-shifted exp whose row sums give both
+the log-sum-exp and the softmax. The backward pass reads the gamma terms
+from ``LossContext``. The only finiteness check is on the adjusted logits,
+which a NaN or inf embedding or prototype row reaches; it names the first
+bad sample. The trainer keeps gamma as the last element of its flat
+parameter buffer and passes it in through ``MarginConfig.gamma``.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import logsumexp, rows_normalize, sigmoid, softplus, stable_softmax
+from .core import rows_normalize, sigmoid, softplus
 
 MODES = ("dual_margin", "am_softmax", "ce")
 SIGN_CHOICES = ("literal", "magnitude")
@@ -117,6 +126,29 @@ def zeta(gamma: float) -> float:
     return 1.0 + float(softplus(gamma))
 
 
+def _gamma_terms(
+    deltas: np.ndarray, m: float, gamma: float, sign: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled margins and their gamma derivative, sharing one power of |delta|/m.
+
+    d/dgamma of m * r^zeta is m * r^zeta * log(r) * sigmoid(gamma); it is
+    zero where delta is zero.
+    """
+    ratio = np.abs(deltas) / m
+    scaled = m * np.power(ratio, zeta(gamma))
+    log_ratio = np.log(ratio, out=np.zeros_like(ratio), where=ratio > 0)
+    grad = scaled * log_ratio * sigmoid(gamma)
+    if sign == "literal":
+        return -scaled, -grad
+    return scaled, grad
+
+
+def _regularizer(deltas: np.ndarray, scaled_deltas: np.ndarray,
+                 dscaled_dgamma: np.ndarray) -> tuple[float, float]:
+    gap = deltas - scaled_deltas
+    return float((gap * gap).sum()), float((-2.0 * gap * dscaled_dgamma).sum())
+
+
 def power_scaled_margins(
     deltas: np.ndarray, m: float, gamma: float, sign: str = "literal"
 ) -> np.ndarray:
@@ -125,23 +157,14 @@ def power_scaled_margins(
         raise ValueError(f"power_scaled_margins: m must be > 0, got {m}")
     if sign not in SIGN_CHOICES:
         raise ValueError(f"power_scaled_margins: sign must be one of {SIGN_CHOICES}")
-    deltas = np.asarray(deltas, dtype=np.float64)
-    ratio = np.abs(deltas) / m
-    scaled = m * np.power(ratio, zeta(gamma))
-    return -scaled if sign == "literal" else scaled
+    return _gamma_terms(np.asarray(deltas, dtype=np.float64), m, gamma, sign)[0]
 
 
 def power_scaled_margins_grad_gamma(
     deltas: np.ndarray, m: float, gamma: float, sign: str = "literal"
 ) -> np.ndarray:
     """d(scaled_delta)/d(gamma), elementwise; zero where delta is zero."""
-    deltas = np.asarray(deltas, dtype=np.float64)
-    ratio = np.abs(deltas) / m
-    grad = np.zeros_like(ratio)
-    pos = ratio > 0
-    # d/dgamma of m * r^zeta = m * r^zeta * log(r) * sigmoid(gamma)
-    grad[pos] = m * np.power(ratio[pos], zeta(gamma)) * np.log(ratio[pos]) * sigmoid(gamma)
-    return -grad if sign == "literal" else grad
+    return _gamma_terms(np.asarray(deltas, dtype=np.float64), m, gamma, sign)[1]
 
 
 def margin_regularizer(
@@ -158,10 +181,7 @@ def margin_regularizer(
     scaled_deltas = np.asarray(scaled_deltas, dtype=np.float64)
     if not deltas.shape == scaled_deltas.shape == np.shape(dscaled_dgamma):
         raise ValueError("margin_regularizer: shape mismatch")
-    gap = deltas - scaled_deltas
-    value = float(np.sum(gap * gap))
-    dgamma = float(np.sum(-2.0 * gap * dscaled_dgamma))
-    return value, dgamma
+    return _regularizer(deltas, scaled_deltas, dscaled_dgamma)
 
 
 def _margin_matrix(labels: np.ndarray, num_classes: int, scaled_deltas: np.ndarray, m: float) -> np.ndarray:
@@ -213,10 +233,10 @@ def margin_loss_forward(
             if deltas is None:
                 raise ValueError("margin_loss_forward: dual_margin mode requires deltas")
             used_deltas = np.asarray(deltas, dtype=np.float64)
-            scaled = power_scaled_margins(used_deltas, cfg.m, cfg.gamma, cfg.eq5_sign)
-            dscaled = power_scaled_margins_grad_gamma(used_deltas, cfg.m, cfg.gamma, cfg.eq5_sign)
-            reg_value, dreg = margin_regularizer(used_deltas, scaled, dscaled)
-        adjusted = cfg.s * (logits - _margin_matrix(labels, c, scaled, cfg.m))
+            scaled, dscaled = _gamma_terms(used_deltas, cfg.m, cfg.gamma, cfg.eq5_sign)
+            reg_value, dreg = _regularizer(used_deltas, scaled, dscaled)
+        adjusted = logits - _margin_matrix(labels, c, scaled, cfg.m)
+        adjusted *= cfg.s
         ctx = LossContext(
             cfg=cfg, labels=labels, probs=np.empty(0),
             units=units, norms=norms, degenerate=degenerate,
@@ -226,15 +246,20 @@ def margin_loss_forward(
             dscaled_dgamma=dscaled, dreg_dgamma=dreg,
         )
 
-    bad = ~np.all(np.isfinite(adjusted), axis=1)
-    if bad.any():
+    # The one finiteness check of the loss: a NaN or inf embedding or
+    # prototype row shows up here as a non-finite logit row.
+    if not np.isfinite(adjusted).all():
+        bad = ~np.isfinite(adjusted).all(axis=1)
         raise ValueError(f"margin_loss_forward: non-finite logits at sample {int(np.flatnonzero(bad)[0])}")
 
-    lse = logsumexp(adjusted, axis=1)
-    per_sample = lse - adjusted[np.arange(n), labels]
-    probs = stable_softmax(adjusted, axis=1)
+    # Max-shifted exp and its row sums, shared by log-sum-exp and softmax.
+    peak = adjusted.max(axis=1, keepdims=True)
+    probs = np.exp(adjusted - peak)
+    sums = probs.sum(axis=1, keepdims=True)
+    per_sample = (np.log(sums) + peak)[:, 0] - adjusted[np.arange(n), labels]
+    probs /= sums
     ctx.probs = probs
-    total = float(per_sample.mean() + cfg.lam * reg_value)
+    total = float(per_sample.sum() / n + cfg.lam * reg_value)
     out = LossOutput(total=total, per_sample=per_sample, probs=probs, reg_value=reg_value)
     return out, ctx
 
@@ -275,7 +300,7 @@ def margin_loss_backward(ctx: LossContext) -> LossGrads:
         # Data term: every margin-matrix column j is scaled_delta[j] (+m on
         # the target), so dL/d(scaled_delta[j]) = -s * column-sum of g.
         dscaled_data = -cfg.s * g.sum(axis=0)
-        grad_gamma = float(np.sum(dscaled_data * ctx.dscaled_dgamma) + cfg.lam * ctx.dreg_dgamma)
+        grad_gamma = float((dscaled_data * ctx.dscaled_dgamma).sum() + cfg.lam * ctx.dreg_dgamma)
 
     return LossGrads(embeddings=grad_x, prototypes=grad_w, gamma=grad_gamma)
 
@@ -287,10 +312,11 @@ def _chain_through_normalization(
     degenerate: np.ndarray,
 ) -> np.ndarray:
     """Pull gradients wrt unit rows back to raw rows through x/||x||."""
-    radial = np.sum(grad_units * units, axis=1, keepdims=True)
-    safe = np.where(degenerate, 1.0, norms)
-    grad_raw = (grad_units - radial * units) / safe[:, None]
-    grad_raw[degenerate] = 0.0
+    radial = (grad_units * units).sum(axis=1, keepdims=True)
+    grad_raw = grad_units - radial * units
+    grad_raw /= np.where(degenerate, 1.0, norms)[:, None]
+    if degenerate.any():
+        grad_raw[degenerate] = 0.0
     return grad_raw
 
 

@@ -28,13 +28,14 @@ class BatchPlan:
     oversample_fired: bool
     perturbation_mask: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "base_indices": self.base_indices.tolist(),
-            "extra_indices": self.extra_indices.tolist(),
-            "oversample_fired": self.oversample_fired,
-            "perturbation_mask": self.perturbation_mask.tolist(),
-        }
+    def json_line(self) -> str:
+        """The plan as one JSON line, byte-equal to ``json.dumps`` of its
+        fields plus a newline; a list of ints prints as JSON already."""
+        mask = ", ".join(["true" if m else "false" for m in self.perturbation_mask.tolist()])
+        return (f'{{"base_indices": {self.base_indices.tolist()}, '
+                f'"extra_indices": {self.extra_indices.tolist()}, '
+                f'"oversample_fired": {"true" if self.oversample_fired else "false"}, '
+                f'"perturbation_mask": [{mask}]}}\n')
 
 
 def plan_batch(

@@ -3,12 +3,18 @@ manual backprop, adaptive optimizer with decoupled weight decay, step-decay
 schedule.
 
 Computed once per run: the class statistics and their margin adjustments
-(deltas), the per-class index pools partners are drawn from, and the
-parameter layout. Encoder weights, encoder biases and prototypes are views
-into one flat buffer, and their gradients are gathered into a matching one,
-so the optimizer makes one update for them and one for gamma. Computed once
-per step: the gamma terms of the loss (the scaled margins, their gamma
-derivative and the regularizer), shared by its forward and backward pass.
+(deltas), the per-class index pools partners are drawn from, the parameter
+layout and the per-element weight decay. Encoder weights, encoder biases,
+prototypes and, as the last element, gamma live in one flat buffer (the
+arrays the loop uses are views into it), and their gradients are gathered
+into a matching one, so the optimizer makes one update per step. With
+``gamma_shares_schedule`` off, the decay is an array with a zero for gamma's
+element. The margin config is copied once per run, and the copy's gamma
+is set from the buffer each step. Computed once per step: the gamma terms of
+the loss (the scaled margins, their gamma derivative and the regularizer),
+shared by its forward and backward pass. Finiteness is checked at the
+boundaries only: encoder input, the loss's adjusted logits, the batch loss
+and the gradients.
 
 The loop is a single logical agent owning one RNG stream, so identical
 (config, dataset, seed) yields a bitwise-identical history.
@@ -102,11 +108,14 @@ class AdamW:
     """Adaptive moments with bias correction and decoupled weight decay.
 
     Decay multiplies parameters by (1 - lr * wd) before the moment-based
-    update; it is never folded into the gradients.
+    update; it is never folded into the gradients. ``weight_decay`` is one
+    value for every element, or an array of per-element values that
+    broadcasts against each parameter (``train`` passes one with a zero for
+    gamma when ``gamma_shares_schedule`` is off).
     """
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+                 weight_decay: float | np.ndarray = 0.0):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.m: dict[str, np.ndarray] = {}
@@ -114,7 +123,7 @@ class AdamW:
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr: float, decay_override: dict[str, float] | None = None) -> None:
+             lr: float) -> None:
         _require_finite(grads)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
@@ -129,29 +138,27 @@ class AdamW:
             m += (1 - self.beta1) * g
             v *= self.beta2
             v += (1 - self.beta2) * g * g
-            wd = self.weight_decay if decay_override is None else decay_override.get(name, self.weight_decay)
-            p *= 1.0 - lr * wd
+            p *= 1.0 - lr * self.weight_decay
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 class SGD:
     """Plain gradient step with the same decoupled-decay convention."""
 
-    def __init__(self, weight_decay: float = 0.0):
+    def __init__(self, weight_decay: float | np.ndarray = 0.0):
         self.weight_decay = weight_decay
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr: float, decay_override: dict[str, float] | None = None) -> None:
+             lr: float) -> None:
         _require_finite(grads)
         for name, p in params.items():
-            wd = self.weight_decay if decay_override is None else decay_override.get(name, self.weight_decay)
-            p *= 1.0 - lr * wd
+            p *= 1.0 - lr * self.weight_decay
             p -= lr * grads[name]
 
 
 def _require_finite(grads: dict[str, np.ndarray]) -> None:
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise TrainingDiverged(
                 f"non-finite gradient for parameter {name!r}",
                 {"param": name},
@@ -206,7 +213,8 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
         raise ValueError("train: training split smaller than one batch")
 
     rng = np.random.default_rng(cfg.seed)
-    mcfg = cfg.margin
+    # A run-private copy whose gamma follows the flat buffer's last element.
+    mcfg = replace(cfg.margin)
     stats = compute_class_stats(
         dataset.labels[train_idx], dataset.num_classes,
         base_margin=mcfg.m, beta=mcfg.beta, epsilon=mcfg.epsilon,
@@ -222,23 +230,23 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                               seed=cfg.seed, activation="tanh")
     prototypes = rng.normal(0.0, 1.0 / math.sqrt(cfg.embed_dim),
                             size=(dataset.num_classes, cfg.embed_dim))
-    # Weights, biases and prototypes live in one flat buffer (the body);
-    # the arrays the loop uses are views into it.
+    # Weights, biases, prototypes and gamma (the last element) live in one
+    # flat buffer; the arrays the loop uses are views into it.
     num_layers = len(enc.weights)
-    body, views = _flat_layout([*enc.weights, *enc.biases, prototypes])
-    enc = replace(enc, weights=views[:num_layers], biases=views[num_layers:-1])
-    prototypes = views[-1]
-    grad_body = np.empty_like(body)
-    gamma_box = np.asarray(float(mcfg.gamma))
-    params = {"body": body, "gamma": gamma_box}
+    flat, views = _flat_layout([*enc.weights, *enc.biases, prototypes, np.array([mcfg.gamma])])
+    enc = replace(enc, weights=views[:num_layers], biases=views[num_layers:-2])
+    prototypes = views[-2]
+    grad_flat = np.empty_like(flat)
+    params, grads = {"flat": flat}, {"flat": grad_flat}
 
-    if cfg.optimizer == "adaptive_decoupled":
-        opt = AdamW(weight_decay=cfg.weight_decay)
-    else:
-        opt = SGD(weight_decay=cfg.weight_decay)
-    decay_override = None
+    weight_decay = cfg.weight_decay
     if not cfg.gamma_shares_schedule:
-        decay_override = {"gamma": 0.0}
+        weight_decay = np.full(flat.size, cfg.weight_decay)
+        weight_decay[-1] = 0.0
+    if cfg.optimizer == "adaptive_decoupled":
+        opt = AdamW(weight_decay=weight_decay)
+    else:
+        opt = SGD(weight_decay=weight_decay)
 
     # Norm-guided retention only applies to margin-based modes; plain CE
     # falls back to random retention of the candidate set.
@@ -246,7 +254,7 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
 
     steps_per_epoch = math.ceil(train_idx.size / cfg.batch_size)
     state = TrainState(encoder_params=enc, prototypes=prototypes,
-                       gamma=float(gamma_box), epoch=0, step=0,
+                       gamma=float(flat[-1]), epoch=0, step=0,
                        stats=stats, partition=partition)
     history: list[dict] = []
     hist_fh = open(history_path, "w") if history_path else None
@@ -260,7 +268,7 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                                   cfg.batch_size, cfg.oversample_size,
                                   cfg.oversample_prob, rng, cfg.perturb_prob)
                 if plan_fh:
-                    plan_fh.write(json.dumps(plan.to_dict()) + "\n")
+                    plan_fh.write(plan.json_line())
                 feats = dataset.features[plan.base_indices]
                 labels = dataset.labels[plan.base_indices]
                 if plan.oversample_fired:
@@ -280,27 +288,27 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                         keep = lowest_norm_indices(np.linalg.norm(emb, axis=1), cfg.batch_size)
                     else:
                         keep = np.sort(rng.choice(len(labels), size=cfg.batch_size, replace=False))
-                    emb, labels = emb[keep], labels[keep]
                     cache = cache.subset(keep)
+                    emb, labels = cache.activations[-1], labels[keep]
 
-                mcfg_step = replace(mcfg, gamma=float(gamma_box))
-                out = margin_loss(emb, labels, prototypes, stats.deltas, mcfg_step)
-                if not np.isfinite(out.total) or out.total > DIVERGENCE_LIMIT:
+                mcfg.gamma = float(flat[-1])
+                out = margin_loss(emb, labels, prototypes, stats.deltas, mcfg)
+                if not math.isfinite(out.total) or out.total > DIVERGENCE_LIMIT:
                     raise TrainingDiverged(
                         f"loss diverged at epoch {epoch} step {state.step}: {out.total}",
                         {"epoch": epoch, "step": state.step, "loss": out.total,
-                         "lr": lr, "gamma": float(gamma_box)},
+                         "lr": lr, "gamma": mcfg.gamma},
                     )
                 param_grads, _ = encoder.backward(enc, cache, out.grad_embeddings)
                 dws, dbs = zip(*param_grads)
-                np.concatenate([*dws, *dbs, out.grad_prototypes], axis=None, out=grad_body)
-                grads = {"body": grad_body, "gamma": np.asarray(out.grad_gamma)}
-                opt.step(params, grads, lr, decay_override)
+                np.concatenate([*dws, *dbs, out.grad_prototypes], axis=None, out=grad_flat[:-1])
+                grad_flat[-1] = out.grad_gamma
+                opt.step(params, grads, lr)
                 state.step += 1
                 epoch_losses.append(out.total)
 
             state.epoch = epoch + 1
-            state.gamma = float(gamma_box)
+            state.gamma = float(flat[-1])
             val_recall = _validate(enc, prototypes, dataset, cfg)
             record = {"epoch": epoch, "lr": lr,
                       "train_loss": float(np.mean(epoch_losses)),

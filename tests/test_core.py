@@ -6,7 +6,6 @@ import pytest
 from dualmargin.core import (
     cosine_logits,
     l2_normalize,
-    logsumexp,
     rows_normalize,
     sigmoid,
     softplus,
@@ -107,22 +106,6 @@ class TestStableSoftmax:
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(7), atol=1e-12)
 
 
-class TestLogsumexp:
-    def test_matches_naive(self):
-        z = np.array([0.1, 0.2, 0.3])
-        assert logsumexp(z) == pytest.approx(np.log(np.exp(z).sum()))
-
-    def test_large_values(self):
-        z = np.array([1000.0, 1000.0])
-        assert logsumexp(z) == pytest.approx(1000.0 + np.log(2.0))
-
-    def test_batched(self):
-        rng = np.random.default_rng(4)
-        z = rng.normal(size=(5, 3))
-        expected = np.log(np.exp(z).sum(axis=1))
-        np.testing.assert_allclose(logsumexp(z, axis=1), expected, rtol=1e-12)
-
-
 class TestCosineLogits:
     def test_orthonormal_basis(self):
         protos = np.eye(4)
@@ -162,6 +145,14 @@ class TestSoftplusSigmoid:
         assert sigmoid(0.0) == pytest.approx(0.5)
         assert sigmoid(1000.0) == pytest.approx(1.0)
         assert sigmoid(-1000.0) == pytest.approx(0.0, abs=1e-300)
+
+    @pytest.mark.parametrize("x", [0.0, 1e-3, -1e-3, 5.0, -5.0, 1000.0, -1000.0])
+    def test_sigmoid_scalar_is_float_equal_to_array_path(self, x):
+        array_value = sigmoid(np.array([x, 0.25]))[0]
+        for scalar in (x, np.float64(x), np.array(x)):
+            value = sigmoid(scalar)
+            assert type(value) is float
+            assert np.float64(value).tobytes() == array_value.tobytes()
 
     def test_sigmoid_is_softplus_derivative(self):
         rng = np.random.default_rng(6)

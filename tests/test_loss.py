@@ -261,6 +261,35 @@ class TestForward:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="sample 1"):
             margin_loss_forward(x, np.array([0, 1]), w, None, MarginConfig(mode="ce"))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embedding_row_reports_sample(self, bad):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(4, 3))
+        x[2, 1] = bad
+        w = rng.normal(size=(3, 3))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="sample 2"):
+            margin_loss_forward(x, np.array([0, 1, 2, 0]), w, np.array([0.0, 0.05, 0.15]),
+                                MarginConfig())
+
+    def test_per_sample_is_log_sum_exp_minus_target(self):
+        # Large s makes the logits large; the max shift keeps them finite.
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(6, 4))
+        w = rng.normal(size=(5, 4))
+        labels = rng.integers(0, 5, size=6)
+        deltas = np.linspace(0.0, 0.15, 5)
+        cfg = MarginConfig(s=1000.0, gamma=0.4)
+        out, ctx = margin_loss_forward(x, labels, w, deltas, cfg)
+        ux = x / np.linalg.norm(x, axis=1, keepdims=True)
+        uw = w / np.linalg.norm(w, axis=1, keepdims=True)
+        mm = np.tile(ctx.scaled_deltas, (6, 1))
+        mm[np.arange(6), labels] += cfg.m
+        z = cfg.s * (ux @ uw.T - mm)
+        peak = z.max(axis=1)
+        lse = peak + np.log(np.exp(z - peak[:, None]).sum(axis=1))
+        np.testing.assert_allclose(out.per_sample, lse - z[np.arange(6), labels], rtol=1e-12)
+        assert np.all(np.isfinite(out.per_sample))
+
 
 class TestBackward:
     def _check_grads(self, cfg, n=4, c=3, d=5, seed=0):

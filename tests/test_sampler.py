@@ -1,10 +1,12 @@
 """Unit tests for batch planning, perturbation and norm-guided retention."""
 
+import json
+
 import numpy as np
 import pytest
 
 from dualmargin.priors import partition_classes
-from dualmargin.sampler import lowest_norm_indices, perturb, plan_batch
+from dualmargin.sampler import BatchPlan, lowest_norm_indices, perturb, plan_batch
 
 
 def _toy_population(seed=0):
@@ -70,6 +72,31 @@ class TestPlanBatch:
         np.testing.assert_array_equal(a.base_indices, b.base_indices)
         np.testing.assert_array_equal(a.extra_indices, b.extra_indices)
         assert a.oversample_fired == b.oversample_fired
+
+
+class TestPlanJsonLine:
+    @staticmethod
+    def _dumps(plan):
+        return json.dumps({
+            "base_indices": plan.base_indices.tolist(),
+            "extra_indices": plan.extra_indices.tolist(),
+            "oversample_fired": plan.oversample_fired,
+            "perturbation_mask": plan.perturbation_mask.tolist(),
+        }) + "\n"
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])  # unfired (empty arrays) and fired
+    def test_planned_batches_match_json_dumps(self, p):
+        indices, labels, partition, rng = _toy_population(seed=3)
+        for _ in range(20):
+            plan = plan_batch(indices, labels, partition, 8, 4, p, rng, perturb_prob=0.5)
+            assert plan.json_line() == self._dumps(plan)
+
+    def test_all_false_mask(self):
+        plan = BatchPlan(base_indices=np.array([5, 7], dtype=np.int64),
+                         extra_indices=np.array([59, 59, 57], dtype=np.int64),
+                         oversample_fired=True,
+                         perturbation_mask=np.zeros(3, dtype=bool))
+        assert plan.json_line() == self._dumps(plan)
 
 
 class TestPerturb:

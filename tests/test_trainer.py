@@ -83,14 +83,19 @@ class TestAdamW:
         opt = AdamW()
         with pytest.raises(TrainingDiverged):
             opt.step({"w": np.ones(2)}, {"w": np.array([np.nan, 1.0])}, lr=0.1)
+        # An inf in the last element, gamma's place in the training layout.
+        p = {"flat": np.ones(3)}
+        with pytest.raises(TrainingDiverged, match="'flat'"):
+            opt.step(p, {"flat": np.array([0.1, 0.2, np.inf])}, lr=0.1)
+        np.testing.assert_array_equal(p["flat"], [1.0, 1.0, 1.0])
 
     def test_decay_override(self):
-        opt = AdamW(weight_decay=0.5)
-        p = {"w": np.array([1.0]), "gamma": np.array([1.0])}
-        grads = {"w": np.zeros(1), "gamma": np.zeros(1)}
-        opt.step(p, grads, lr=0.1, decay_override={"gamma": 0.0})
-        assert p["w"][0] == pytest.approx(0.95)
-        assert p["gamma"][0] == pytest.approx(1.0)
+        # The training layout: one flat buffer whose last element is gamma,
+        # with a per-element decay that exempts gamma.
+        opt = AdamW(weight_decay=np.array([0.5, 0.5, 0.0]))
+        p = {"flat": np.array([1.0, -2.0, 1.0])}
+        opt.step(p, {"flat": np.zeros(3)}, lr=0.1)
+        np.testing.assert_array_equal(p["flat"], [0.95, -1.9, 1.0])
 
 
 class TestSGD:
@@ -112,6 +117,17 @@ class TestSGD:
         with pytest.raises(TrainingDiverged):
             opt.step(p, {"w": np.array([np.nan, 1.0])}, lr=0.1)
         np.testing.assert_array_equal(p["w"], [1.0, 1.0])
+        # A -inf in the last element, gamma's place in the training layout.
+        p = {"flat": np.ones(3)}
+        with pytest.raises(TrainingDiverged, match="'flat'"):
+            opt.step(p, {"flat": np.array([0.1, 0.2, -np.inf])}, lr=0.1)
+        np.testing.assert_array_equal(p["flat"], [1.0, 1.0, 1.0])
+
+    def test_per_element_decay(self):
+        opt = SGD(weight_decay=np.array([0.5, 0.0]))
+        p = {"flat": np.array([1.0, 1.0])}
+        opt.step(p, {"flat": np.zeros(2)}, lr=0.1)
+        np.testing.assert_array_equal(p["flat"], [0.95, 1.0])
 
 
 class TestTrainConfig:
@@ -216,14 +232,16 @@ class TestTrainLoop:
         assert np.isfinite(history[-1]["train_loss"])
 
     def test_best_params_are_copies_of_the_flat_buffer(self):
-        # Live parameters are views into one flat buffer; the best-epoch
-        # snapshot must not change when training goes on updating it.
+        # Live parameters are views into one flat buffer that ends with
+        # gamma; the best-epoch snapshot must not change when training
+        # goes on updating it.
         dataset = _small_dataset(seed=13)
         state, _ = train(_fast_config(seed=13, epochs=2), dataset)
         flat = state.prototypes.base
         live = [*state.encoder_params.weights, *state.encoder_params.biases,
                 state.prototypes]
-        assert flat.size == sum(a.size for a in live)
+        assert flat.size == sum(a.size for a in live) + 1
+        assert flat[-1] == state.gamma != 0.0
         assert all(np.shares_memory(a, flat) for a in live)
         best = [*state.best_encoder_params.weights, *state.best_encoder_params.biases,
                 state.best_prototypes]
@@ -239,6 +257,21 @@ class TestTrainLoop:
         _, history = train(cfg, dataset)
         assert [rec["train_loss"] for rec in history] == [10.097163493582725,
                                                           10.727874049299244]
+
+    def test_unshared_schedule_exempts_gamma_from_decay(self):
+        # Frozen oracle: with gamma_shares_schedule off, a large weight
+        # decay shrinks every parameter but gamma. Decaying gamma as well
+        # (the shared schedule) gives gammas near 0.02 instead.
+        dataset = _small_dataset(seed=14)
+        cfg = _fast_config(seed=14, base_lr=0.01, weight_decay=20.0,
+                           gamma_shares_schedule=False)
+        _, history = train(cfg, dataset)
+        assert [rec["train_loss"] for rec in history] == [4.881109174023724,
+                                                          5.027445806236259,
+                                                          2.1974578084057987]
+        assert [rec["gamma"] for rec in history] == [0.05080894699616748,
+                                                     0.09045314919997438,
+                                                     0.09481122562474958]
 
     def test_small_training_split_rejected(self):
         dataset = _small_dataset(seed=10, num_classes=2, head_count=6, ratio=1.0)
