@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -45,6 +46,7 @@ ABLATION_CONFIG_PRESETS = {
 ABLATION_SEEDS = (0, 1, 42, 2025)
 ABLATION_MARGINS = (0.05, 0.10, 0.15, 0.20)
 ABLATION_LAMBDAS = (0.0, 0.0001, 1.0, 5.0)
+SCALES = (1.0, 32.0)  # the logit scales s the verification probes draw from
 
 
 def _fmt(value) -> str:
@@ -91,13 +93,18 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
-    state, history, report, row = run_experiment(
+
+    def keep_model(state):
+        # Saved before evaluation, so a later failure keeps the trained model.
+        write_manifest(cfg, args.out)
+        save_checkpoint(state, os.path.join(args.out, "checkpoint.json"))
+
+    _, _, report, row = run_experiment(
         cfg,
         history_path=os.path.join(args.out, "history.jsonl"),
         plan_log_path=os.path.join(args.out, "plans.jsonl"),
+        on_trained=keep_model,
     )
-    write_manifest(cfg, args.out)
-    save_checkpoint(state, os.path.join(args.out, "checkpoint.json"))
     if args.format in ("csv", "both"):
         write_metrics_csv([row], os.path.join(args.out, "metrics.csv"))
     if args.format in ("json", "both"):
@@ -126,6 +133,13 @@ def cmd_verify(args) -> int:
         print(f"{row[0]}: {row[1]}={row[2]} (threshold {row[3]}) -> "
               f"{'PASS' if row[4] else 'FAIL'}")
     return EXIT_OK if all(row[4] for row in rows) else EXIT_VERIFY
+
+
+def _unit_stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Stack equal-shaped (rows, d) arrays to (P, rows, d) with unit rows."""
+    stack = np.array(arrays)
+    units, _, _ = rows_normalize(stack.reshape(-1, stack.shape[-1]))
+    return units.reshape(stack.shape)
 
 
 def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
@@ -165,35 +179,45 @@ def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
 
     rows = [("gradcheck", "max_rel_error", max_err, 1e-5, max_err < 1e-5)]
 
-    viol1 = 0
+    # The probes are drawn one at a time, in a fixed stream order, then run
+    # as stacks of equal shape and scale: one call per stack instead of per
+    # probe. A choice between two scales is drawn as an index, which takes
+    # the same draw from the stream as ``rng.choice``.
+    margin = MarginConfig().m
+    align = defaultdict(lambda: ([], [], [], []))
     for _ in range(prop_probes):
         n, c, d = int(rng.integers(2, 9)), int(rng.integers(2, 6)), int(rng.integers(3, 8))
-        cfg = MarginConfig(s=float(rng.choice([1.0, 32.0])))
-        units, _, _ = rows_normalize(rng.normal(size=(n, d)))
-        protos, _, _ = rows_normalize(rng.normal(size=(c, d)))
-        deltas = rng.uniform(0, cfg.m, size=c)
-        probe = alignment_probe(units, int(rng.integers(0, c)), protos, deltas, cfg)
-        if probe.residual > probe.bound + 1e-9:
-            viol1 += 1
+        s = SCALES[rng.integers(0, 2)]
+        units, protos, deltas, class_ids = align[n, c, d, s]
+        units.append(rng.normal(size=(n, d)))
+        protos.append(rng.normal(size=(c, d)))
+        deltas.append(rng.uniform(0, margin, size=c))
+        class_ids.append(rng.integers(0, c))
+    viol1 = 0
+    for (n, c, d, s), (units, protos, deltas, class_ids) in align.items():
+        probe = alignment_probe(_unit_stack(units), np.array(class_ids),
+                                _unit_stack(protos), np.array(deltas), MarginConfig(s=s))
+        viol1 += int(np.count_nonzero(probe.residual > probe.bound + 1e-9))
     rows.append(("prototype_alignment", "violations", viol1, 0, viol1 == 0))
 
-    viol2 = 0
-    checked = 0
+    dev = defaultdict(lambda: ([], [], []))
     for _ in range(prop_probes):
         c, d = int(rng.integers(3, 7)), int(rng.integers(3, 8))
-        s = float(rng.choice([1.0, 32.0]))
-        cfg = MarginConfig(s=s)
-        protos, _, _ = rows_normalize(rng.normal(size=(c, d)))
-        labels_all = np.arange(c)
-        deltas = np.sort(rng.uniform(0, cfg.m, size=c))  # increasing: tail last
-        y, tail = 0, c - 1
-        unit, _, _ = rows_normalize(
-            (protos[y] + 0.3 * rng.normal(size=d))[None, :])
-        probe = bound_probe(unit[0], y, tail, protos, deltas, cfg)
-        if probe.condition_met:
-            checked += 1
-            if probe.grad_norm > probe.bound + 1e-9:
-                viol2 += 1
+        s = SCALES[rng.integers(0, 2)]
+        protos, deltas, noise = dev[c, d, s]
+        protos.append(rng.normal(size=(c, d)))
+        deltas.append(np.sort(rng.uniform(0, margin, size=c)))  # increasing: tail last
+        noise.append(rng.normal(size=d))
+    viol2 = 0
+    checked = 0
+    for (c, d, s), (protos, deltas, noise) in dev.items():
+        protos = _unit_stack(protos)
+        # Each sample lies near its class-0 prototype; the tail class is the last.
+        units, _, _ = rows_normalize(protos[:, 0] + 0.3 * np.array(noise))
+        probe = bound_probe(units, 0, c - 1, protos, np.array(deltas), MarginConfig(s=s))
+        checked += int(np.count_nonzero(probe.condition_met))
+        viol2 += int(np.count_nonzero(probe.condition_met
+                                      & (probe.grad_norm > probe.bound + 1e-9)))
     rows.append(("deviation_bound", "violations", viol2, 0,
                  viol2 == 0 and checked > 0))
     return rows

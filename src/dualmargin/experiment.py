@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
@@ -103,11 +104,18 @@ def run_experiment(
     cfg: ExperimentConfig,
     history_path: str | None = None,
     plan_log_path: str | None = None,
+    on_trained: Callable[[TrainState], None] | None = None,
 ) -> tuple[TrainState, list[dict], EvalReport, dict[str, object]]:
-    """Full pipeline for one config; returns state, history, report, metrics row."""
+    """Full pipeline for one config; returns state, history, report, metrics row.
+
+    ``on_trained`` receives the trained state before evaluation starts, so
+    a caller can save the model before anything later can fail.
+    """
     dataset = build_dataset(cfg)
     state, history = train(cfg.train, dataset, history_path=history_path,
                            plan_log_path=plan_log_path)
+    if on_trained is not None:
+        on_trained(state)
     report = evaluate_state(state, dataset, cfg)
     return state, history, report, metrics_row(cfg, report)
 

@@ -126,6 +126,12 @@ def zeta(gamma: float) -> float:
     return 1.0 + float(softplus(gamma))
 
 
+def _power_scaled(deltas: np.ndarray, m: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """m * (|delta|/m)^zeta, unsigned, and the ratio |delta|/m it is a power of."""
+    ratio = np.abs(deltas) / m
+    return m * np.power(ratio, zeta(gamma)), ratio
+
+
 def _gamma_terms(
     deltas: np.ndarray, m: float, gamma: float, sign: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -134,8 +140,7 @@ def _gamma_terms(
     d/dgamma of m * r^zeta is m * r^zeta * log(r) * sigmoid(gamma); it is
     zero where delta is zero.
     """
-    ratio = np.abs(deltas) / m
-    scaled = m * np.power(ratio, zeta(gamma))
+    scaled, ratio = _power_scaled(deltas, m, gamma)
     log_ratio = np.log(ratio, out=np.zeros_like(ratio), where=ratio > 0)
     grad = scaled * log_ratio * sigmoid(gamma)
     if sign == "literal":
@@ -157,7 +162,8 @@ def power_scaled_margins(
         raise ValueError(f"power_scaled_margins: m must be > 0, got {m}")
     if sign not in SIGN_CHOICES:
         raise ValueError(f"power_scaled_margins: sign must be one of {SIGN_CHOICES}")
-    return _gamma_terms(np.asarray(deltas, dtype=np.float64), m, gamma, sign)[0]
+    scaled, _ = _power_scaled(np.asarray(deltas, dtype=np.float64), m, gamma)
+    return -scaled if sign == "literal" else scaled
 
 
 def power_scaled_margins_grad_gamma(

@@ -14,7 +14,9 @@ is set from the buffer each step. Computed once per step: the gamma terms of
 the loss (the scaled margins, their gamma derivative and the regularizer),
 shared by its forward and backward pass. Finiteness is checked at the
 boundaries only: encoder input, the loss's adjusted logits, the batch loss
-and the gradients.
+and the gradients. Only after a gradient check fails is the first bad
+element traced back to its parameter (gamma, an encoder weight or bias, or
+the prototypes) for the error and its snapshot.
 
 The loop is a single logical agent owning one RNG stream, so identical
 (config, dataset, seed) yields a bitwise-identical history.
@@ -165,6 +167,18 @@ def _require_finite(grads: dict[str, np.ndarray]) -> None:
             )
 
 
+def _first_non_finite_param(flat: np.ndarray, views: list[np.ndarray],
+                            num_layers: int) -> str:
+    """Name of the parameter holding the first non-finite element of ``flat``,
+    a buffer in the training layout that ``views`` come from."""
+    names = ([f"encoder.weights[{i}]" for i in range(num_layers)]
+             + [f"encoder.biases[{i}]" for i in range(num_layers)]
+             + ["prototypes", "gamma"])
+    ends = np.cumsum([v.size for v in views])
+    index = np.flatnonzero(~np.isfinite(flat))[0]
+    return names[int(np.searchsorted(ends, index, side="right"))]
+
+
 def _flat_layout(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Copy ``arrays`` into one contiguous buffer; return it and a view per array."""
     flat = np.concatenate(arrays, axis=None)
@@ -303,7 +317,16 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                 dws, dbs = zip(*param_grads)
                 np.concatenate([*dws, *dbs, out.grad_prototypes], axis=None, out=grad_flat[:-1])
                 grad_flat[-1] = out.grad_gamma
-                opt.step(params, grads, lr)
+                try:
+                    opt.step(params, grads, lr)
+                except TrainingDiverged:
+                    name = _first_non_finite_param(grad_flat, views, num_layers)
+                    raise TrainingDiverged(
+                        f"non-finite gradient for parameter {name!r} at epoch {epoch} "
+                        f"step {state.step}",
+                        {"param": name, "epoch": epoch, "step": state.step,
+                         "lr": lr, "gamma": mcfg.gamma},
+                    ) from None
                 state.step += 1
                 epoch_losses.append(out.total)
 

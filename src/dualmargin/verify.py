@@ -13,6 +13,13 @@ raw-space gradients.
 * Deviation bound: for a sample whose own class wins the adjusted
   softmax, the partial norm on another class c is at most
   exp(s * (m_y - m_c)).
+
+Both probes also take a stack of P same-shaped probes along a leading
+axis and return one result whose fields have length P. ``dualmargin
+verify`` runs thousands of probes on arrays of at most 8 x 7, where the
+cost is NumPy call overhead, so it groups them by shape and scale and
+makes one call per group. An unstacked call is the P = 1 case and returns
+Python scalars.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .core import stable_softmax
-from .loss import MarginConfig, _margin_matrix, power_scaled_margins
+from .loss import MarginConfig, power_scaled_margins
 
 
 def central_difference(
@@ -46,97 +53,123 @@ def central_difference(
 
 @dataclass
 class AlignmentProbe:
-    class_id: int
+    class_id: int | np.ndarray
     class_mean: np.ndarray
-    mean_prob: float
-    prob_std: float
-    alpha: float
-    residual: float
-    bound: float
+    mean_prob: float | np.ndarray
+    prob_std: float | np.ndarray
+    alpha: float | np.ndarray
+    residual: float | np.ndarray
+    bound: float | np.ndarray
 
 
 @dataclass
 class BoundProbe:
-    sample: int
-    tail_class: int
-    grad_norm: float
-    bound: float
-    condition_met: bool
+    tail_class: int | np.ndarray
+    grad_norm: float | np.ndarray
+    bound: float | np.ndarray
+    condition_met: bool | np.ndarray
+
+
+def _first(probe):
+    """The single probe of a length-1 stack, with Python scalar fields."""
+    fields = {name: stack[0] for name, stack in vars(probe).items()}
+    return type(probe)(**{name: value.item() if isinstance(value, np.generic) else value
+                          for name, value in fields.items()})
 
 
 def _normalized_probs(
     units: np.ndarray,
-    labels: np.ndarray,
+    class_ids: np.ndarray,
     unit_prototypes: np.ndarray,
     scaled_deltas: np.ndarray,
     cfg: MarginConfig,
 ) -> np.ndarray:
-    logits = units @ unit_prototypes.T
-    mm = _margin_matrix(labels, unit_prototypes.shape[0], scaled_deltas, cfg.m)
-    return stable_softmax(cfg.s * (logits - mm), axis=1)
+    """Adjusted softmax of a stack: units (P, n, d) all of class class_ids (P,),
+    prototypes (P, c, d), scaled deltas (P, c); returns (P, n, c)."""
+    logits = units @ unit_prototypes.transpose(0, 2, 1)
+    num_classes = unit_prototypes.shape[1]
+    margins = scaled_deltas + cfg.m * (np.arange(num_classes) == class_ids[:, None])
+    return stable_softmax(cfg.s * (logits - margins[:, None, :]), axis=-1)
 
 
 def alignment_probe(
     units: np.ndarray,
-    class_id: int,
+    class_id: int | np.ndarray,
     unit_prototypes: np.ndarray,
     deltas: np.ndarray,
     cfg: MarginConfig,
 ) -> AlignmentProbe:
     """Probe the mean-seeking behavior of a class prototype.
 
-    ``units`` must all belong to ``class_id``. Partials follow the
-    positive convention (1 - p_{i,c}) x_i.
+    ``units`` (n, d) must all belong to ``class_id``; ``unit_prototypes`` is
+    (c, d) and ``deltas`` (c,). With a leading stack axis, ``units`` is
+    (P, n, d), ``class_id`` an int or (P,), ``unit_prototypes`` (P, c, d)
+    and ``deltas`` (P, c), and every field of the result has length P.
+    Partials follow the positive convention (1 - p_{i,c}) x_i.
     """
-    units = np.asarray(units, dtype=np.float64)
-    n = units.shape[0]
+    units, unit_prototypes, deltas = (
+        np.asarray(a, dtype=np.float64) for a in (units, unit_prototypes, deltas))
+    stacked = units.ndim == 3
+    if not stacked:
+        units, unit_prototypes, deltas = units[None], unit_prototypes[None], deltas[None]
+    num_probes, n = units.shape[:2]
     if n < 2:
         raise ValueError("alignment_probe: need at least 2 samples (std uses N-1)")
-    labels = np.full(n, class_id, dtype=np.int64)
+    class_ids = np.full(num_probes, class_id, dtype=np.int64)
     scaled = power_scaled_margins(deltas, cfg.m, cfg.gamma, cfg.eq5_sign)
-    probs = _normalized_probs(units, labels, unit_prototypes, scaled, cfg)
-    p = probs[:, class_id]
-    p_bar = float(p.mean())
-    mu = units.mean(axis=0)
+    probs = _normalized_probs(units, class_ids, unit_prototypes, scaled, cfg)
+    p = probs[np.arange(num_probes), :, class_ids]
+    p_bar = p.mean(axis=1)
+    mu = units.mean(axis=1)
     alpha = n * (1.0 - p_bar)
-    partial_sum = ((1.0 - p)[:, None] * units).sum(axis=0)
-    residual = float(np.linalg.norm(partial_sum - alpha * mu))
-    bound = float(n * np.max(np.abs(p_bar - p)))
-    return AlignmentProbe(
-        class_id=class_id, class_mean=mu, mean_prob=p_bar,
-        prob_std=float(np.std(p, ddof=1)), alpha=alpha,
-        residual=residual, bound=bound,
+    partial_sum = ((1.0 - p)[:, :, None] * units).sum(axis=1)
+    probe = AlignmentProbe(
+        class_id=class_ids, class_mean=mu, mean_prob=p_bar,
+        prob_std=np.std(p, axis=1, ddof=1), alpha=alpha,
+        residual=np.linalg.norm(partial_sum - alpha[:, None] * mu, axis=1),
+        bound=n * np.max(np.abs(p_bar[:, None] - p), axis=1),
     )
+    return probe if stacked else _first(probe)
 
 
 def bound_probe(
     unit: np.ndarray,
-    label: int,
-    tail_class: int,
+    label: int | np.ndarray,
+    tail_class: int | np.ndarray,
     unit_prototypes: np.ndarray,
     deltas: np.ndarray,
     cfg: MarginConfig,
-    sample_index: int = 0,
 ) -> BoundProbe:
     """Probe the exponential bound on a non-target prototype partial.
+
+    ``unit`` is (d,), ``unit_prototypes`` (c, d) and ``deltas`` (c,). With a
+    leading stack axis, ``unit`` is (P, d), ``label`` and ``tail_class``
+    ints or (P,), ``unit_prototypes`` (P, c, d) and ``deltas`` (P, c), and
+    every field of the result has length P.
 
     In normalized space the partial on class c is p_{i,c} * x_hat_i with
     unit norm, so the gradient norm is just p_{i,c}. The bound includes
     the logit scale: exp(s * (m_y - m_c)).
     """
-    if tail_class == label:
+    unit, unit_prototypes, deltas = (
+        np.asarray(a, dtype=np.float64) for a in (unit, unit_prototypes, deltas))
+    stacked = unit.ndim == 2
+    if not stacked:
+        unit, unit_prototypes, deltas = unit[None], unit_prototypes[None], deltas[None]
+    num_probes = unit.shape[0]
+    labels = np.full(num_probes, label, dtype=np.int64)
+    tails = np.full(num_probes, tail_class, dtype=np.int64)
+    if (tails == labels).any():
         raise ValueError("bound_probe: tail class must differ from the sample label")
-    unit = np.asarray(unit, dtype=np.float64)
     scaled = power_scaled_margins(deltas, cfg.m, cfg.gamma, cfg.eq5_sign)
-    probs = _normalized_probs(
-        unit[None, :], np.asarray([label]), unit_prototypes, scaled, cfg
-    )[0]
-    m_y = cfg.m + scaled[label]
-    m_c = scaled[tail_class]
-    return BoundProbe(
-        sample=sample_index,
-        tail_class=tail_class,
-        grad_norm=float(probs[tail_class]),
-        bound=float(np.exp(cfg.s * (m_y - m_c))),
-        condition_met=bool(np.argmax(probs) == label),
+    probs = _normalized_probs(unit[:, None, :], labels, unit_prototypes, scaled, cfg)[:, 0]
+    rows = np.arange(num_probes)
+    m_y = cfg.m + scaled[rows, labels]
+    m_c = scaled[rows, tails]
+    probe = BoundProbe(
+        tail_class=tails,
+        grad_norm=probs[rows, tails],
+        bound=np.exp(cfg.s * (m_y - m_c)),
+        condition_met=np.argmax(probs, axis=1) == labels,
     )
+    return probe if stacked else _first(probe)

@@ -19,6 +19,7 @@ from dualmargin.config import (
     parse_config_text,
     valid_keys,
 )
+from dualmargin.trainer import load_checkpoint
 
 FAST_CONFIG = """
 # Small, fast experiment for harness tests.
@@ -185,6 +186,40 @@ class TestCliCommands:
         assert payload["exit_code"] == EXIT_NUMERICAL
         assert set(payload["snapshot"]) == {"epoch", "step", "loss", "lr", "gamma"}
         assert payload["snapshot"]["step"] == 0
+
+    def test_inf_gamma_gradient_snapshot_names_gamma(self, tmp_path, monkeypatch):
+        import dualmargin.trainer
+
+        margin_loss = dualmargin.trainer.margin_loss
+
+        def inf_gamma_grad(*args):
+            out = margin_loss(*args)
+            out.grad_gamma = float("inf")
+            return out
+
+        monkeypatch.setattr(dualmargin.trainer, "margin_loss", inf_gamma_grad)
+        out = str(tmp_path / "err")
+        cfg = self._write_config(tmp_path)
+        assert main(["train", "--config", cfg, "--out", out]) == EXIT_NUMERICAL
+        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        assert "parameter 'gamma' at epoch 0 step 0" in payload["error"]
+        assert payload["snapshot"] == {"param": "gamma", "epoch": 0, "step": 0,
+                                       "lr": 0.001, "gamma": 0.0}
+
+    def test_late_failure_keeps_trained_model(self, tmp_path, monkeypatch):
+        import dualmargin.experiment
+
+        def failing_evaluation(*args):
+            raise ValueError("evaluation failed")
+
+        monkeypatch.setattr(dualmargin.experiment, "evaluate_state", failing_evaluation)
+        out = str(tmp_path / "late")
+        cfg = self._write_config(tmp_path)
+        assert main(["train", "--config", cfg, "--out", out]) == EXIT_NUMERICAL
+        payload = load_checkpoint(os.path.join(out, "checkpoint.json"))
+        assert payload["epoch"] == 2
+        assert os.path.exists(os.path.join(out, "manifest.json"))
+        assert not os.path.exists(os.path.join(out, "metrics.csv"))
 
     def test_missing_config_file(self, tmp_path):
         out = str(tmp_path / "err")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dualmargin import encoder as encoder_module
 from dualmargin.loss import MarginConfig, margin_loss, margin_loss_forward
 from dualmargin.synthdata import SyntheticSpec, generate, split
 from dualmargin.trainer import (
@@ -272,6 +273,28 @@ class TestTrainLoop:
         assert [rec["gamma"] for rec in history] == [0.05080894699616748,
                                                      0.09045314919997438,
                                                      0.09481122562474958]
+
+    def test_nan_weight_gradient_names_its_layer(self, monkeypatch):
+        # A NaN in the gradient of the second weight matrix at the fifth
+        # step; the error names that matrix, not the flat buffer.
+        backward, calls = encoder_module.backward, []
+
+        def nan_at_fifth_step(params, cache, grad_embeddings):
+            param_grads, grad_inputs = backward(params, cache, grad_embeddings)
+            calls.append(1)
+            if len(calls) == 5:
+                param_grads[1][0][0, 0] = np.nan
+            return param_grads, grad_inputs
+
+        monkeypatch.setattr(encoder_module, "backward", nan_at_fifth_step)
+        cfg = _fast_config(seed=15, hidden_dims=(16, 12))
+        with pytest.raises(TrainingDiverged, match=r"'encoder\.weights\[1\]' at epoch 0 step 4") as err:
+            train(cfg, _small_dataset(seed=15))
+        snapshot = err.value.snapshot
+        assert snapshot["param"] == "encoder.weights[1]"
+        assert (snapshot["epoch"], snapshot["step"]) == (0, 4)
+        assert snapshot["lr"] == cfg.base_lr
+        assert np.isfinite(snapshot["gamma"])
 
     def test_small_training_split_rejected(self):
         dataset = _small_dataset(seed=10, num_classes=2, head_count=6, ratio=1.0)

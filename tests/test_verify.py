@@ -1,8 +1,11 @@
 """Unit tests for the finite-difference oracle and the two gradient claims."""
 
+import os
+
 import numpy as np
 import pytest
 
+from dualmargin import cli
 from dualmargin.core import rows_normalize
 from dualmargin.loss import MarginConfig
 from dualmargin.verify import (
@@ -137,3 +140,100 @@ class TestBoundProbe:
         units, protos, deltas = _random_setup(rng, n=1)
         with pytest.raises(ValueError, match="must differ"):
             bound_probe(units[0], 2, 2, protos, deltas, MarginConfig())
+
+
+def _stack_inputs(rng, num_probes, n, c, d):
+    units, _, _ = rows_normalize(rng.normal(size=(num_probes * n, d)))
+    protos, _, _ = rows_normalize(rng.normal(size=(num_probes * c, d)))
+    deltas = rng.uniform(0, 0.15, size=(num_probes, c))
+    return units.reshape(num_probes, n, d), protos.reshape(num_probes, c, d), deltas
+
+
+class TestStackedProbes:
+    """A stacked call must equal one call per probe, field by field."""
+
+    @pytest.mark.parametrize("s", [1.0, 32.0])
+    def test_alignment_stack_matches_per_probe(self, s):
+        rng = np.random.default_rng(8)
+        units, protos, deltas = _stack_inputs(rng, 9, 5, 4, 6)
+        class_ids = rng.integers(0, 4, size=9)
+        cfg = MarginConfig(s=s, gamma=0.3)
+        stacked = alignment_probe(units, class_ids, protos, deltas, cfg)
+        for i in range(9):
+            one = alignment_probe(units[i], int(class_ids[i]), protos[i], deltas[i], cfg)
+            assert isinstance(one.residual, float) and isinstance(one.class_id, int)
+            assert one.class_id == stacked.class_id[i]
+            np.testing.assert_allclose(stacked.class_mean[i], one.class_mean, rtol=0, atol=1e-12)
+            for name in ("mean_prob", "prob_std", "alpha", "residual", "bound"):
+                assert getattr(stacked, name)[i] == pytest.approx(getattr(one, name),
+                                                                  rel=0, abs=1e-12), name
+
+    def test_alignment_stack_takes_one_class_for_all(self):
+        rng = np.random.default_rng(9)
+        units, protos, deltas = _stack_inputs(rng, 3, 4, 3, 5)
+        cfg = MarginConfig()
+        shared = alignment_probe(units, 2, protos, deltas, cfg)
+        each = alignment_probe(units, np.full(3, 2), protos, deltas, cfg)
+        np.testing.assert_array_equal(shared.residual, each.residual)
+        np.testing.assert_array_equal(shared.class_id, [2, 2, 2])
+
+    @pytest.mark.parametrize("s", [1.0, 32.0])
+    def test_bound_stack_matches_per_probe(self, s):
+        rng = np.random.default_rng(10)
+        units, protos, deltas = _stack_inputs(rng, 12, 1, 5, 4)
+        units = units[:, 0]
+        labels = rng.integers(0, 4, size=12)
+        tails = (labels + 1) % 5
+        cfg = MarginConfig(s=s)
+        stacked = bound_probe(units, labels, tails, protos, deltas, cfg)
+        assert stacked.condition_met.shape == (12,)
+        for i in range(12):
+            one = bound_probe(units[i], int(labels[i]), int(tails[i]), protos[i], deltas[i], cfg)
+            assert isinstance(one.condition_met, bool)
+            assert one.condition_met == stacked.condition_met[i]
+            assert one.tail_class == stacked.tail_class[i]
+            assert stacked.grad_norm[i] == pytest.approx(one.grad_norm, rel=0, abs=1e-12)
+            assert stacked.bound[i] == pytest.approx(one.bound, rel=1e-12, abs=1e-12)
+
+    def test_bound_stack_rejects_any_same_class(self):
+        rng = np.random.default_rng(11)
+        units, protos, deltas = _stack_inputs(rng, 3, 1, 4, 4)
+        with pytest.raises(ValueError, match="must differ"):
+            bound_probe(units[:, 0], 0, np.array([3, 0, 2]), protos, deltas, MarginConfig())
+
+
+class TestVerifyOracle:
+    """Frozen outputs of ``dualmargin verify``. Every probe is drawn from
+    one RNG stream, so a draw taken out of order changes these numbers."""
+
+    def test_verify_csv_bytes_at_default_seed(self, tmp_path):
+        out = str(tmp_path / "verify")
+        assert cli.main(["verify", "--out", out]) == cli.EXIT_OK
+        with open(os.path.join(out, "verify.csv"), "rb") as fh:
+            assert fh.read() == (
+                b"check,statistic,value,threshold,passed\r\n"
+                b"gradcheck,max_rel_error,2.954041955494091e-09,1e-05,True\r\n"
+                b"prototype_alignment,violations,0,0,True\r\n"
+                b"deviation_bound,violations,0,0,True\r\n")
+
+    def test_probe_sums(self, monkeypatch):
+        seen = {"alignment": [], "bound": []}
+
+        def recording(key, fn):
+            def wrapper(*args, **kwargs):
+                probe = fn(*args, **kwargs)
+                seen[key].append(probe)
+                return probe
+            return wrapper
+
+        monkeypatch.setattr(cli, "alignment_probe", recording("alignment", alignment_probe))
+        monkeypatch.setattr(cli, "bound_probe", recording("bound", bound_probe))
+        rows = cli.verification_rows(seed=0, gradcheck_instances=2, prop_probes=200)
+        assert [row[2] for row in rows[1:]] == [0, 0]
+        align, bound = seen["alignment"], seen["bound"]
+        assert sum(np.size(p.residual) for p in align) == 200
+        assert sum(np.sum(p.bound) for p in align) == pytest.approx(333.77490727824653, rel=1e-12)
+        assert sum(np.sum(p.residual) for p in align) == pytest.approx(106.55889063028116, rel=1e-12)
+        assert sum(np.size(p.condition_met) for p in bound) == 200
+        assert sum(int(np.sum(p.condition_met)) for p in bound) == 142
+        assert sum(np.sum(p.grad_norm) for p in bound) == pytest.approx(31.80152351724522, rel=1e-12)
