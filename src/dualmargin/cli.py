@@ -162,12 +162,14 @@ def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
         deltas[-1] = cfg.m
         out = margin_loss(x, labels, w, deltas, cfg)
         theta = np.concatenate([x.ravel(), w.ravel(), [cfg.gamma]])
+        # One copy per instance; each evaluation sets its gamma.
+        trial_cfg = replace(cfg)
 
         def f(t):
             xx = t[: n * d].reshape(n, d)
             ww = t[n * d: n * d + c * d].reshape(c, d)
-            cc = replace(cfg, gamma=float(t[-1]))
-            o, _ = margin_loss_forward(xx, labels, ww, deltas, cc)
+            trial_cfg.gamma = float(t[-1])
+            o, _ = margin_loss_forward(xx, labels, ww, deltas, trial_cfg)
             return o.total
 
         numeric = central_difference(f, theta, 1e-6)

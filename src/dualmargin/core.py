@@ -49,6 +49,13 @@ def rows_normalize(mat: np.ndarray, eps: float = NORM_EPS) -> tuple[np.ndarray, 
     return units, norms, degenerate
 
 
+def check_labels(labels: np.ndarray, num_classes: int, caller: str) -> None:
+    """Raise a ``ValueError`` naming the first label outside [0, num_classes)."""
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        bad = labels[(labels < 0) | (labels >= num_classes)][0]
+        raise ValueError(f"{caller}: label outside [0, {num_classes}): {int(bad)}")
+
+
 def stable_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-shifted softmax; invariant to adding a constant to all logits."""
     logits = np.asarray(logits, dtype=np.float64)

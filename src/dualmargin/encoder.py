@@ -3,6 +3,12 @@
 Hidden layers use a smooth nonlinearity by default so finite-difference
 gradient checks are well behaved; the final layer is linear so embedding
 norms genuinely vary across samples.
+
+The backward pass writes each layer's weight and bias gradients into
+buffers the caller provides: the trainer makes them once per run, as views
+of its flat gradient buffer, so a step allocates no gradient arrays and
+gathers none. Only parameter gradients are computed; nothing needs the
+gradient wrt the input features.
 """
 
 from __future__ import annotations
@@ -90,23 +96,25 @@ def forward(params: EncoderParams, features: np.ndarray) -> tuple[np.ndarray, Fo
 
 
 def backward(
-    params: EncoderParams, cache: ForwardCache, grad_embeddings: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Exact gradients wrt parameters and inputs.
+    params: EncoderParams,
+    cache: ForwardCache,
+    grad_embeddings: np.ndarray,
+    out: list[tuple[np.ndarray, np.ndarray]],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact gradients wrt the parameters, written into ``out`` and returned.
 
-    Returns ``(param_grads, input_grads)`` where ``param_grads[l]`` is the
-    ``(dW, db)`` pair of layer l.
+    ``out[l]`` is the ``(dW, db)`` pair of layer l: C-contiguous float64
+    arrays shaped like ``params.weights[l]`` and ``params.biases[l]``.
     """
     grad_embeddings = np.asarray(grad_embeddings, dtype=np.float64)
-    num_layers = len(params.weights)
     if grad_embeddings.shape != cache.activations[-1].shape:
         raise ValueError("encoder.backward: upstream gradient shape mismatch")
-    param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * num_layers  # type: ignore[list-item]
     delta = grad_embeddings
-    for l in range(num_layers - 1, -1, -1):
-        if l != num_layers - 1:
-            delta = delta * _activate_grad(cache.activations[l + 1], params.activation)
-        param_grads[l] = (delta.T @ cache.activations[l], delta.sum(axis=0))
-        delta = delta @ params.weights[l]
-    return param_grads, delta
-
+    for l in range(len(params.weights) - 1, -1, -1):
+        dw, db = out[l]
+        np.matmul(delta.T, cache.activations[l], out=dw)
+        delta.sum(axis=0, out=db)
+        if l:
+            delta = delta @ params.weights[l]
+            delta *= _activate_grad(cache.activations[l], params.activation)
+    return out

@@ -15,17 +15,30 @@ Three modes are supported:
 
 Gradients are returned with respect to the *raw* (pre-normalization)
 embeddings and prototypes plus the margin-scaling scalar, so the trainer
-can update raw parameters directly. Forward and backward are pure
-functions of their inputs.
+can update raw parameters directly.
 
-Once per call, the forward pass computes the gamma terms (scaled margins,
-their gamma derivative, the regularizer value and its gamma gradient) from
-one power of |delta|/m, and one max-shifted exp whose row sums give both
-the log-sum-exp and the softmax. The backward pass reads the gamma terms
-from ``LossContext``. The only finiteness check is on the adjusted logits,
-which a NaN or inf embedding or prototype row reaches; it names the first
-bad sample. The trainer keeps gamma as the last element of its flat
-parameter buffer and passes it in through ``MarginConfig.gamma``.
+The adjustments come from the training priors alone, so within a run only
+gamma and the batch change. Computed once per run, into a ``LossPlan``:
+the adjustments, their ratio |delta|/m and its log (zero where delta is
+zero), where each batch row's logits start in a flat view, and the buffer
+that receives the prototype gradient
+(in training, a view of the flat gradient buffer). Computed once per step:
+the gamma terms (the scaled margins ``m * ratio**zeta``, their gamma
+derivative, the regularizer and its gamma gradient); the unit rows of the
+embeddings and prototypes, normalized as one stack; the adjusted logits,
+formed as the cosine logits minus the scaled margins by broadcast, with
+each target entry rewritten as ``logits[i, y] - (scaled[y] + m)``; and one
+max-shifted exp whose row sums give both the log-sum-exp and the softmax.
+The fused ``margin_loss`` then turns the softmax into its gradient in
+place, and chains it back through the normalization as one stack.
+
+``train`` builds the plan once and passes it to ``margin_loss`` in place of
+the adjustments; its training labels were range-checked once, by the class
+statistics. ``margin_loss`` called
+with adjustments, ``margin_loss_forward`` and ``margin_loss_backward``
+check their inputs and build a plan per call, then run the same kernel.
+The kernel's only finiteness check is on the adjusted logits, which a NaN
+or inf embedding or prototype row reaches; it names the first bad sample.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import rows_normalize, sigmoid, softplus
+from .core import check_labels, rows_normalize, sigmoid, softplus
 
 MODES = ("dual_margin", "am_softmax", "ce")
 SIGN_CHOICES = ("literal", "magnitude")
@@ -82,11 +95,31 @@ class MarginConfig:
 class LossOutput:
     total: float
     per_sample: np.ndarray
-    probs: np.ndarray
+    probs: np.ndarray | None  # None from margin_loss, which turns them into the gradient
     reg_value: float
     grad_embeddings: np.ndarray | None = None
     grad_prototypes: np.ndarray | None = None
     grad_gamma: float | None = None
+
+
+@dataclass
+class LossPlan:
+    """The loss's inputs that stay fixed within a run: all but the batch and gamma.
+
+    ``row_starts`` holds the flat index of each batch row's first logit,
+    so that ``row_starts + labels`` indexes the target logits of a
+    C-contiguous (batch, classes) array viewed flat. ``deltas`` are the raw
+    adjustments, ``ratio`` = |delta|/m and ``log_ratio`` = log(ratio), zero
+    where the ratio is (``dual_margin`` only; None otherwise). Each step
+    computes the scaled adjustments from them. ``grad_prototypes``
+    (classes, dim) receives the prototype gradient.
+    """
+
+    row_starts: np.ndarray
+    grad_prototypes: np.ndarray
+    deltas: np.ndarray | None = None
+    ratio: np.ndarray | None = None
+    log_ratio: np.ndarray | None = None
 
 
 @dataclass
@@ -96,14 +129,12 @@ class LossContext:
     cfg: MarginConfig
     labels: np.ndarray
     probs: np.ndarray
-    # Margin-mode fields (None in ce mode).
+    plan: LossPlan
+    # Margin-mode fields (None in ce mode): the embedding rows, then the
+    # prototype rows, normalized as one stack.
     units: np.ndarray | None = None
     norms: np.ndarray | None = None
     degenerate: np.ndarray | None = None
-    proto_units: np.ndarray | None = None
-    proto_norms: np.ndarray | None = None
-    proto_degenerate: np.ndarray | None = None
-    deltas: np.ndarray | None = None
     scaled_deltas: np.ndarray | None = None
     # Gamma terms (dual_margin mode only): d(scaled_delta)/d(gamma) and the
     # regularizer's gamma gradient, computed once by the forward pass.
@@ -126,26 +157,27 @@ def zeta(gamma: float) -> float:
     return 1.0 + float(softplus(gamma))
 
 
-def _power_scaled(deltas: np.ndarray, m: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """m * (|delta|/m)^zeta, unsigned, and the ratio |delta|/m it is a power of."""
+def _ratio_terms(deltas: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """|delta|/m and its log, zero where delta is zero: the gamma-free part
+    of the gamma terms."""
     ratio = np.abs(deltas) / m
-    return m * np.power(ratio, zeta(gamma)), ratio
+    return ratio, np.log(ratio, out=np.zeros_like(ratio), where=ratio > 0)
 
 
-def _gamma_terms(
-    deltas: np.ndarray, m: float, gamma: float, sign: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _power_scaled(ratio: np.ndarray, m: float, gamma: float, sign: str) -> np.ndarray:
+    """+/- m * ratio^zeta. The sign rides on m: (-m) * x is -(m * x) exactly."""
+    return (-m if sign == "literal" else m) * np.power(ratio, zeta(gamma))
+
+
+def _gamma_terms(ratio: np.ndarray, log_ratio: np.ndarray, m: float, gamma: float,
+                 sign: str) -> tuple[np.ndarray, np.ndarray]:
     """Scaled margins and their gamma derivative, sharing one power of |delta|/m.
 
     d/dgamma of m * r^zeta is m * r^zeta * log(r) * sigmoid(gamma); it is
     zero where delta is zero.
     """
-    scaled, ratio = _power_scaled(deltas, m, gamma)
-    log_ratio = np.log(ratio, out=np.zeros_like(ratio), where=ratio > 0)
-    grad = scaled * log_ratio * sigmoid(gamma)
-    if sign == "literal":
-        return -scaled, -grad
-    return scaled, grad
+    scaled = _power_scaled(ratio, m, gamma, sign)
+    return scaled, scaled * log_ratio * sigmoid(gamma)
 
 
 def _regularizer(deltas: np.ndarray, scaled_deltas: np.ndarray,
@@ -162,15 +194,15 @@ def power_scaled_margins(
         raise ValueError(f"power_scaled_margins: m must be > 0, got {m}")
     if sign not in SIGN_CHOICES:
         raise ValueError(f"power_scaled_margins: sign must be one of {SIGN_CHOICES}")
-    scaled, _ = _power_scaled(np.asarray(deltas, dtype=np.float64), m, gamma)
-    return -scaled if sign == "literal" else scaled
+    return _power_scaled(np.abs(np.asarray(deltas, dtype=np.float64)) / m, m, gamma, sign)
 
 
 def power_scaled_margins_grad_gamma(
     deltas: np.ndarray, m: float, gamma: float, sign: str = "literal"
 ) -> np.ndarray:
     """d(scaled_delta)/d(gamma), elementwise; zero where delta is zero."""
-    return _gamma_terms(np.asarray(deltas, dtype=np.float64), m, gamma, sign)[1]
+    ratio, log_ratio = _ratio_terms(np.asarray(deltas, dtype=np.float64), m)
+    return _gamma_terms(ratio, log_ratio, m, gamma, sign)[1]
 
 
 def margin_regularizer(
@@ -190,12 +222,138 @@ def margin_regularizer(
     return _regularizer(deltas, scaled_deltas, dscaled_dgamma)
 
 
-def _margin_matrix(labels: np.ndarray, num_classes: int, scaled_deltas: np.ndarray, m: float) -> np.ndarray:
-    n = labels.shape[0]
-    mm = np.empty((n, num_classes))
-    mm[...] = scaled_deltas
-    mm[np.arange(n), labels] += m
-    return mm
+def loss_plan(deltas: np.ndarray | None, cfg: MarginConfig, batch_size: int,
+              grad_prototypes: np.ndarray) -> LossPlan:
+    """The per-run plan of ``cfg``'s mode for batches of ``batch_size`` rows,
+    writing the prototype gradient into ``grad_prototypes`` (classes, dim).
+
+    It holds for every gamma, so one plan serves a run whose config copy
+    changes only ``gamma``. ``deltas`` are read in ``dual_margin`` mode only.
+    """
+    num_classes = grad_prototypes.shape[0]
+    row_starts = np.arange(batch_size) * num_classes
+    if cfg.mode != "dual_margin":
+        return LossPlan(row_starts=row_starts, grad_prototypes=grad_prototypes)
+    if deltas is None:
+        raise ValueError("loss_plan: dual_margin mode requires deltas")
+    deltas = np.asarray(deltas, dtype=np.float64)
+    ratio, log_ratio = _ratio_terms(deltas, cfg.m)
+    return LossPlan(row_starts=row_starts, grad_prototypes=grad_prototypes,
+                    deltas=deltas, ratio=ratio, log_ratio=log_ratio)
+
+
+def _checked(caller: str, embeddings, labels, prototypes, deltas,
+             cfg: MarginConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, LossPlan]:
+    """The public entry points' inputs as float64/int64 arrays, checked, and a
+    plan for this one call."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    prototypes = np.asarray(prototypes, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n, c = embeddings.shape[0], prototypes.shape[0]
+    if labels.shape[0] != n:
+        raise ValueError(f"{caller}: labels/embeddings length mismatch")
+    check_labels(labels, c, caller)
+    return embeddings, labels, prototypes, loss_plan(deltas, cfg, n, np.empty_like(prototypes))
+
+
+def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
+             plan: LossPlan, cfg: MarginConfig) -> tuple[LossOutput, LossContext]:
+    """The forward half of the step kernel, on checked inputs."""
+    targets = plan.row_starts + labels  # flat indices of the target logits
+    n = embeddings.shape[0]
+    if cfg.mode == "ce":
+        adjusted = embeddings @ prototypes.T  # raw dot logits, s = 1, no margin
+        ctx = LossContext(cfg=cfg, labels=labels, probs=None, plan=plan,
+                          raw_embeddings=embeddings, raw_prototypes=prototypes)
+        reg_value = 0.0
+    else:
+        units, norms, degenerate = rows_normalize(np.concatenate([embeddings, prototypes]))
+        logits = units[:n] @ units[n:].T
+        if cfg.mode == "am_softmax":
+            scaled, dscaled, reg_value, dreg = np.zeros(prototypes.shape[0]), None, 0.0, None
+        else:
+            scaled, dscaled = _gamma_terms(plan.ratio, plan.log_ratio, cfg.m, cfg.gamma,
+                                           cfg.eq5_sign)
+            reg_value, dreg = _regularizer(plan.deltas, scaled, dscaled)
+        # Entry (i, j) is logits[i, j] - scaled[j], and the target entry
+        # logits[i, y] - (scaled[y] + m).
+        adjusted = logits - scaled
+        adjusted.reshape(-1)[targets] = logits.reshape(-1)[targets] - (scaled[labels] + cfg.m)
+        adjusted *= cfg.s
+        ctx = LossContext(
+            cfg=cfg, labels=labels, probs=None, plan=plan,
+            units=units, norms=norms, degenerate=degenerate, scaled_deltas=scaled,
+            dscaled_dgamma=dscaled, dreg_dgamma=dreg,
+        )
+
+    # The one finiteness check of the loss: a NaN or inf embedding or
+    # prototype row shows up here as a non-finite logit row.
+    if not np.isfinite(adjusted).all():
+        bad = ~np.isfinite(adjusted).all(axis=1)
+        raise ValueError(f"margin_loss: non-finite logits at sample {int(np.flatnonzero(bad)[0])}")
+
+    # Max-shifted exp and its row sums, shared by log-sum-exp and softmax.
+    peak = adjusted.max(axis=1, keepdims=True)
+    probs = np.exp(adjusted - peak)
+    sums = probs.sum(axis=1, keepdims=True)
+    per_sample = (np.log(sums) + peak)[:, 0] - adjusted.reshape(-1)[targets]
+    probs /= sums
+    ctx.probs = probs
+    total = float(per_sample.sum() / n + cfg.lam * reg_value)
+    out = LossOutput(total=total, per_sample=per_sample, probs=probs, reg_value=reg_value)
+    return out, ctx
+
+
+def _backward(ctx: LossContext, g: np.ndarray) -> LossGrads:
+    """The backward half of the step kernel; ``g`` starts as the softmax
+    (``ctx.probs`` or a copy) and is turned into the logit gradient in place.
+
+    The softmax gradient p - onehot is chained through the scale factor,
+    the cosine logits, and the L2 normalization of both embeddings and
+    prototypes. The gamma gradient flows through the scaled adjustments
+    in both the data term and the regularizer. Rows that hit the
+    zero-norm guard have no dependence on their raw vector, so their
+    gradient is zero. The prototype gradient is written into the plan's
+    ``grad_prototypes``.
+    """
+    cfg, plan = ctx.cfg, ctx.plan
+    g.reshape(-1)[plan.row_starts + ctx.labels] -= 1.0
+    g /= g.shape[0]  # batch-mean reduction
+
+    if cfg.mode == "ce":
+        grad_x = g @ ctx.raw_prototypes
+        grad_w = np.matmul(g.T, ctx.raw_embeddings, out=plan.grad_prototypes)
+        return LossGrads(embeddings=grad_x, prototypes=grad_w, gamma=0.0)
+
+    grad_gamma = 0.0
+    if cfg.mode == "dual_margin":
+        # Data term: every margin-matrix column j is scaled_delta[j] (+m on
+        # the target), so dL/d(scaled_delta[j]) = -s * column-sum of g.
+        dscaled_data = -cfg.s * g.sum(axis=0)
+        grad_gamma = float((dscaled_data * ctx.dscaled_dgamma).sum() + cfg.lam * ctx.dreg_dgamma)
+
+    g *= cfg.s  # now the gradient wrt the unscaled cosine logits
+    units, n = ctx.units, g.shape[0]
+    grad = np.empty_like(units)
+    np.matmul(g, units[n:], out=grad[:n])
+    np.matmul(g.T, units[:n], out=grad[n:])
+    _chain_through_normalization(grad, units, ctx.norms, ctx.degenerate)
+    plan.grad_prototypes[...] = grad[n:]
+    return LossGrads(embeddings=grad[:n], prototypes=plan.grad_prototypes, gamma=grad_gamma)
+
+
+def _chain_through_normalization(
+    grad_units: np.ndarray,
+    units: np.ndarray,
+    norms: np.ndarray,
+    degenerate: np.ndarray,
+) -> None:
+    """Pull gradients wrt unit rows back to raw rows through x/||x||, in place."""
+    radial = (grad_units * units).sum(axis=1, keepdims=True)
+    grad_units -= radial * units
+    grad_units /= np.where(degenerate, 1.0, norms)[:, None]
+    if degenerate.any():
+        grad_units[degenerate] = 0.0
 
 
 def margin_loss_forward(
@@ -210,132 +368,40 @@ def margin_loss_forward(
     ``deltas`` are the per-class prior-derived adjustments; they are
     ignored in ``am_softmax`` and ``ce`` modes.
     """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    prototypes = np.asarray(prototypes, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = embeddings.shape[0]
-    c = prototypes.shape[0]
-    if labels.shape[0] != n:
-        raise ValueError("margin_loss_forward: labels/embeddings length mismatch")
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise ValueError(f"margin_loss_forward: label outside [0, {c})")
-
-    if cfg.mode == "ce":
-        adjusted = embeddings @ prototypes.T  # raw dot logits, s = 1, no margin
-        ctx = LossContext(
-            cfg=cfg, labels=labels, probs=np.empty(0),
-            raw_embeddings=embeddings, raw_prototypes=prototypes,
-        )
-        reg_value = 0.0
-    else:
-        units, norms, degenerate = rows_normalize(embeddings)
-        proto_units, proto_norms, proto_degenerate = rows_normalize(prototypes)
-        logits = units @ proto_units.T
-        if cfg.mode == "am_softmax":
-            scaled = np.zeros(c, dtype=np.float64)
-            used_deltas = np.zeros(c, dtype=np.float64)
-            reg_value, dscaled, dreg = 0.0, None, None
-        else:
-            if deltas is None:
-                raise ValueError("margin_loss_forward: dual_margin mode requires deltas")
-            used_deltas = np.asarray(deltas, dtype=np.float64)
-            scaled, dscaled = _gamma_terms(used_deltas, cfg.m, cfg.gamma, cfg.eq5_sign)
-            reg_value, dreg = _regularizer(used_deltas, scaled, dscaled)
-        adjusted = logits - _margin_matrix(labels, c, scaled, cfg.m)
-        adjusted *= cfg.s
-        ctx = LossContext(
-            cfg=cfg, labels=labels, probs=np.empty(0),
-            units=units, norms=norms, degenerate=degenerate,
-            proto_units=proto_units, proto_norms=proto_norms,
-            proto_degenerate=proto_degenerate,
-            deltas=used_deltas, scaled_deltas=scaled,
-            dscaled_dgamma=dscaled, dreg_dgamma=dreg,
-        )
-
-    # The one finiteness check of the loss: a NaN or inf embedding or
-    # prototype row shows up here as a non-finite logit row.
-    if not np.isfinite(adjusted).all():
-        bad = ~np.isfinite(adjusted).all(axis=1)
-        raise ValueError(f"margin_loss_forward: non-finite logits at sample {int(np.flatnonzero(bad)[0])}")
-
-    # Max-shifted exp and its row sums, shared by log-sum-exp and softmax.
-    peak = adjusted.max(axis=1, keepdims=True)
-    probs = np.exp(adjusted - peak)
-    sums = probs.sum(axis=1, keepdims=True)
-    per_sample = (np.log(sums) + peak)[:, 0] - adjusted[np.arange(n), labels]
-    probs /= sums
-    ctx.probs = probs
-    total = float(per_sample.sum() / n + cfg.lam * reg_value)
-    out = LossOutput(total=total, per_sample=per_sample, probs=probs, reg_value=reg_value)
-    return out, ctx
+    return _forward(*_checked("margin_loss_forward", embeddings, labels, prototypes,
+                              deltas, cfg), cfg)
 
 
 def margin_loss_backward(ctx: LossContext) -> LossGrads:
     """Gradients of the total loss wrt raw embeddings, raw prototypes and gamma.
 
-    The softmax gradient p - onehot is chained through the scale factor,
-    the cosine logits, and the L2 normalization of both embeddings and
-    prototypes. The gamma gradient flows through the scaled adjustments
-    in both the data term and the regularizer. Rows that hit the
-    zero-norm guard have no dependence on their raw vector, so their
-    gradient is zero.
+    ``ctx.probs`` is left as the forward pass returned it.
     """
-    cfg = ctx.cfg
-    labels = ctx.labels
-    probs = ctx.probs
-    n = probs.shape[0]
-    g = probs.copy()
-    g[np.arange(n), labels] -= 1.0
-    g /= n  # batch-mean reduction
-
-    if cfg.mode == "ce":
-        grad_x = g @ ctx.raw_prototypes
-        grad_w = g.T @ ctx.raw_embeddings
-        return LossGrads(embeddings=grad_x, prototypes=grad_w, gamma=0.0)
-
-    dz = cfg.s * g
-    grad_units = dz @ ctx.proto_units
-    grad_proto_units = dz.T @ ctx.units
-    grad_x = _chain_through_normalization(grad_units, ctx.units, ctx.norms, ctx.degenerate)
-    grad_w = _chain_through_normalization(
-        grad_proto_units, ctx.proto_units, ctx.proto_norms, ctx.proto_degenerate
-    )
-
-    grad_gamma = 0.0
-    if cfg.mode == "dual_margin":
-        # Data term: every margin-matrix column j is scaled_delta[j] (+m on
-        # the target), so dL/d(scaled_delta[j]) = -s * column-sum of g.
-        dscaled_data = -cfg.s * g.sum(axis=0)
-        grad_gamma = float((dscaled_data * ctx.dscaled_dgamma).sum() + cfg.lam * ctx.dreg_dgamma)
-
-    return LossGrads(embeddings=grad_x, prototypes=grad_w, gamma=grad_gamma)
-
-
-def _chain_through_normalization(
-    grad_units: np.ndarray,
-    units: np.ndarray,
-    norms: np.ndarray,
-    degenerate: np.ndarray,
-) -> np.ndarray:
-    """Pull gradients wrt unit rows back to raw rows through x/||x||."""
-    radial = (grad_units * units).sum(axis=1, keepdims=True)
-    grad_raw = grad_units - radial * units
-    grad_raw /= np.where(degenerate, 1.0, norms)[:, None]
-    if degenerate.any():
-        grad_raw[degenerate] = 0.0
-    return grad_raw
+    return _backward(ctx, ctx.probs.copy())
 
 
 def margin_loss(
     embeddings: np.ndarray,
     labels: np.ndarray,
     prototypes: np.ndarray,
-    deltas: np.ndarray | None,
+    deltas: np.ndarray | LossPlan | None,
     cfg: MarginConfig,
 ) -> LossOutput:
-    """Forward and backward in one call; grads filled in the output."""
-    out, ctx = margin_loss_forward(embeddings, labels, prototypes, deltas, cfg)
-    grads = margin_loss_backward(ctx)
+    """Forward and backward in one call; grads filled in the output.
+
+    ``deltas`` is either the per-class adjustments, or the run's
+    ``LossPlan`` built by ``loss_plan`` from the same config (gamma aside).
+    With a plan, the inputs are taken as checked: float64 arrays, and int
+    labels in range with one per plan row. The softmax becomes the
+    gradient in place, so the output's ``probs`` is None.
+    """
+    if isinstance(deltas, LossPlan):
+        args = (embeddings, labels, prototypes, deltas)
+    else:
+        args = _checked("margin_loss", embeddings, labels, prototypes, deltas, cfg)
+    out, ctx = _forward(*args, cfg)
+    grads = _backward(ctx, out.probs)
+    out.probs = None
     out.grad_embeddings = grads.embeddings
     out.grad_prototypes = grads.prototypes
     out.grad_gamma = grads.gamma

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_labels
+
 HEAD = 0
 BETWEEN = 1
 TAIL = 2
@@ -64,8 +66,7 @@ class ClassPartition:
 def class_counts(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Tally labels into per-class counts."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(f"class_counts: label outside [0, {num_classes})")
+    check_labels(labels, num_classes, "class_counts")
     return np.bincount(labels, minlength=num_classes).astype(np.int64)
 
 

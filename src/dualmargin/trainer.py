@@ -2,21 +2,30 @@
 manual backprop, adaptive optimizer with decoupled weight decay, step-decay
 schedule.
 
-Computed once per run: the class statistics and their margin adjustments
-(deltas), the per-class index pools partners are drawn from, the parameter
-layout and the per-element weight decay. Encoder weights, encoder biases,
-prototypes and, as the last element, gamma live in one flat buffer (the
-arrays the loop uses are views into it), and their gradients are gathered
-into a matching one, so the optimizer makes one update per step. With
-``gamma_shares_schedule`` off, the decay is an array with a zero for gamma's
-element. The margin config is copied once per run, and the copy's gamma
-is set from the buffer each step. Computed once per step: the gamma terms of
-the loss (the scaled margins, their gamma derivative and the regularizer),
-shared by its forward and backward pass. Finiteness is checked at the
-boundaries only: encoder input, the loss's adjusted logits, the batch loss
-and the gradients. Only after a gradient check fails is the first bad
-element traced back to its parameter (gamma, an encoder weight or bias, or
-the prototypes) for the error and its snapshot.
+Computed once per run:
+
+* the class statistics, whose tally rejects a training label outside
+  [0, num_classes), their margin adjustments (deltas), and the per-class
+  index pools partners are drawn from;
+* the loss plan (``loss.loss_plan``): the deltas, |delta|/m and its log,
+  and where each batch row's logits start in a flat view;
+* the parameter layout: encoder weights, encoder biases, prototypes and,
+  as the last element, gamma live in one flat buffer (the arrays the loop
+  uses are views into it), so the optimizer makes one update per step;
+* the matching views of the flat gradient buffer, which the encoder's
+  backward pass and the loss write into, so no step gathers gradients;
+* the optimizer's moments;
+* the weight decay: with ``gamma_shares_schedule`` off, an array with a
+  zero for gamma's element;
+* a copy of the margin config, whose gamma is set from the buffer each step.
+
+Computed once per step: the gamma terms of the loss (the scaled margins,
+their gamma derivative and the regularizer), shared by its forward and
+backward pass. Finiteness is checked at the boundaries only: encoder input,
+the loss's adjusted logits, the batch loss and the gradients. Only after a
+gradient check fails is the first bad element traced back to its parameter
+(gamma, an encoder weight or bias, or the prototypes) for the error and its
+snapshot.
 
 The loop is a single logical agent owning one RNG stream, so identical
 (config, dataset, seed) yields a bitwise-identical history.
@@ -33,7 +42,7 @@ import numpy as np
 
 from . import encoder
 from .evaluation import prototype_scores
-from .loss import DIVERGENCE_LIMIT, MarginConfig, margin_loss
+from .loss import DIVERGENCE_LIMIT, MarginConfig, loss_plan, margin_loss
 from .priors import ClassPartition, compute_class_stats, partition_classes
 from .sampler import lowest_norm_indices, perturb, plan_batch
 from .synthdata import TRAIN, VAL, Dataset
@@ -179,14 +188,19 @@ def _first_non_finite_param(flat: np.ndarray, views: list[np.ndarray],
     return names[int(np.searchsorted(ends, index, side="right"))]
 
 
+def _views(buffer: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive views of ``buffer`` shaped like ``arrays``."""
+    views, start = [], 0
+    for a in arrays:
+        views.append(buffer[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return views
+
+
 def _flat_layout(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Copy ``arrays`` into one contiguous buffer; return it and a view per array."""
     flat = np.concatenate(arrays, axis=None)
-    views, start = [], 0
-    for a in arrays:
-        views.append(flat[start:start + a.size].reshape(a.shape))
-        start += a.size
-    return flat, views
+    return flat, _views(flat, arrays)
 
 
 def _class_pools(train_idx: np.ndarray, train_labels: np.ndarray,
@@ -250,7 +264,12 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     flat, views = _flat_layout([*enc.weights, *enc.biases, prototypes, np.array([mcfg.gamma])])
     enc = replace(enc, weights=views[:num_layers], biases=views[num_layers:-2])
     prototypes = views[-2]
+    # The gradients land in views of a matching buffer: the encoder's (dW, db)
+    # pairs and the loss plan's prototype gradient; gamma's is set by hand.
     grad_flat = np.empty_like(flat)
+    grad_views = _views(grad_flat, views)
+    enc_grads = list(zip(grad_views[:num_layers], grad_views[num_layers:-2]))
+    margin_plan = loss_plan(stats.deltas, mcfg, cfg.batch_size, grad_views[-2])
     params, grads = {"flat": flat}, {"flat": grad_flat}
 
     weight_decay = cfg.weight_decay
@@ -306,16 +325,14 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                     emb, labels = cache.activations[-1], labels[keep]
 
                 mcfg.gamma = float(flat[-1])
-                out = margin_loss(emb, labels, prototypes, stats.deltas, mcfg)
+                out = margin_loss(emb, labels, prototypes, margin_plan, mcfg)
                 if not math.isfinite(out.total) or out.total > DIVERGENCE_LIMIT:
                     raise TrainingDiverged(
                         f"loss diverged at epoch {epoch} step {state.step}: {out.total}",
                         {"epoch": epoch, "step": state.step, "loss": out.total,
                          "lr": lr, "gamma": mcfg.gamma},
                     )
-                param_grads, _ = encoder.backward(enc, cache, out.grad_embeddings)
-                dws, dbs = zip(*param_grads)
-                np.concatenate([*dws, *dbs, out.grad_prototypes], axis=None, out=grad_flat[:-1])
+                encoder.backward(enc, cache, out.grad_embeddings, enc_grads)
                 grad_flat[-1] = out.grad_gamma
                 try:
                     opt.step(params, grads, lr)

@@ -64,26 +64,38 @@ class TestForward:
             encoder.forward(params, np.ones((2, 5)))
 
 
+def _grad_buffers(params):
+    """Filled with NaN, so a gradient the backward pass does not write shows."""
+    return [(np.full_like(w, np.nan), np.full_like(b, np.nan))
+            for w, b in zip(params.weights, params.biases)]
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         params = encoder.init_params([3, 4, 2], seed=0)
         x = np.random.default_rng(2).normal(size=(5, 3))
         _, cache = encoder.forward(params, x)
-        grads, input_grads = encoder.backward(params, cache, np.zeros((5, 2)))
+        grads = encoder.backward(params, cache, np.zeros((5, 2)), _grad_buffers(params))
         for dw, db in grads:
             np.testing.assert_array_equal(dw, 0.0)
             np.testing.assert_array_equal(db, 0.0)
-        np.testing.assert_array_equal(input_grads, 0.0)
+
+    def test_writes_into_the_given_buffers(self):
+        params = encoder.init_params([3, 4, 2], seed=0)
+        _, cache = encoder.forward(params, np.random.default_rng(2).normal(size=(5, 3)))
+        out = _grad_buffers(params)
+        grads = encoder.backward(params, cache, np.ones((5, 2)), out)
+        assert grads is out
+        assert all(np.isfinite(dw).all() and np.isfinite(db).all() for dw, db in out)
 
     def test_linear_layer_outer_product(self):
         params = encoder.init_params([3, 2], seed=0)
         x = np.random.default_rng(3).normal(size=(4, 3))
         _, cache = encoder.forward(params, x)
         g = np.random.default_rng(4).normal(size=(4, 2))
-        grads, input_grads = encoder.backward(params, cache, g)
+        grads = encoder.backward(params, cache, g, _grad_buffers(params))
         np.testing.assert_allclose(grads[0][0], g.T @ x, atol=1e-12)
         np.testing.assert_allclose(grads[0][1], g.sum(axis=0), atol=1e-12)
-        np.testing.assert_allclose(input_grads, g @ params.weights[0], atol=1e-12)
 
     def test_composed_encoder_loss_gradcheck(self):
         rng = np.random.default_rng(5)
@@ -97,7 +109,8 @@ class TestBackward:
 
         emb, cache = encoder.forward(params, feats)
         out = margin_loss(emb, labels, protos, deltas, cfg)
-        param_grads, _ = encoder.backward(params, cache, out.grad_embeddings)
+        param_grads = encoder.backward(params, cache, out.grad_embeddings,
+                                       _grad_buffers(params))
 
         flat = np.concatenate(
             [w.ravel() for w in params.weights] + [b.ravel() for b in params.biases]
@@ -127,5 +140,5 @@ class TestBackward:
         params = encoder.init_params([3, 2], seed=0)
         _, cache = encoder.forward(params, np.ones((2, 3)))
         with pytest.raises(ValueError, match="shape mismatch"):
-            encoder.backward(params, cache, np.ones((2, 5)))
+            encoder.backward(params, cache, np.ones((2, 5)), _grad_buffers(params))
 

@@ -9,6 +9,7 @@ import pytest
 from dualmargin.loss import (
     LossGrads,
     MarginConfig,
+    loss_plan,
     margin_loss,
     margin_loss_backward,
     margin_loss_forward,
@@ -255,6 +256,13 @@ class TestForward:
         with pytest.raises(ValueError, match="label outside"):
             margin_loss_forward(x, np.array([5]), w, None, MarginConfig(mode="ce"))
 
+    def test_fused_call_rejects_out_of_range_label(self):
+        # The per-call check stays on the public entry points; only the
+        # trainer's plan path takes labels as checked.
+        x, w = _two_class_half_cosines()
+        with pytest.raises(ValueError, match=r"margin_loss: label outside \[0, 2\): -1"):
+            margin_loss(x, np.array([-1]), w, np.array([0.0, 0.15]), MarginConfig())
+
     def test_non_finite_logit_reports_sample(self):
         x = np.array([[1.0, 0.0], [1e308, 1e308]])
         w = np.array([[1e308, 0.0], [0.0, 1.0]])
@@ -332,16 +340,20 @@ class TestBackward:
         probs = np.array([[1.0, 0.0], [0.4, 0.6]])
         from dualmargin.loss import LossContext
 
+        cfg = MarginConfig(mode="ce")
         ctx = LossContext(
-            cfg=MarginConfig(mode="ce"),
+            cfg=cfg,
             labels=np.array([0, 1]),
             probs=probs,
+            plan=loss_plan(None, cfg, batch_size=2, grad_prototypes=np.empty((2, 2))),
             raw_embeddings=np.eye(2),
             raw_prototypes=np.eye(2),
         )
         grads = margin_loss_backward(ctx)
         assert isinstance(grads, LossGrads)
         np.testing.assert_allclose(grads.embeddings[0], 0.0, atol=1e-15)
+        # The backward pass works on a copy; the forward's probs are kept.
+        np.testing.assert_array_equal(ctx.probs, [[1.0, 0.0], [0.4, 0.6]])
 
     def test_mirrored_inputs_give_mirrored_gradients(self):
         x = np.array([[0.3, 0.7, -0.2]])

@@ -5,7 +5,7 @@ import pytest
 
 from dualmargin import encoder as encoder_module
 from dualmargin.loss import MarginConfig, margin_loss, margin_loss_forward
-from dualmargin.synthdata import SyntheticSpec, generate, split
+from dualmargin.synthdata import TRAIN, SyntheticSpec, generate, split
 from dualmargin.trainer import (
     SGD,
     AdamW,
@@ -97,6 +97,29 @@ class TestAdamW:
         p = {"flat": np.array([1.0, -2.0, 1.0])}
         opt.step(p, {"flat": np.zeros(3)}, lr=0.1)
         np.testing.assert_array_equal(p["flat"], [0.95, -1.9, 1.0])
+
+    def test_matches_the_textbook_expression(self):
+        # Five steps with a per-element decay, against the update written
+        # out with fresh temporaries; equal bit for bit.
+        rng = np.random.default_rng(1)
+        size = 1000  # enough elements that a reordered operation shows
+        wd = rng.uniform(0.0, 0.5, size=size)
+        p0 = rng.normal(size=size)
+        opt = AdamW(weight_decay=wd)
+        p = {"flat": p0.copy()}
+        ref, m, v = p0.copy(), np.zeros(size), np.zeros(size)
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for t in range(1, 6):
+            g = rng.normal(size=size)
+            lr = 0.1 / t
+            opt.step(p, {"flat": g}, lr=lr)
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            ref *= 1.0 - lr * wd
+            ref -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        assert np.array_equal(p["flat"], ref)
 
 
 class TestSGD:
@@ -274,17 +297,35 @@ class TestTrainLoop:
                                                      0.09045314919997438,
                                                      0.09481122562474958]
 
+    @pytest.mark.parametrize("seed, overrides, losses, gammas", [
+        (16, dict(margin=MarginConfig(mode="am_softmax")),
+         [19.235526499056, 14.539776457762319, 13.070734498480507], [0.0, 0.0, 0.0]),
+        (17, dict(margin=MarginConfig(mode="ce")),
+         [1.5312287065815111, 1.416381477755627, 1.4053383281990424], [0.0, 0.0, 0.0]),
+        (18, dict(base_lr=0.01, margin=MarginConfig(eq5_sign="magnitude")),
+         [3.164018016641668, 1.854884665702773, 0.8741791575658304],
+         [-0.012472145233718163, -0.0034931667030141285, -0.005485361500750509]),
+    ], ids=["am_softmax", "ce", "magnitude"])
+    def test_mode_matches_frozen_losses(self, seed, overrides, losses, gammas):
+        # Frozen oracles for the modes and sign besides literal dual_margin:
+        # am_softmax's zero adjustments, ce's raw dot logits and the
+        # magnitude sign each show in every epoch's loss and gamma.
+        _, history = train(_fast_config(seed=seed, **overrides), _small_dataset(seed=seed))
+        assert [rec["train_loss"] for rec in history] == losses
+        assert [rec["gamma"] for rec in history] == gammas
+
     def test_nan_weight_gradient_names_its_layer(self, monkeypatch):
         # A NaN in the gradient of the second weight matrix at the fifth
         # step; the error names that matrix, not the flat buffer.
         backward, calls = encoder_module.backward, []
 
-        def nan_at_fifth_step(params, cache, grad_embeddings):
-            param_grads, grad_inputs = backward(params, cache, grad_embeddings)
+        def nan_at_fifth_step(params, cache, grad_embeddings, out):
+            param_grads = backward(params, cache, grad_embeddings, out)
             calls.append(1)
             if len(calls) == 5:
-                param_grads[1][0][0, 0] = np.nan
-            return param_grads, grad_inputs
+                # The trainer reads this through its flat gradient buffer.
+                out[1][0][0, 0] = np.nan
+            return param_grads
 
         monkeypatch.setattr(encoder_module, "backward", nan_at_fifth_step)
         cfg = _fast_config(seed=15, hidden_dims=(16, 12))
@@ -295,6 +336,14 @@ class TestTrainLoop:
         assert (snapshot["epoch"], snapshot["step"]) == (0, 4)
         assert snapshot["lr"] == cfg.base_lr
         assert np.isfinite(snapshot["gamma"])
+
+    def test_out_of_range_training_label_rejected_before_training(self):
+        # The class statistics check the training labels once per run,
+        # before the first step; the message names the bad label.
+        dataset = _small_dataset(seed=10)
+        dataset.labels[dataset.indices(TRAIN)[3]] = dataset.num_classes + 2
+        with pytest.raises(ValueError, match=r"label outside \[0, 5\): 7"):
+            train(_fast_config(), dataset)
 
     def test_small_training_split_rejected(self):
         dataset = _small_dataset(seed=10, num_classes=2, head_count=6, ratio=1.0)
