@@ -4,6 +4,11 @@ Hidden layers use a smooth nonlinearity by default so finite-difference
 gradient checks are well behaved; the final layer is linear so embedding
 norms genuinely vary across samples.
 
+Each layer's output is computed in place: the bias is added into the
+matmul result and the activation is written over it, so a layer allocates
+one array and the cache holds exactly those arrays. The caller's features
+are never written.
+
 The backward pass writes each layer's weight and bias gradients into
 buffers the caller provides: the trainer makes them once per run, as views
 of its flat gradient buffer, so a step allocates no gradient arrays and
@@ -64,17 +69,20 @@ def init_params(dims: list[int], seed: int, activation: str = "tanh") -> Encoder
     return EncoderParams(weights=weights, biases=biases, activation=activation)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate(z: np.ndarray, kind: str) -> None:
+    """Apply the activation to ``z`` in place."""
     if kind == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        np.tanh(z, out=z)
+    else:
+        np.maximum(z, 0.0, out=z)
 
 
 def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    """Derivative of the activation, from its output ``a``."""
+    """Derivative of the activation, from its output ``a``; relu's is a boolean mask."""
     if kind == "tanh":
-        return 1.0 - a * a
-    return (a > 0).astype(np.float64)
+        grad = a * a
+        return np.subtract(1.0, grad, out=grad)
+    return a > 0
 
 
 def forward(params: EncoderParams, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -90,8 +98,11 @@ def forward(params: EncoderParams, features: np.ndarray) -> tuple[np.ndarray, Fo
     num_layers = len(params.weights)
     activations = [features]
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = activations[-1] @ w.T + b
-        activations.append(z if l == num_layers - 1 else _activate(z, params.activation))
+        z = activations[-1] @ w.T
+        z += b
+        if l < num_layers - 1:
+            _activate(z, params.activation)
+        activations.append(z)
     return activations[-1], ForwardCache(activations=activations)
 
 

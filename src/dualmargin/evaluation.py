@@ -4,6 +4,10 @@ Macro metrics are unweighted means over classes that have at least one
 test sample; group aggregates are means over member classes. The
 open-set score of a sample is its maximum cosine similarity to any known
 prototype (max softmax probability is available as an alternative).
+
+Scoring keeps no activations: the encoder's forward cache is dropped as
+soon as the embeddings exist, so no hidden layer is alive through the
+normalization and the prototype matmul.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ def prototype_scores(
     scores are cosines between unit embeddings and unit prototype rows;
     otherwise they are raw dot products (the ``ce`` decision rule).
     """
-    emb, _ = encoder.forward(enc, features)
+    emb = encoder.forward(enc, features)[0]  # the hidden layers are freed here
     if not cosine:
         return emb @ prototypes.T
     units, _, _ = rows_normalize(emb)

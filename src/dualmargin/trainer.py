@@ -27,6 +27,10 @@ gradient check fails is the first bad element traced back to its parameter
 (gamma, an encoder weight or bias, or the prototypes) for the error and its
 snapshot.
 
+The last step's batch arrays (features, embeddings, forward cache, loss
+output) are released before each epoch's validation, so they do not sit
+under its working set.
+
 The loop is a single logical agent owning one RNG stream, so identical
 (config, dataset, seed) yields a bitwise-identical history.
 """
@@ -222,9 +226,10 @@ def _validate(enc: encoder.EncoderParams, prototypes: np.ndarray, dataset: Datas
     scores = prototype_scores(enc, prototypes, dataset.features[val_idx],
                               cosine=cfg.margin.mode != "ce")
     preds = np.argmax(scores, axis=1)
-    present = np.unique(labels)
-    recalls = [float(np.mean(preds[labels == j] == j)) for j in present]
-    return float(np.mean(recalls))
+    totals = np.bincount(labels, minlength=dataset.num_classes)
+    hits = np.bincount(labels[preds == labels], minlength=dataset.num_classes)
+    present = totals > 0
+    return float(np.mean(hits[present] / totals[present]))
 
 
 def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
@@ -347,6 +352,7 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                 state.step += 1
                 epoch_losses.append(out.total)
 
+            del feats, emb, cache, out  # not alive under validation's working set
             state.epoch = epoch + 1
             state.gamma = float(flat[-1])
             val_recall = _validate(enc, prototypes, dataset, cfg)

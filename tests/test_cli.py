@@ -2,6 +2,9 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -113,6 +116,30 @@ class TestCliCommands:
         assert main(["generate", "--config", cfg, "--out", out]) == EXIT_OK
         assert os.path.exists(os.path.join(out, "dataset.csv"))
         assert os.path.exists(os.path.join(out, "manifest.json"))
+
+    def test_train_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma lazily, which costs every train process
+        # about 7 ms; nothing that train or evaluate does needs it.
+        cfg = self._write_config(tmp_path, FAST_CONFIG.replace("train.epochs = 2",
+                                                               "train.epochs = 1"))
+        out = str(tmp_path / "run")
+        code = ("import sys\n"
+                "import numpy\n"
+                "with_numpy = 'numpy.ma' in sys.modules\n"
+                "from dualmargin.cli import main\n"
+                f"code = main(['train', '--config', {cfg!r}, '--out', {out!r}])\n"
+                "print(with_numpy, code, 'numpy.ma' in sys.modules)\n")
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        with_numpy, code, after_train = result.stdout.splitlines()[-1].split()
+        if with_numpy == "True":
+            pytest.skip("this NumPy imports numpy.ma together with numpy")
+        assert code == str(EXIT_OK)
+        assert after_train == "False"
 
     def test_train_writes_artifacts(self, tmp_path):
         cfg = self._write_config(tmp_path)

@@ -63,6 +63,50 @@ class TestForward:
         with pytest.raises(ValueError, match="feature width"):
             encoder.forward(params, np.ones((2, 5)))
 
+    @pytest.mark.parametrize("activation", encoder.ACTIVATIONS)
+    def test_layers_equal_the_out_of_place_expression(self, activation):
+        params = _random_params(activation)
+        x = np.random.default_rng(6).normal(size=(9, 5))
+        emb, cache = encoder.forward(params, x)
+        expected = _reference_activations(params, x)
+        assert len(cache.activations) == len(expected)
+        for got, want in zip(cache.activations, expected):
+            assert np.array_equal(got, want)
+        assert emb is cache.activations[-1]
+        if activation == "relu":
+            assert (cache.activations[1] == 0.0).any()  # the clamp was exercised
+
+    def test_cached_layers_share_no_memory_and_input_is_unchanged(self):
+        params = _random_params("tanh")
+        x = np.random.default_rng(7).normal(size=(9, 5))
+        before = x.copy()
+        _, cache = encoder.forward(params, x)
+        acts = cache.activations
+        for i in range(len(acts)):
+            for j in range(i + 1, len(acts)):
+                assert not np.shares_memory(acts[i], acts[j]), (i, j)
+        assert np.array_equal(x, before)
+
+
+def _random_params(activation):
+    """Three layers with nonzero biases, so every term of a layer matters."""
+    params = encoder.init_params([5, 7, 6, 3], seed=4, activation=activation)
+    rng = np.random.default_rng(5)
+    for b in params.biases:
+        b[:] = rng.normal(size=b.shape)
+    return params
+
+
+def _reference_activations(params, x):
+    """Each layer as one out-of-place expression: ``act(a @ w.T + b)``."""
+    acts = [x]
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = acts[-1] @ w.T + b
+        if l < len(params.weights) - 1:
+            z = np.tanh(z) if params.activation == "tanh" else np.maximum(z, 0.0)
+        acts.append(z)
+    return acts
+
 
 def _grad_buffers(params):
     """Filled with NaN, so a gradient the backward pass does not write shows."""
@@ -135,6 +179,23 @@ class TestBackward:
         numeric = central_difference(f, flat, 1e-6)
         err = np.max(np.abs(numeric - analytic) / np.maximum(1.0, np.abs(analytic)))
         assert err < 1e-5
+
+    @pytest.mark.parametrize("activation", encoder.ACTIVATIONS)
+    def test_equals_the_out_of_place_expression(self, activation):
+        params = _random_params(activation)
+        x = np.random.default_rng(8).normal(size=(9, 5))
+        _, cache = encoder.forward(params, x)
+        g = np.random.default_rng(9).normal(size=(9, 3))
+        grads = encoder.backward(params, cache, g, _grad_buffers(params))
+        acts = _reference_activations(params, x)
+        delta = g
+        for l in range(len(params.weights) - 1, -1, -1):
+            assert np.array_equal(grads[l][0], delta.T @ acts[l])
+            assert np.array_equal(grads[l][1], delta.sum(axis=0))
+            if l:
+                a = acts[l]
+                local = 1.0 - a * a if activation == "tanh" else (a > 0).astype(np.float64)
+                delta = (delta @ params.weights[l]) * local
 
     def test_shape_mismatch(self):
         params = encoder.init_params([3, 2], seed=0)

@@ -1,5 +1,7 @@
 """Unit tests for closed-set metrics and open-set calibration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,28 @@ class TestPredict:
         scores = prototype_scores(enc, protos, feats, cosine=False)
         np.testing.assert_array_equal(scores, feats @ protos.T)
         assert not np.allclose(scores, prototype_scores(enc, protos, feats, cosine=True))
+
+
+class TestPrototypeScoresMemory:
+    @pytest.mark.parametrize("cosine", [True, False])
+    def test_peak_stays_within_the_layer_outputs(self, cosine):
+        # The encoder's layer outputs must coexist once, at the end of the
+        # forward pass; no layer allocates a second array and no hidden
+        # layer outlives the forward pass.
+        dims = [64, 256, 128, 64]
+        rows = 2000
+        enc = encoder.init_params(dims, seed=0)
+        rng = np.random.default_rng(0)
+        feats = rng.normal(size=(rows, dims[0]))
+        protos = rng.normal(size=(200, dims[-1]))
+        layer_bytes = rows * sum(dims[1:]) * 8
+        tracemalloc.start()
+        try:
+            prototype_scores(enc, protos, feats, cosine=cosine)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * layer_bytes, (peak, layer_bytes)
 
 
 class TestOpenSetScores:

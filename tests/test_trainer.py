@@ -1,16 +1,20 @@
 """Unit tests for the optimizer, LR schedule and training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dualmargin import encoder as encoder_module
+from dualmargin.evaluation import prototype_scores
 from dualmargin.loss import MarginConfig, margin_loss, margin_loss_forward
-from dualmargin.synthdata import TRAIN, SyntheticSpec, generate, split
+from dualmargin.synthdata import TRAIN, VAL, SyntheticSpec, generate, split
 from dualmargin.trainer import (
     SGD,
     AdamW,
     TrainConfig,
     TrainingDiverged,
+    _validate,
     load_checkpoint,
     lr_at,
     save_checkpoint,
@@ -350,6 +354,30 @@ class TestTrainLoop:
         cfg = _fast_config(batch_size=512)
         with pytest.raises(ValueError, match="smaller than one batch"):
             train(cfg, dataset)
+
+
+class TestValidate:
+    @pytest.mark.parametrize("mode", ["dual_margin", "ce"])
+    def test_equals_the_per_class_loop(self, mode):
+        dataset = _small_dataset(seed=10, num_classes=6)
+        # Class 2 gets no validation samples, so it must drop out of the mean.
+        assignment = dataset.split.copy()
+        assignment[(dataset.labels == 2) & (assignment == VAL)] = TRAIN
+        dataset = replace(dataset, split=assignment)
+        enc = encoder_module.init_params([6, 16, 8], seed=3)
+        prototypes = np.random.default_rng(4).normal(size=(6, 8))
+        cfg = _fast_config(margin=MarginConfig(mode=mode))
+
+        val_idx = dataset.indices(VAL)
+        labels = dataset.labels[val_idx]
+        scores = prototype_scores(enc, prototypes, dataset.features[val_idx],
+                                  cosine=mode != "ce")
+        preds = np.argmax(scores, axis=1)
+        present = np.unique(labels)
+        expected = float(np.mean([float(np.mean(preds[labels == j] == j)) for j in present]))
+        assert 2 not in present and len(present) == 5
+        assert 0.0 < expected < 1.0
+        assert _validate(enc, prototypes, dataset, cfg) == expected
 
 
 class TestCheckpoint:
