@@ -137,9 +137,7 @@ def cmd_verify(args) -> int:
 
 def _unit_stack(arrays: list[np.ndarray]) -> np.ndarray:
     """Stack equal-shaped (rows, d) arrays to (P, rows, d) with unit rows."""
-    stack = np.array(arrays)
-    units, _, _ = rows_normalize(stack.reshape(-1, stack.shape[-1]))
-    return units.reshape(stack.shape)
+    return rows_normalize(np.array(arrays))[0]
 
 
 def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
@@ -162,17 +160,21 @@ def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
         deltas[-1] = cfg.m
         out = margin_loss(x, labels, w, deltas, cfg)
         theta = np.concatenate([x.ravel(), w.ravel(), [cfg.gamma]])
-        # One copy per instance; each evaluation sets its gamma.
-        trial_cfg = replace(cfg)
 
-        def f(t):
-            xx = t[: n * d].reshape(n, d)
-            ww = t[n * d: n * d + c * d].reshape(c, d)
-            trial_cfg.gamma = float(t[-1])
-            o, _ = margin_loss_forward(xx, labels, ww, deltas, trial_cfg)
-            return o.total
+        def f(points):
+            # A stacked forward shares one gamma, so the points go in one
+            # call per gamma value: the base, +h and -h.
+            values = np.empty(len(points))
+            for gamma in np.unique(points[:, -1]):
+                rows = points[:, -1] == gamma
+                group = points[rows]
+                o, _ = margin_loss_forward(group[:, :n * d].reshape(-1, n, d), labels,
+                                           group[:, n * d:-1].reshape(-1, c, d), deltas,
+                                           replace(cfg, gamma=float(gamma)))
+                values[rows] = o.total
+            return values
 
-        numeric = central_difference(f, theta, 1e-6)
+        numeric = central_difference(f, theta, 1e-6, stacked=True)
         analytic = np.concatenate([
             out.grad_embeddings.ravel(), out.grad_prototypes.ravel(), [out.grad_gamma]
         ])

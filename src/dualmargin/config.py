@@ -49,6 +49,10 @@ class EvalOptions:
     target_tpr: float = 0.95
     score: str = "cosine"  # or "softmax"
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.target_tpr <= 1.0:
+            raise ValueError(f"EvalOptions: target_tpr must be in (0, 1], got {self.target_tpr}")
+
 
 @dataclass
 class ExperimentConfig:

@@ -33,16 +33,18 @@ def l2_normalize(v: np.ndarray, eps: float = NORM_EPS) -> tuple[np.ndarray, floa
 def rows_normalize(mat: np.ndarray, eps: float = NORM_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise L2 normalization with the same zero-guard as ``l2_normalize``.
 
-    Returns ``(units, norms, degenerate_mask)``. Unlike ``l2_normalize`` it
-    does not check for non-finite entries: its callers check at their own
-    boundaries (encoder input, loss logits), and a NaN or inf row yields
-    NaN units there.
+    Rows run along the last axis, so a stack (P, rows, d) is normalized
+    row by row too. Returns ``(units, norms, degenerate_mask)``; the norms
+    and the mask have the input's shape without its last axis. Unlike
+    ``l2_normalize`` it does not check for non-finite entries: its callers
+    check at their own boundaries (encoder input, loss logits), and a NaN
+    or inf row yields NaN units there.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    norms = np.sqrt((mat * mat).sum(axis=1))
+    norms = np.sqrt((mat * mat).sum(axis=-1))
     degenerate = norms <= eps
     safe = np.where(degenerate, 1.0, norms)
-    units = mat / safe[:, None]
+    units = mat / safe[..., None]
     if degenerate.any():
         units[degenerate] = 0.0
         units[degenerate, 0] = 1.0

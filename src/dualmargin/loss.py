@@ -39,6 +39,16 @@ with adjustments, ``margin_loss_forward`` and ``margin_loss_backward``
 check their inputs and build a plan per call, then run the same kernel.
 The kernel's only finiteness check is on the adjusted logits, which a NaN
 or inf embedding or prototype row reaches; it names the first bad sample.
+
+``margin_loss_forward`` also evaluates a stack of P parameter points in one
+call: embeddings (P, n, d) and prototypes (P, c, d) along a leading stack
+axis, sharing one labels array (n,), one set of adjustments and one config,
+gamma included. The same kernel lines run on the stack, and each point's
+``total`` and ``per_sample`` are bit-equal to its own unstacked call; the
+gradient check of ``dualmargin verify`` evaluates its perturbed points this
+way. An unstacked call returns ``total`` as a Python float, a stacked one
+as an array (P,) with ``per_sample`` (P, n). Only unstacked calls have a
+backward pass.
 """
 
 from __future__ import annotations
@@ -93,7 +103,7 @@ class MarginConfig:
 
 @dataclass
 class LossOutput:
-    total: float
+    total: float | np.ndarray  # an array (P,) from a stacked forward
     per_sample: np.ndarray
     probs: np.ndarray | None  # None from margin_loss, which turns them into the gradient
     reg_value: float
@@ -108,7 +118,8 @@ class LossPlan:
 
     ``row_starts`` holds the flat index of each batch row's first logit,
     so that ``row_starts + labels`` indexes the target logits of a
-    C-contiguous (batch, classes) array viewed flat. ``deltas`` are the raw
+    C-contiguous (batch, classes) array viewed flat; for a stacked forward
+    it is (P, batch), over a (P, batch, classes) array. ``deltas`` are the raw
     adjustments, ``ratio`` = |delta|/m and ``log_ratio`` = log(ratio), zero
     where the ratio is (``dual_margin`` only; None otherwise). Each step
     computes the scaled adjustments from them. ``grad_prototypes``
@@ -197,46 +208,26 @@ def power_scaled_margins(
     return _power_scaled(np.abs(np.asarray(deltas, dtype=np.float64)) / m, m, gamma, sign)
 
 
-def power_scaled_margins_grad_gamma(
-    deltas: np.ndarray, m: float, gamma: float, sign: str = "literal"
-) -> np.ndarray:
-    """d(scaled_delta)/d(gamma), elementwise; zero where delta is zero."""
-    ratio, log_ratio = _ratio_terms(np.asarray(deltas, dtype=np.float64), m)
-    return _gamma_terms(ratio, log_ratio, m, gamma, sign)[1]
-
-
-def margin_regularizer(
-    deltas: np.ndarray,
-    scaled_deltas: np.ndarray,
-    dscaled_dgamma: np.ndarray,
-) -> tuple[float, float]:
-    """Sum of squared gaps between raw and scaled adjustments, and its gamma gradient.
-
-    ``dscaled_dgamma`` is ``power_scaled_margins_grad_gamma`` at the gamma
-    that produced ``scaled_deltas``.
-    """
-    deltas = np.asarray(deltas, dtype=np.float64)
-    scaled_deltas = np.asarray(scaled_deltas, dtype=np.float64)
-    if not deltas.shape == scaled_deltas.shape == np.shape(dscaled_dgamma):
-        raise ValueError("margin_regularizer: shape mismatch")
-    return _regularizer(deltas, scaled_deltas, dscaled_dgamma)
-
-
-def loss_plan(deltas: np.ndarray | None, cfg: MarginConfig, batch_size: int,
+def loss_plan(deltas: np.ndarray | None, cfg: MarginConfig, batch_size: int | tuple[int, int],
               grad_prototypes: np.ndarray) -> LossPlan:
     """The per-run plan of ``cfg``'s mode for batches of ``batch_size`` rows,
     writing the prototype gradient into ``grad_prototypes`` (classes, dim).
 
     It holds for every gamma, so one plan serves a run whose config copy
-    changes only ``gamma``. ``deltas`` are read in ``dual_margin`` mode only.
+    changes only ``gamma``. ``deltas`` are read in ``dual_margin`` mode only,
+    and need one entry per class. A stacked forward passes its (P, n) shape
+    as ``batch_size``.
     """
-    num_classes = grad_prototypes.shape[0]
-    row_starts = np.arange(batch_size) * num_classes
+    num_classes = grad_prototypes.shape[-2]
+    row_starts = np.arange(np.prod(batch_size)).reshape(batch_size) * num_classes
     if cfg.mode != "dual_margin":
         return LossPlan(row_starts=row_starts, grad_prototypes=grad_prototypes)
     if deltas is None:
         raise ValueError("loss_plan: dual_margin mode requires deltas")
     deltas = np.asarray(deltas, dtype=np.float64)
+    if deltas.shape != (num_classes,):
+        raise ValueError(f"loss_plan: deltas shape {deltas.shape} does not match "
+                         f"{num_classes} classes")
     ratio, log_ratio = _ratio_terms(deltas, cfg.m)
     return LossPlan(row_starts=row_starts, grad_prototypes=grad_prototypes,
                     deltas=deltas, ratio=ratio, log_ratio=log_ratio)
@@ -249,28 +240,36 @@ def _checked(caller: str, embeddings, labels, prototypes, deltas,
     embeddings = np.asarray(embeddings, dtype=np.float64)
     prototypes = np.asarray(prototypes, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    n, c = embeddings.shape[0], prototypes.shape[0]
-    if labels.shape[0] != n:
+    if not (embeddings.ndim == prototypes.ndim in (2, 3)
+            and embeddings.shape[:-2] == prototypes.shape[:-2]):
+        raise ValueError(f"{caller}: embeddings {embeddings.shape} and prototypes "
+                         f"{prototypes.shape} must be (n, d) and (c, d), or stacks "
+                         f"(P, n, d) and (P, c, d)")
+    n, c = embeddings.shape[-2], prototypes.shape[-2]
+    if labels.shape != (n,):
         raise ValueError(f"{caller}: labels/embeddings length mismatch")
     check_labels(labels, c, caller)
-    return embeddings, labels, prototypes, loss_plan(deltas, cfg, n, np.empty_like(prototypes))
+    plan = loss_plan(deltas, cfg, embeddings.shape[:-1], np.empty_like(prototypes))
+    return embeddings, labels, prototypes, plan
 
 
 def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
              plan: LossPlan, cfg: MarginConfig) -> tuple[LossOutput, LossContext]:
-    """The forward half of the step kernel, on checked inputs."""
+    """The forward half of the step kernel, on checked inputs: (n, d) and
+    (c, d), or stacks (P, n, d) and (P, c, d) sharing the labels and gamma."""
     targets = plan.row_starts + labels  # flat indices of the target logits
-    n = embeddings.shape[0]
+    n = embeddings.shape[-2]
     if cfg.mode == "ce":
-        adjusted = embeddings @ prototypes.T  # raw dot logits, s = 1, no margin
+        adjusted = embeddings @ prototypes.swapaxes(-1, -2)  # raw dot logits, s = 1, no margin
         ctx = LossContext(cfg=cfg, labels=labels, probs=None, plan=plan,
                           raw_embeddings=embeddings, raw_prototypes=prototypes)
         reg_value = 0.0
     else:
-        units, norms, degenerate = rows_normalize(np.concatenate([embeddings, prototypes]))
-        logits = units[:n] @ units[n:].T
+        units, norms, degenerate = rows_normalize(
+            np.concatenate([embeddings, prototypes], axis=-2))
+        logits = units[..., :n, :] @ units[..., n:, :].swapaxes(-1, -2)
         if cfg.mode == "am_softmax":
-            scaled, dscaled, reg_value, dreg = np.zeros(prototypes.shape[0]), None, 0.0, None
+            scaled, dscaled, reg_value, dreg = np.zeros(prototypes.shape[-2]), None, 0.0, None
         else:
             scaled, dscaled = _gamma_terms(plan.ratio, plan.log_ratio, cfg.m, cfg.gamma,
                                            cfg.eq5_sign)
@@ -289,18 +288,20 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     # The one finiteness check of the loss: a NaN or inf embedding or
     # prototype row shows up here as a non-finite logit row.
     if not np.isfinite(adjusted).all():
-        bad = ~np.isfinite(adjusted).all(axis=1)
-        raise ValueError(f"margin_loss: non-finite logits at sample {int(np.flatnonzero(bad)[0])}")
+        *entry, sample = np.argwhere(~np.isfinite(adjusted).all(axis=-1))[0]
+        raise ValueError(f"margin_loss: non-finite logits at sample {int(sample)}"
+                         + (f" of stack entry {int(entry[0])}" if entry else ""))
 
     # Max-shifted exp and its row sums, shared by log-sum-exp and softmax.
-    peak = adjusted.max(axis=1, keepdims=True)
+    peak = adjusted.max(axis=-1, keepdims=True)
     probs = np.exp(adjusted - peak)
-    sums = probs.sum(axis=1, keepdims=True)
-    per_sample = (np.log(sums) + peak)[:, 0] - adjusted.reshape(-1)[targets]
+    sums = probs.sum(axis=-1, keepdims=True)
+    per_sample = (np.log(sums) + peak)[..., 0] - adjusted.reshape(-1)[targets]
     probs /= sums
     ctx.probs = probs
-    total = float(per_sample.sum() / n + cfg.lam * reg_value)
-    out = LossOutput(total=total, per_sample=per_sample, probs=probs, reg_value=reg_value)
+    total = per_sample.sum(axis=-1) / n + cfg.lam * reg_value  # (P,) for a stack
+    out = LossOutput(total=float(total) if total.ndim == 0 else total,
+                     per_sample=per_sample, probs=probs, reg_value=reg_value)
     return out, ctx
 
 
@@ -316,6 +317,8 @@ def _backward(ctx: LossContext, g: np.ndarray) -> LossGrads:
     gradient is zero. The prototype gradient is written into the plan's
     ``grad_prototypes``.
     """
+    if g.ndim != 2:
+        raise ValueError("margin_loss: a stacked forward has no backward pass")
     cfg, plan = ctx.cfg, ctx.plan
     g.reshape(-1)[plan.row_starts + ctx.labels] -= 1.0
     g /= g.shape[0]  # batch-mean reduction
@@ -367,6 +370,12 @@ def margin_loss_forward(
 
     ``deltas`` are the per-class prior-derived adjustments; they are
     ignored in ``am_softmax`` and ``ce`` modes.
+
+    With a leading stack axis, embeddings (P, n, d) and prototypes
+    (P, c, d) are P parameter points that share ``labels`` (n,), ``deltas``
+    and ``cfg`` (one gamma); ``total`` is then an array (P,) and
+    ``per_sample`` (P, n), each entry bit-equal to its unstacked call. A
+    stacked context has no backward pass.
     """
     return _forward(*_checked("margin_loss_forward", embeddings, labels, prototypes,
                               deltas, cfg), cfg)

@@ -90,6 +90,20 @@ class TrainConfig:
             raise ValueError("TrainConfig: epochs must be >= 1")
         if self.base_lr <= 0:
             raise ValueError("TrainConfig: base_lr must be > 0")
+        if self.batch_size < 1:
+            raise ValueError(f"TrainConfig: batch_size must be >= 1, got {self.batch_size}")
+        if self.oversample_size < 0:
+            raise ValueError(
+                f"TrainConfig: oversample_size must be >= 0, got {self.oversample_size}")
+        if self.embed_dim < 1:
+            raise ValueError(f"TrainConfig: embed_dim must be >= 1, got {self.embed_dim}")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ValueError(
+                f"TrainConfig: hidden_dims entries must be >= 1, got {self.hidden_dims}")
+        for name in ("oversample_prob", "perturb_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(
+                    f"TrainConfig: {name} must be in [0, 1], got {getattr(self, name)}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"TrainConfig: optimizer must be one of {OPTIMIZERS}")
         if self.selection not in SELECTIONS:

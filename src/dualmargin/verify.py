@@ -1,5 +1,11 @@
 """Numerical verification: finite-difference oracle and the two gradient claims.
 
+``central_difference`` builds its 2k perturbed points, for a k-element
+input, once as a (2k, k) stack. It calls ``f`` once per point and takes a
+scalar back, or, with ``stacked=True``, hands ``f`` the whole stack and
+takes 2k values back. ``dualmargin verify`` uses the stacked form: its
+``f`` evaluates the points as one stacked loss forward per gamma value.
+
 The probes work in normalized space (partials with respect to unit
 prototype rows, treating unit embeddings as fixed), matching the sign
 convention (1 - p) * x for target-class partials and p * x for
@@ -34,21 +40,35 @@ from .loss import MarginConfig, power_scaled_margins
 
 
 def central_difference(
-    f: Callable[[np.ndarray], float], x: np.ndarray, h: float
+    f: Callable[[np.ndarray], float | np.ndarray], x: np.ndarray, h: float, *,
+    stacked: bool = False,
 ) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function."""
+    """Central finite-difference gradient of a scalar function.
+
+    The 2k points, for the k elements of ``x``, are built once as the rows
+    of a (2k, k) stack: row i is x with h added to element i, and row k + i
+    x with h subtracted from it. By default ``f`` is called once per row,
+    on an array shaped like ``x``, and returns a scalar. With ``stacked``,
+    ``f`` gets the whole stack and returns its 2k values.
+    """
     x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp.flat[i] += h
-        xm.flat[i] -= h
-        fp, fm = f(xp), f(xm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"central_difference: non-finite function value at coordinate {i}")
-        grad.flat[i] = (fp - fm) / (2.0 * h)
-    return grad
+    k = x.size
+    points = np.tile(x.reshape(1, k), (2 * k, 1))
+    coords = np.arange(k)
+    points[coords, coords] += h
+    points[coords + k, coords] -= h
+    if stacked:
+        values = np.asarray(f(points), dtype=np.float64)
+        if values.shape != (2 * k,):
+            raise ValueError(f"central_difference: a stacked f returned shape {values.shape} "
+                             f"for {2 * k} points")
+    else:
+        values = np.array([f(point.reshape(x.shape)) for point in points], dtype=np.float64)
+    finite = np.isfinite(values[:k]) & np.isfinite(values[k:])
+    if not finite.all():
+        i = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"central_difference: non-finite function value at coordinate {i}")
+    return ((values[:k] - values[k:]) / (2.0 * h)).reshape(x.shape)
 
 
 @dataclass

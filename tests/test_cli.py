@@ -182,6 +182,26 @@ class TestCliCommands:
         stderr = capsys.readouterr().err
         assert json.loads(stderr.strip())["exit_code"] == EXIT_CONFIG
 
+    @pytest.mark.parametrize("line, message", [
+        ("train.batch_size = 0", "batch_size must be >= 1, got 0"),
+        ("train.embed_dim = 0", "embed_dim must be >= 1, got 0"),
+        ("train.hidden_dims = 16, 0", "hidden_dims entries must be >= 1, got (16, 0)"),
+        ("train.oversample_size = -2", "oversample_size must be >= 0, got -2"),
+        ("train.oversample_prob = 1.5", "oversample_prob must be in [0, 1], got 1.5"),
+        ("train.perturb_prob = -1", "perturb_prob must be in [0, 1], got -1.0"),
+        ("eval.target_tpr = 1.5", "target_tpr must be in (0, 1], got 1.5"),
+        ("eval.target_tpr = 0", "target_tpr must be in (0, 1], got 0.0"),
+    ])
+    def test_unusable_setting_is_config_error(self, tmp_path, line, message):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(FAST_CONFIG + line + "\n")
+        out = str(tmp_path / "err")
+        assert main(["train", "--config", str(bad), "--out", out]) == EXIT_CONFIG
+        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        assert payload["exit_code"] == EXIT_CONFIG
+        assert message in payload["error"]
+        assert not os.path.exists(os.path.join(out, "checkpoint.json"))
+
     def test_infeasible_dataset_is_config_error(self, tmp_path):
         bad = tmp_path / "angle.ini"
         bad.write_text("data.min_angle = 80\ndata.dim = 2\n")
@@ -293,3 +313,9 @@ class TestVerificationRows:
         assert by_name["prototype_alignment"][2] == 0
         assert by_name["deviation_bound"][2] == 0
         assert all(row[4] for row in rows)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    def test_full_rows_pass_across_seeds(self, seed):
+        rows = verification_rows(seed=seed)
+        assert [row[0] for row in rows] == ["gradcheck", "prototype_alignment", "deviation_bound"]
+        assert all(row[4] for row in rows), rows

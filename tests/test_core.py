@@ -70,6 +70,18 @@ class TestRowsNormalize:
         np.testing.assert_allclose(units[1], [0.6, 0.8])
         assert list(mask) == [True, False]
 
+    def test_stack_matches_flat_rows(self):
+        rng = np.random.default_rng(2)
+        stack = rng.normal(size=(3, 4, 5))
+        stack[1, 2] = 0.0  # a degenerate row inside the stack
+        units, norms, mask = rows_normalize(stack)
+        flat = rows_normalize(stack.reshape(-1, 5))
+        assert units.shape == (3, 4, 5) and norms.shape == mask.shape == (3, 4)
+        np.testing.assert_array_equal(units, flat[0].reshape(3, 4, 5))
+        np.testing.assert_array_equal(norms, flat[1].reshape(3, 4))
+        np.testing.assert_array_equal(mask, flat[2].reshape(3, 4))
+        assert mask[1, 2] and mask.sum() == 1
+
 
 class TestStableSoftmax:
     def test_symmetry(self):

@@ -13,9 +13,7 @@ from dualmargin.loss import (
     margin_loss,
     margin_loss_backward,
     margin_loss_forward,
-    margin_regularizer,
     power_scaled_margins,
-    power_scaled_margins_grad_gamma,
     zeta,
 )
 from dualmargin.verify import central_difference
@@ -86,58 +84,71 @@ class TestPowerScaledMargins:
             power_scaled_margins(np.array([0.1]), 0.0, 0.0)
 
     def test_gamma_gradient_matches_finite_difference(self):
+        # The forward pass's d(scaled_delta)/d(gamma), against a central
+        # difference of its scaled deltas in gamma.
         rng = np.random.default_rng(1)
+        x, labels, w = rng.normal(size=(2, 4)), np.array([0, 2]), rng.normal(size=(3, 4))
+        deltas = np.array([0.0, 0.04, 0.15])
+
+        def scaled_and_grad(cfg):
+            _, ctx = margin_loss_forward(x, labels, w, deltas, cfg)
+            return ctx.scaled_deltas, ctx.dscaled_dgamma
+
         for sign in ("literal", "magnitude"):
-            deltas = np.array([0.0, 0.04, 0.15])
-            gamma = rng.normal()
-            analytic = power_scaled_margins_grad_gamma(deltas, 0.15, gamma, sign)
+            cfg = MarginConfig(gamma=rng.normal(), eq5_sign=sign)
+            _, analytic = scaled_and_grad(cfg)
             h = 1e-6
             numeric = (
-                power_scaled_margins(deltas, 0.15, gamma + h, sign)
-                - power_scaled_margins(deltas, 0.15, gamma - h, sign)
+                scaled_and_grad(replace(cfg, gamma=cfg.gamma + h))[0]
+                - scaled_and_grad(replace(cfg, gamma=cfg.gamma - h))[0]
             ) / (2 * h)
             np.testing.assert_allclose(analytic, numeric, atol=1e-8)
             assert analytic[0] == 0.0  # zero delta has no gamma dependence
 
 
+def _reg_value(deltas, gamma=0.0, sign="literal"):
+    """The regularizer value of a forward pass with these adjustments (m = 0.15)."""
+    c = len(deltas)
+    x, w = np.eye(c)[:1], np.eye(c)
+    cfg = MarginConfig(m=0.15, gamma=gamma, eq5_sign=sign)
+    out, _ = margin_loss_forward(x, np.array([0]), w, np.asarray(deltas, dtype=float), cfg)
+    return out.reg_value
+
+
 class TestMarginRegularizer:
     def test_exact_match(self):
-        d = np.array([0.0, 0.1])
-        value, _ = margin_regularizer(d, d.copy(), np.zeros(2))
-        assert value == 0.0
+        # With the magnitude sign, deltas of 0 and m are their own scaled
+        # margins, so the gaps are zero.
+        assert _reg_value([0.0, 0.15], gamma=0.7, sign="magnitude") == 0.0
 
     def test_full_gap(self):
         m = 0.15
-        value, _ = margin_regularizer(np.array([m]), np.array([-m]), np.zeros(1))
-        assert value == pytest.approx(4 * m * m)
+        # Literal sign maps delta = m to -m: a gap of 2m.
+        assert _reg_value([0.0, m]) == pytest.approx(4 * m * m)
 
     def test_scalar_example(self):
         # Frozen oracle: (0.075 - (-0.0463877))^2 = 0.0147350...
-        deltas = np.array([0.075])
-        scaled = power_scaled_margins(deltas, 0.15, 0.0)
-        dscaled = power_scaled_margins_grad_gamma(deltas, 0.15, 0.0)
-        value, _ = margin_regularizer(deltas, scaled, dscaled)
-        assert value == pytest.approx(0.014735, abs=1e-6)
+        assert _reg_value([0.0, 0.075]) == pytest.approx(0.014735, abs=1e-6)
 
     def test_gamma_gradient(self):
+        # The regularizer's share of grad_gamma (lam = 1 minus lam = 0, the
+        # data term being the same) against a central difference of its value.
+        rng = np.random.default_rng(11)
+        x, w = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
+        labels = np.array([0, 1, 2, 1])
         deltas = np.array([0.02, 0.075, 0.15])
         gamma = 0.3
-
-        def reg_value(g):
-            scaled = power_scaled_margins(deltas, 0.15, g)
-            dscaled = power_scaled_margins_grad_gamma(deltas, 0.15, g)
-            return margin_regularizer(deltas, scaled, dscaled)[0]
-
-        scaled = power_scaled_margins(deltas, 0.15, gamma)
-        dscaled = power_scaled_margins_grad_gamma(deltas, 0.15, gamma)
-        _, dgamma = margin_regularizer(deltas, scaled, dscaled)
-        h = 1e-6
-        numeric = (reg_value(gamma + h) - reg_value(gamma - h)) / (2 * h)
+        with_reg = margin_loss(x, labels, w, deltas, MarginConfig(gamma=gamma, lam=1.0))
+        without = margin_loss(x, labels, w, deltas, MarginConfig(gamma=gamma, lam=0.0))
+        dgamma = with_reg.grad_gamma - without.grad_gamma
+        numeric = central_difference(lambda g: _reg_value(deltas, float(g[0])),
+                                     np.array([gamma]), 1e-6)[0]
         assert dgamma == pytest.approx(numeric, rel=1e-6)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            margin_regularizer(np.zeros(2), np.zeros(3), np.zeros(2))
+        x, w = np.ones((1, 2)), np.ones((3, 2))
+        with pytest.raises(ValueError, match="does not match 3 classes"):
+            margin_loss_forward(x, np.array([0]), w, np.zeros(2), MarginConfig())
 
 
 def _two_class_half_cosines():
@@ -297,6 +308,58 @@ class TestForward:
         lse = peak + np.log(np.exp(z - peak[:, None]).sum(axis=1))
         np.testing.assert_allclose(out.per_sample, lse - z[np.arange(6), labels], rtol=1e-12)
         assert np.all(np.isfinite(out.per_sample))
+
+
+class TestStackedForward:
+    """A stacked forward must equal one call per parameter point, bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["dual_margin", "am_softmax", "ce"])
+    @pytest.mark.parametrize("sign", ["literal", "magnitude"])
+    def test_stack_matches_per_point(self, mode, sign):
+        rng = np.random.default_rng(12)
+        points, n, c, d = 6, 5, 4, 3
+        x = rng.normal(size=(points, n, d))
+        w = rng.normal(size=(points, c, d))
+        x[2, 1] = 0.0  # a degenerate embedding row
+        w[4, 3] = 0.0  # and a degenerate prototype row
+        labels = rng.integers(0, c, size=n)
+        deltas = np.array([0.0, 0.05, 0.1, 0.15])
+        cfg = MarginConfig(mode=mode, eq5_sign=sign, gamma=-0.4, lam=1.0)
+        stacked, _ = margin_loss_forward(x, labels, w, deltas, cfg)
+        assert stacked.total.shape == (points,)
+        assert stacked.per_sample.shape == (points, n)
+        for i in range(points):
+            one, _ = margin_loss_forward(x[i], labels, w[i], deltas, cfg)
+            assert isinstance(one.total, float)
+            assert np.array_equal(stacked.total[i], one.total)
+            assert np.array_equal(stacked.per_sample[i], one.per_sample)
+            assert np.array_equal(stacked.probs[i], one.probs)
+
+    def test_stacked_context_has_no_backward(self):
+        rng = np.random.default_rng(13)
+        x, labels, w = rng.normal(size=(2, 3, 4)), np.array([0, 1, 1]), rng.normal(size=(2, 2, 4))
+        cfg = MarginConfig(mode="am_softmax")
+        _, ctx = margin_loss_forward(x, labels, w, None, cfg)
+        with pytest.raises(ValueError, match="stacked forward has no backward"):
+            margin_loss_backward(ctx)
+        with pytest.raises(ValueError, match="stacked forward has no backward"):
+            margin_loss(x, labels, w, None, cfg)
+
+    def test_mismatched_stacks_rejected(self):
+        with pytest.raises(ValueError, match="must be"):
+            margin_loss_forward(np.ones((2, 3, 4)), np.zeros(3, dtype=int), np.ones((3, 2, 4)),
+                                None, MarginConfig(mode="ce"))
+        with pytest.raises(ValueError, match="must be"):
+            margin_loss_forward(np.ones((2, 3, 4)), np.zeros(3, dtype=int), np.ones((2, 4)),
+                                None, MarginConfig(mode="ce"))
+
+    def test_non_finite_logit_names_stack_entry(self):
+        x = np.ones((3, 2, 2))
+        x[1, 1, 0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match="sample 1 of stack entry 1"):
+            margin_loss_forward(x, np.array([0, 1]), np.ones((3, 2, 2)), None,
+                                MarginConfig(mode="ce"))
 
 
 class TestBackward:

@@ -37,6 +37,43 @@ class TestCentralDifference:
         with pytest.raises(ValueError, match="non-finite"):
             central_difference(lambda v: float("nan"), np.ones(2), 1e-6)
 
+    def test_stacked_matches_per_point(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(3, 2))
+        weights = rng.normal(size=6)
+
+        def f(v):
+            return float(np.sin(v.ravel() * weights).sum() + np.prod(v))
+
+        def f_stack(points):
+            return np.sin(points * weights).sum(axis=1) + np.prod(points, axis=1)
+
+        per_point = central_difference(f, x, 1e-6)
+        stacked = central_difference(f_stack, x, 1e-6, stacked=True)
+        assert stacked.shape == x.shape
+        assert np.array_equal(per_point, stacked)
+
+    def test_stacked_names_same_non_finite_coordinate(self):
+        # Non-finite at the +h point of element 3 and at the -h point of
+        # element 1: both paths name element 1, the first.
+        def f(v):
+            return np.inf if v[3] > 0 or v[1] < 0 else float(v.sum())
+
+        def f_stack(points):
+            return np.array([f(p) for p in points])
+
+        messages = []
+        for fn, stacked in ((f, False), (f_stack, True)):
+            with pytest.raises(ValueError, match="non-finite") as err:
+                central_difference(fn, np.zeros(5), 1e-3, stacked=stacked)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith("coordinate 1")
+
+    def test_stacked_f_must_return_one_value_per_point(self):
+        with pytest.raises(ValueError, match="returned shape"):
+            central_difference(lambda p: np.zeros(3), np.ones(2), 1e-6, stacked=True)
+
 
 def _random_setup(rng, n=6, c=4, d=5):
     units, _, _ = rows_normalize(rng.normal(size=(n, d)))
