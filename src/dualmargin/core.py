@@ -12,33 +12,17 @@ import numpy as np
 NORM_EPS = 1e-12
 
 
-def l2_normalize(v: np.ndarray, eps: float = NORM_EPS) -> tuple[np.ndarray, float, bool]:
-    """L2-normalize a vector.
-
-    Returns ``(unit, norm, degenerate)``. When the norm is at or below
-    ``eps`` the unit vector falls back to the first basis vector e1 and
-    the degenerate flag is set, so downstream code never sees NaNs.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("l2_normalize: input contains non-finite entries")
-    norm = float(np.linalg.norm(v))
-    if norm <= eps:
-        unit = np.zeros_like(v)
-        unit[0] = 1.0
-        return unit, norm, True
-    return v / norm, norm, False
-
-
 def rows_normalize(mat: np.ndarray, eps: float = NORM_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise L2 normalization with the same zero-guard as ``l2_normalize``.
+    """Row-wise L2 normalization with a zero-guard.
 
     Rows run along the last axis, so a stack (P, rows, d) is normalized
     row by row too. Returns ``(units, norms, degenerate_mask)``; the norms
-    and the mask have the input's shape without its last axis. Unlike
-    ``l2_normalize`` it does not check for non-finite entries: its callers
-    check at their own boundaries (encoder input, loss logits), and a NaN
-    or inf row yields NaN units there.
+    and the mask have the input's shape without its last axis. A row whose
+    norm is at or below ``eps`` is degenerate: its unit row falls back to
+    the first basis vector e1, so downstream code never sees NaNs from it.
+    Non-finite entries are not checked here: callers check at their own
+    boundaries (encoder input, loss logits), and a NaN or inf row yields
+    NaN units there.
     """
     mat = np.asarray(mat, dtype=np.float64)
     norms = np.sqrt((mat * mat).sum(axis=-1))

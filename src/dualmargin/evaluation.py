@@ -5,9 +5,20 @@ test sample; group aggregates are means over member classes. The
 open-set score of a sample is its maximum cosine similarity to any known
 prototype (max softmax probability is available as an alternative).
 
-Scoring keeps no activations: the encoder's forward cache is dropped as
-soon as the embeddings exist, so no hidden layer is alive through the
-normalization and the prototype matmul.
+Scoring runs in row blocks of ``SCORE_BLOCK_ROWS`` rows: each block goes
+through the encoder, the row normalization and the prototype matmul, and
+its scores are written into one preallocated (rows, classes) output. The
+block's hidden layers are freed before the next block starts, so
+validation and evaluation hold at most one block of layer outputs,
+whatever the split size.
+
+Blocks start at multiples of ``SCORE_BLOCK_ROWS``, and a remainder shorter
+than a block joins the last block rather than forming its own: BLAS picks
+its kernel by shape, and a short block could land on one that rounds
+differently (a one-row product goes to matrix-vector code, and OpenBLAS
+has separate small-matrix kernels). The tests check that the scores equal
+the unblocked formula bit for bit with BLAS on one thread, as the
+benchmark runs it.
 """
 
 from __future__ import annotations
@@ -19,6 +30,9 @@ import numpy as np
 from . import encoder
 from .core import cosine_logits, rows_normalize, stable_softmax
 from .priors import GROUP_NAMES, ClassPartition
+
+# Rows per scoring block (the last block also takes a shorter remainder).
+SCORE_BLOCK_ROWS = 1024
 
 # Fewest known validation scores a threshold is calibrated on: with fewer,
 # a 95% TPR target cannot be resolved.
@@ -58,14 +72,21 @@ def prototype_scores(
 
     The features pass through the encoder. With ``cosine`` set, the
     scores are cosines between unit embeddings and unit prototype rows;
-    otherwise they are raw dot products (the ``ce`` decision rule).
+    otherwise they are raw dot products (the ``ce`` decision rule). The
+    prototypes are normalized once; the rest runs one row block at a time.
     """
-    emb = encoder.forward(enc, features)[0]  # the hidden layers are freed here
-    if not cosine:
-        return emb @ prototypes.T
-    units, _, _ = rows_normalize(emb)
-    unit_prototypes, _, _ = rows_normalize(prototypes)
-    return cosine_logits(units, unit_prototypes)
+    rows = features.shape[0]
+    if cosine:
+        prototypes = rows_normalize(prototypes)[0]
+    scores = np.empty((rows, prototypes.shape[0]))
+    starts = list(range(0, max(rows - SCORE_BLOCK_ROWS, 0) + 1, SCORE_BLOCK_ROWS))
+    for start, stop in zip(starts, [*starts[1:], rows]):
+        emb = encoder.forward(enc, features[start:stop])[0]  # the hidden layers are freed here
+        if cosine:
+            emb = rows_normalize(emb)[0]
+        np.matmul(emb, prototypes.T, out=scores[start:stop])
+        del emb  # not alive under the next block's layers
+    return scores
 
 
 def novelty_scores(cosines: np.ndarray, kind: str, s: float) -> np.ndarray:

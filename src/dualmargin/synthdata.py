@@ -18,7 +18,6 @@ import numpy as np
 
 TRAIN, VAL, TEST, UNKNOWN = 0, 1, 2, 3
 SPLIT_NAMES = {TRAIN: "train", VAL: "val", TEST: "test", UNKNOWN: "unknown"}
-_SPLIT_IDS = {v: k for k, v in SPLIT_NAMES.items()}
 
 DECAYS = ("geometric", "zipf")
 
@@ -43,10 +42,6 @@ class SyntheticSpec:
             "unknown_class_count": self.unknown_class_count, "seed": self.seed,
             "min_angle": self.min_angle,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        return cls(**d)
 
 
 @dataclass
@@ -87,11 +82,14 @@ def class_count_schedule(spec: SyntheticSpec) -> np.ndarray:
 
 
 def _sphere_means(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
+    """Unit class means, drawn one candidate at a time; a candidate is kept
+    when its cosine to every mean kept so far is at most cos(min_angle)."""
     max_cos = np.cos(spec.min_angle)
-    means: list[np.ndarray] = []
+    means = np.empty((spec.num_classes, spec.dim))
+    kept = 0
     attempts = 0
     limit = 500 * spec.num_classes
-    while len(means) < spec.num_classes:
+    while kept < spec.num_classes:
         attempts += 1
         if attempts > limit:
             raise ValueError(
@@ -100,9 +98,10 @@ def _sphere_means(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
             )
         v = rng.normal(size=spec.dim)
         v /= np.linalg.norm(v)
-        if all(float(v @ u) <= max_cos for u in means):
-            means.append(v)
-    return np.stack(means)
+        if (means[:kept] @ v <= max_cos).all():
+            means[kept] = v
+            kept += 1
+    return means
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
@@ -150,15 +149,18 @@ def split(
         seed = (dataset.spec.seed + 1) if dataset.spec is not None else 1
     rng = np.random.default_rng(seed)
     assignment = np.full(len(dataset), TRAIN, dtype=np.int64)
+    # Sample ids grouped by class, ascending within a class.
+    by_class = np.argsort(dataset.labels, kind="stable")
+    sizes = np.bincount(dataset.labels, minlength=dataset.num_classes)
+    starts = np.cumsum(sizes) - sizes
     for j in range(dataset.num_classes):
-        idx = np.flatnonzero(dataset.labels == j)
-        n = idx.size
+        n = int(sizes[j])
         if n == 0:
             continue
         if n < 3:
             warnings.warn(f"split: class {j} has only {n} samples; all assigned to train")
             continue
-        idx = rng.permutation(idx)
+        idx = rng.permutation(by_class[starts[j]:starts[j] + n])
         n_val = max(1, int(round(f_val * n)))
         n_test = max(1, int(round(f_test * n)))
         assignment[idx[:n_val]] = VAL
@@ -205,25 +207,3 @@ def export_csv(dataset: Dataset, csv_path: str, sidecar_path: str) -> None:
     with open(sidecar_path, "w") as fh:
         json.dump(sidecar, fh, indent=2)
 
-
-def import_csv(csv_path: str, sidecar_path: str) -> Dataset:
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
-    feats, labels, splits = [], [], []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 2
-        for row in reader:
-            feats.append([float(v) for v in row[:dim]])
-            labels.append(int(row[dim]))
-            splits.append(_SPLIT_IDS.get(row[dim + 1], -1))
-    spec = SyntheticSpec.from_dict(sidecar["spec"]) if sidecar.get("spec") else None
-    return Dataset(
-        features=np.asarray(feats, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
-        split=np.asarray(splits, dtype=np.int64),
-        known_mask=np.asarray(sidecar["known_mask"], dtype=bool),
-        num_classes=int(sidecar["num_classes"]),
-        spec=spec,
-    )

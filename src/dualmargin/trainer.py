@@ -29,7 +29,13 @@ snapshot.
 
 The last step's batch arrays (features, embeddings, forward cache, loss
 output) are released before each epoch's validation, so they do not sit
-under its working set.
+under its working set. Validation scores in row blocks
+(``evaluation.prototype_scores``), so it holds one block of layer outputs.
+
+``save_checkpoint`` writes the JSON one array row at a time, each row
+through ``json.dumps`` (the C encoder), so no list of all parameters is
+built; the bytes equal a one-shot ``json.dump`` of the payload with its
+arrays as lists.
 
 The loop is a single logical agent owning one RNG stream, so identical
 (config, dataset, seed) yields a bitwise-identical history.
@@ -41,6 +47,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -396,15 +403,46 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     return state, history
 
 
+def _json_chunks(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj)`` in pieces, for ``obj`` holding ndarrays.
+
+    An array is encoded as its ``tolist()``. An array of two or more
+    dimensions, and a list holding arrays, is encoded one item at a time,
+    so no list of all the parameters is built. Each piece comes from
+    ``json.dumps`` (its C encoder), so the pieces join to the one-shot
+    encoding with default separators, ``NaN`` included.
+    """
+    if isinstance(obj, dict):  # string keys, as in the checkpoint payload
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            yield (", " if i else "") + json.dumps(key) + ": "
+            yield from _json_chunks(value)
+        yield "}"
+    elif (isinstance(obj, np.ndarray) and obj.ndim > 1
+          or isinstance(obj, list) and any(isinstance(x, np.ndarray) for x in obj)):
+        yield "["
+        for i, item in enumerate(obj):
+            if i:
+                yield ", "
+            yield from _json_chunks(item)
+        yield "]"
+    else:
+        yield json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj)
+
+
 def save_checkpoint(state: TrainState, path: str) -> None:
-    """Atomic JSON checkpoint of the best parameters."""
+    """Atomic JSON checkpoint of the best parameters.
+
+    The file is written one array row at a time; its bytes are those of
+    ``json.dump`` of the same payload with every array as a list.
+    """
     payload = {
         "encoder": {
             "activation": state.best_encoder_params.activation,
-            "weights": [w.tolist() for w in state.best_encoder_params.weights],
-            "biases": [b.tolist() for b in state.best_encoder_params.biases],
+            "weights": state.best_encoder_params.weights,
+            "biases": state.best_encoder_params.biases,
         },
-        "prototypes": state.best_prototypes.tolist(),
+        "prototypes": state.best_prototypes,
         "gamma": state.best_gamma,
         "epoch": state.epoch,
         "step": state.step,
@@ -413,7 +451,7 @@ def save_checkpoint(state: TrainState, path: str) -> None:
     }
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(payload, fh)
+        fh.writelines(_json_chunks(payload))
     os.replace(tmp, path)
 
 

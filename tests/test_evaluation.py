@@ -1,5 +1,9 @@
 """Unit tests for closed-set metrics and open-set calibration."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from dualmargin import encoder
 from dualmargin.core import rows_normalize
 from dualmargin.evaluation import (
+    SCORE_BLOCK_ROWS,
     calibrate_threshold,
     closed_set_metrics,
     open_set_eval,
@@ -60,26 +65,76 @@ class TestPredict:
         assert not np.allclose(scores, prototype_scores(enc, protos, feats, cosine=True))
 
 
+# The unblocked formula and the blocked path in one process whose BLAS runs
+# on one thread, as the benchmark runs it: a multi-threaded BLAS splits a
+# product at shape-dependent rows, so even the unblocked scores can change
+# bits with the thread count.
+_BLOCKED_VS_UNBLOCKED = """
+import sys
+import numpy as np
+from dualmargin import encoder, evaluation
+from dualmargin.core import rows_normalize
+activation, cosine, extra = sys.argv[1], sys.argv[2] == "True", int(sys.argv[3])
+block = evaluation.SCORE_BLOCK_ROWS
+rows = 2 * block + extra  # blocks of block and block + extra rows
+dims = [64, 256, 128, 64]
+enc = encoder.init_params(dims, seed=3, activation=activation)
+rng = np.random.default_rng(5)
+feats = rng.normal(size=(rows, dims[0]))
+protos = rng.normal(size=(200, dims[-1]))
+emb = encoder.forward(enc, feats)[0]
+if cosine:
+    expected = rows_normalize(emb)[0] @ rows_normalize(protos)[0].T
+else:
+    expected = emb @ protos.T
+got = evaluation.prototype_scores(enc, protos, feats, cosine=cosine)
+print(got.shape == expected.shape and bool(np.array_equal(got, expected)))
+"""
+
+
+class TestPrototypeScoresBlocks:
+    @pytest.mark.parametrize("extra", [1, 300])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("cosine", [True, False])
+    def test_blocked_equals_unblocked(self, activation, cosine, extra):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        result = subprocess.run(
+            [sys.executable, "-c", _BLOCKED_VS_UNBLOCKED, activation, str(cosine), str(extra)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True"]
+
+    def test_empty_features(self):
+        scores = prototype_scores(_identity_encoder(3), np.eye(3), np.zeros((0, 3)), cosine=True)
+        assert scores.shape == (0, 3)
+
+
 class TestPrototypeScoresMemory:
     @pytest.mark.parametrize("cosine", [True, False])
     def test_peak_stays_within_the_layer_outputs(self, cosine):
-        # The encoder's layer outputs must coexist once, at the end of the
-        # forward pass; no layer allocates a second array and no hidden
-        # layer outlives the forward pass.
+        # Only the output and one block's layer outputs coexist: no layer
+        # allocates a second array, and no block's layers or embeddings
+        # outlive it. The last block also takes the 100-row remainder.
         dims = [64, 256, 128, 64]
-        rows = 2000
+        block = SCORE_BLOCK_ROWS
+        rows = 3 * block + 100
+        classes = 200
         enc = encoder.init_params(dims, seed=0)
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(rows, dims[0]))
-        protos = rng.normal(size=(200, dims[-1]))
-        layer_bytes = rows * sum(dims[1:]) * 8
+        protos = rng.normal(size=(classes, dims[-1]))
+        output_bytes = rows * classes * 8
+        block_bytes = (block + 100) * sum(dims[1:]) * 8
         tracemalloc.start()
         try:
             prototype_scores(enc, protos, feats, cosine=cosine)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * layer_bytes, (peak, layer_bytes)
+        assert peak <= 1.1 * (output_bytes + block_bytes), (peak, output_bytes, block_bytes)
 
 
 class TestOpenSetScores:

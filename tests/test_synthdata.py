@@ -1,21 +1,59 @@
 """Unit tests for the synthetic long-tailed dataset generator."""
 
+import csv
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from dualmargin.synthdata import (
+    SPLIT_NAMES,
     TEST,
     TRAIN,
     UNKNOWN,
     VAL,
     SyntheticSpec,
+    _sphere_means,
     class_count_schedule,
     export_csv,
     generate,
-    import_csv,
     open_set_partition,
     split,
 )
+
+
+def _loop_sphere_means(spec, rng):
+    """Class-mean placement as one dot product per kept mean."""
+    max_cos = np.cos(spec.min_angle)
+    means, attempts = [], 0
+    while len(means) < spec.num_classes:
+        attempts += 1
+        if attempts > 500 * spec.num_classes:
+            raise ValueError("cannot place")
+        v = rng.normal(size=spec.dim)
+        v /= np.linalg.norm(v)
+        if all(float(v @ u) <= max_cos for u in means):
+            means.append(v)
+    return np.stack(means)
+
+
+def _loop_split(dataset, fractions, seed):
+    """Stratified assignment with one ``labels == j`` scan per class."""
+    _, f_val, f_test = fractions
+    rng = np.random.default_rng(seed)
+    assignment = np.full(len(dataset), TRAIN, dtype=np.int64)
+    for j in range(dataset.num_classes):
+        idx = np.flatnonzero(dataset.labels == j)
+        n = idx.size
+        if n < 3:
+            continue
+        idx = rng.permutation(idx)
+        n_val = max(1, int(round(f_val * n)))
+        n_test = max(1, int(round(f_test * n)))
+        assignment[idx[:n_val]] = VAL
+        assignment[idx[n_val:n_val + n_test]] = TEST
+    return assignment
 
 
 class TestCountSchedule:
@@ -171,11 +209,51 @@ class TestCsvRoundtrip:
                              dim=4, seed=8)
         ds = open_set_partition(split(generate(spec)), 1, seed=2)
         csv_path = str(tmp_path / "data.csv")
-        sidecar = str(tmp_path / "data.json")
-        export_csv(ds, csv_path, sidecar)
-        back = import_csv(csv_path, sidecar)
-        np.testing.assert_array_equal(back.features, ds.features)
-        np.testing.assert_array_equal(back.labels, ds.labels)
-        np.testing.assert_array_equal(back.split, ds.split)
-        np.testing.assert_array_equal(back.known_mask, ds.known_mask)
-        assert back.spec == ds.spec
+        sidecar_path = str(tmp_path / "data.json")
+        export_csv(ds, csv_path, sidecar_path)
+        with open(csv_path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["f0", "f1", "f2", "f3", "label", "split"]
+        split_ids = {name: sid for sid, name in SPLIT_NAMES.items()}
+        np.testing.assert_array_equal([[float(v) for v in r[:4]] for r in rows], ds.features)
+        np.testing.assert_array_equal([int(r[4]) for r in rows], ds.labels)
+        np.testing.assert_array_equal([split_ids[r[5]] for r in rows], ds.split)
+        with open(sidecar_path) as fh:
+            sidecar = json.load(fh)
+        assert sidecar == {"spec": spec.to_dict(), "num_classes": 3,
+                           "known_mask": ds.known_mask.tolist()}
+
+
+class TestMatchesPerClassLoops:
+    """The vectorized set-up gives the same bits as the per-class loops."""
+
+    @pytest.mark.parametrize("num_classes, dim, min_angle",
+                             [(20, 16, 0.15), (60, 8, 0.6), (200, 64, 0.15), (12, 3, 0.5)])
+    def test_sphere_means(self, num_classes, dim, min_angle):
+        for seed in range(40):
+            spec = SyntheticSpec(num_classes=num_classes, dim=dim, min_angle=min_angle,
+                                 seed=seed)
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(_sphere_means(spec, rng_a),
+                                          _loop_sphere_means(spec, rng_b))
+            assert rng_a.random() == rng_b.random()  # the same draws were made
+
+    def test_sphere_means_infeasible_raises_after_the_same_attempts(self):
+        spec = SyntheticSpec(num_classes=10, dim=2, min_angle=1.0)
+        rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(0)
+        with pytest.raises(ValueError, match="cannot place 10 class means"):
+            _sphere_means(spec, rng_a)
+        with pytest.raises(ValueError):
+            _loop_sphere_means(spec, rng_b)
+        assert rng_a.random() == rng_b.random()
+
+    def test_split(self):
+        fractions = (0.8, 0.1, 0.1)
+        for seed in range(40):
+            spec = SyntheticSpec(num_classes=25, head_count=60, imbalance_ratio=30.0,
+                                 dim=4, seed=seed)
+            ds = generate(spec)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = split(ds, fractions, seed=seed + 100)
+            np.testing.assert_array_equal(got.split, _loop_split(ds, fractions, seed + 100))

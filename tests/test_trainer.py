@@ -1,5 +1,7 @@
 """Unit tests for the optimizer, LR schedule and training loop."""
 
+import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -394,3 +396,33 @@ class TestCheckpoint:
         for wa, wb in zip(payload["encoder"].weights,
                           state.best_encoder_params.weights):
             np.testing.assert_allclose(wa, wb)
+
+    def test_bytes_equal_one_shot_json(self, tmp_path):
+        # The row-wise writer produces exactly what json.dumps of the payload
+        # with every array as a list gives, NaN included, and leaves no .tmp.
+        dataset = _small_dataset(seed=11)
+        state, _ = train(_fast_config(seed=11, epochs=1), dataset)
+        state.best_val_recall = float("nan")
+        state.best_prototypes = state.best_prototypes.copy()
+        state.best_prototypes[0, 0] = float("inf")
+        path = str(tmp_path / "ckpt.json")
+        save_checkpoint(state, path)
+        enc = state.best_encoder_params
+        expected = json.dumps({
+            "encoder": {
+                "activation": enc.activation,
+                "weights": [w.tolist() for w in enc.weights],
+                "biases": [b.tolist() for b in enc.biases],
+            },
+            "prototypes": state.best_prototypes.tolist(),
+            "gamma": state.best_gamma,
+            "epoch": state.epoch,
+            "step": state.step,
+            "best_val_recall": state.best_val_recall,
+            "class_stats": state.stats.to_dict(),
+        })
+        with open(path) as fh:
+            written = fh.read()
+        assert written == expected
+        assert "NaN" in written and "Infinity" in written
+        assert os.listdir(tmp_path) == ["ckpt.json"]
