@@ -1,4 +1,4 @@
-"""Command-line harness: generate / train / eval / verify / ablate.
+"""Command-line harness: generate / train / verify / ablate.
 
 Every run writes a manifest sufficient to reproduce it exactly; metrics
 go to CSV/JSON with a fixed column layout. Exit codes: 0 success,
@@ -55,12 +55,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_metrics_csv(rows: list[dict], path: str) -> None:
+def write_metrics_csv(rows: list[dict], path: str,
+                      columns: tuple[str, ...] = METRIC_COLUMNS) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRIC_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row[col]) for col in METRIC_COLUMNS])
+            writer.writerow([_fmt(row[col]) for col in columns])
 
 
 def write_manifest(cfg: ExperimentConfig, out_dir: str) -> None:
@@ -105,18 +106,10 @@ def cmd_train(args) -> int:
         plan_log_path=os.path.join(args.out, "plans.jsonl"),
         on_trained=keep_model,
     )
-    if args.format in ("csv", "both"):
-        write_metrics_csv([row], os.path.join(args.out, "metrics.csv"))
-    if args.format in ("json", "both"):
-        with open(os.path.join(args.out, "metrics.json"), "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+    write_metrics_csv([row], os.path.join(args.out, "metrics.csv"))
+    with open(os.path.join(args.out, "metrics.json"), "w") as fh:
+        json.dump(report.to_dict(), fh, indent=2)
     return EXIT_OK
-
-
-def cmd_eval(args) -> int:
-    # Re-evaluation re-runs the deterministic pipeline from the manifest
-    # config; dataset and training are reproduced exactly.
-    return cmd_train(args)
 
 
 def cmd_verify(args) -> int:
@@ -264,12 +257,8 @@ def cmd_ablate(args) -> int:
         row = {"variant": name, **row}
         rows.append(row)
         print(f"{name}: macro_recall={row['macro_recall']:.4f} rank1={row['rank1']:.4f}")
-    columns = ("variant",) + METRIC_COLUMNS
-    with open(os.path.join(args.out, "ablate.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in columns])
+    write_metrics_csv(rows, os.path.join(args.out, "ablate.csv"),
+                      ("variant",) + METRIC_COLUMNS)
     write_manifest(cfg, args.out)
     return EXIT_OK
 
@@ -283,13 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("generate", cmd_generate), ("train", cmd_train),
-                     ("eval", cmd_eval), ("verify", cmd_verify),
-                     ("ablate", cmd_ablate)):
+                     ("verify", cmd_verify), ("ablate", cmd_ablate)):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override all seeds")
         p.add_argument("--out", default="runs/out", help="output directory")
-        p.add_argument("--format", choices=("csv", "json", "both"), default="both")
         if name == "ablate":
             p.add_argument("grid", choices=("configs", "seeds", "margin", "lambda"))
         p.set_defaults(func=fn)
@@ -304,10 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _emit_error(args, exc, EXIT_CONFIG)
         return EXIT_CONFIG
-    except (TrainingDiverged, FloatingPointError) as exc:
-        _emit_error(args, exc, EXIT_NUMERICAL)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (TrainingDiverged, FloatingPointError, ValueError) as exc:
         _emit_error(args, exc, EXIT_NUMERICAL)
         return EXIT_NUMERICAL
 

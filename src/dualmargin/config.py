@@ -44,8 +44,6 @@ def _choice(options: tuple[str, ...]):
 
 @dataclass
 class EvalOptions:
-    head_threshold: int = 2000
-    tail_threshold: int = 100
     target_tpr: float = 0.95
     score: str = "cosine"  # or "softmax"
 
@@ -128,8 +126,8 @@ _register("train.perturb_strength", float, ("train", "perturb_strength"))
 _register("train.perturb_prob", float, ("train", "perturb_prob"))
 _register("train.gamma_shares_schedule", _bool, ("train", "gamma_shares_schedule"))
 
-_register("partition.head_threshold", int, ("eval", "head_threshold"))
-_register("partition.tail_threshold", int, ("eval", "tail_threshold"))
+_register("partition.head_threshold", int, ("train", "head_threshold"))
+_register("partition.tail_threshold", int, ("train", "tail_threshold"))
 _register("eval.target_tpr", float, ("eval", "target_tpr"))
 _register("eval.score", _choice(("cosine", "softmax")), ("eval", "score"))
 
@@ -189,10 +187,7 @@ def assemble(overrides: dict[str, object]) -> ExperimentConfig:
         data = SyntheticSpec(**sections["data"])
         margin = MarginConfig(**sections["margin"])
         ev = EvalOptions(**sections["eval"])
-        # One set of head/tail thresholds drives both the sampler's tail
-        # pool and the evaluation grouping.
-        train = TrainConfig(margin=margin, head_threshold=ev.head_threshold,
-                            tail_threshold=ev.tail_threshold, **sections["train"])
+        train = TrainConfig(margin=margin, **sections["train"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return ExperimentConfig(data=data, train=train, eval=ev,

@@ -34,9 +34,9 @@ place, and chains it back through the normalization as one stack.
 
 ``train`` builds the plan once and passes it to ``margin_loss`` in place of
 the adjustments; its training labels were range-checked once, by the class
-statistics. ``margin_loss`` called
-with adjustments, ``margin_loss_forward`` and ``margin_loss_backward``
-check their inputs and build a plan per call, then run the same kernel.
+statistics. ``margin_loss`` called with adjustments and
+``margin_loss_forward`` check their inputs and build a plan per call, then
+run the same kernel.
 The kernel's only finiteness check is on the adjusted logits, which a NaN
 or inf embedding or prototype row reaches; it names the first bad sample.
 
@@ -47,8 +47,8 @@ gamma included. The same kernel lines run on the stack, and each point's
 ``total`` and ``per_sample`` are bit-equal to its own unstacked call; the
 gradient check of ``dualmargin verify`` evaluates its perturbed points this
 way. An unstacked call returns ``total`` as a Python float, a stacked one
-as an array (P,) with ``per_sample`` (P, n). Only unstacked calls have a
-backward pass.
+as an array (P,) with ``per_sample`` (P, n). The backward pass runs only
+inside ``margin_loss``, on an unstacked batch.
 """
 
 from __future__ import annotations
@@ -154,13 +154,6 @@ class LossContext:
     # ce-mode fields.
     raw_embeddings: np.ndarray | None = None
     raw_prototypes: np.ndarray | None = None
-
-
-@dataclass
-class LossGrads:
-    embeddings: np.ndarray
-    prototypes: np.ndarray
-    gamma: float
 
 
 def zeta(gamma: float) -> float:
@@ -305,9 +298,10 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     return out, ctx
 
 
-def _backward(ctx: LossContext, g: np.ndarray) -> LossGrads:
-    """The backward half of the step kernel; ``g`` starts as the softmax
-    (``ctx.probs`` or a copy) and is turned into the logit gradient in place.
+def _backward(ctx: LossContext, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The backward half of the step kernel: the gradients wrt the raw
+    embeddings, the raw prototypes and gamma. ``g`` starts as the softmax
+    and is turned into the logit gradient in place.
 
     The softmax gradient p - onehot is chained through the scale factor,
     the cosine logits, and the L2 normalization of both embeddings and
@@ -326,7 +320,7 @@ def _backward(ctx: LossContext, g: np.ndarray) -> LossGrads:
     if cfg.mode == "ce":
         grad_x = g @ ctx.raw_prototypes
         grad_w = np.matmul(g.T, ctx.raw_embeddings, out=plan.grad_prototypes)
-        return LossGrads(embeddings=grad_x, prototypes=grad_w, gamma=0.0)
+        return grad_x, grad_w, 0.0
 
     grad_gamma = 0.0
     if cfg.mode == "dual_margin":
@@ -342,7 +336,7 @@ def _backward(ctx: LossContext, g: np.ndarray) -> LossGrads:
     np.matmul(g.T, units[:n], out=grad[n:])
     _chain_through_normalization(grad, units, ctx.norms, ctx.degenerate)
     plan.grad_prototypes[...] = grad[n:]
-    return LossGrads(embeddings=grad[:n], prototypes=plan.grad_prototypes, gamma=grad_gamma)
+    return grad[:n], plan.grad_prototypes, grad_gamma
 
 
 def _chain_through_normalization(
@@ -374,19 +368,10 @@ def margin_loss_forward(
     With a leading stack axis, embeddings (P, n, d) and prototypes
     (P, c, d) are P parameter points that share ``labels`` (n,), ``deltas``
     and ``cfg`` (one gamma); ``total`` is then an array (P,) and
-    ``per_sample`` (P, n), each entry bit-equal to its unstacked call. A
-    stacked context has no backward pass.
+    ``per_sample`` (P, n), each entry bit-equal to its unstacked call.
     """
     return _forward(*_checked("margin_loss_forward", embeddings, labels, prototypes,
                               deltas, cfg), cfg)
-
-
-def margin_loss_backward(ctx: LossContext) -> LossGrads:
-    """Gradients of the total loss wrt raw embeddings, raw prototypes and gamma.
-
-    ``ctx.probs`` is left as the forward pass returned it.
-    """
-    return _backward(ctx, ctx.probs.copy())
 
 
 def margin_loss(
@@ -409,9 +394,6 @@ def margin_loss(
     else:
         args = _checked("margin_loss", embeddings, labels, prototypes, deltas, cfg)
     out, ctx = _forward(*args, cfg)
-    grads = _backward(ctx, out.probs)
+    out.grad_embeddings, out.grad_prototypes, out.grad_gamma = _backward(ctx, out.probs)
     out.probs = None
-    out.grad_embeddings = grads.embeddings
-    out.grad_prototypes = grads.prototypes
-    out.grad_gamma = grads.gamma
     return out

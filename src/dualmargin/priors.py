@@ -42,24 +42,11 @@ class ClassStats:
             "num_classes": self.num_classes,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassStats":
-        return cls(
-            counts=np.asarray(d["counts"], dtype=np.int64),
-            priors=np.asarray(d["priors"], dtype=np.float64),
-            effective_numbers=np.asarray(d["effective_numbers"], dtype=np.float64),
-            effective_priors=np.asarray(d["effective_priors"], dtype=np.float64),
-            deltas=np.asarray(d["deltas"], dtype=np.float64),
-            num_classes=int(d["num_classes"]),
-        )
-
 
 @dataclass(frozen=True)
 class ClassPartition:
     """Head/between/tail grouping by training sample count."""
 
-    head_threshold: int
-    tail_threshold: int
     group_of: np.ndarray  # per-class group id (HEAD / BETWEEN / TAIL)
 
 
@@ -175,4 +162,4 @@ def partition_classes(
     group = np.full(counts.shape, BETWEEN, dtype=np.int64)
     group[counts > head_threshold] = HEAD
     group[counts < tail_threshold] = TAIL
-    return ClassPartition(head_threshold=head_threshold, tail_threshold=tail_threshold, group_of=group)
+    return ClassPartition(group_of=group)

@@ -87,6 +87,8 @@ class TrainConfig:
     embed_dim: int = 16
     perturb_strength: float = 0.1
     perturb_prob: float = 0.9
+    # The partition.* keys: one grouping for the sampler's tail pool and the
+    # grouped evaluation metrics (through TrainState.partition).
     head_threshold: int = 2000
     tail_threshold: int = 100
     gamma_shares_schedule: bool = True  # gamma uses the same lr/decay as weights
@@ -111,6 +113,14 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(
                     f"TrainConfig: {name} must be in [0, 1], got {getattr(self, name)}")
+        if not 0 < self.tail_threshold < self.head_threshold:
+            raise ValueError(
+                f"TrainConfig: partition thresholds need 0 < tail_threshold < head_threshold, "
+                f"got tail_threshold={self.tail_threshold}, head_threshold={self.head_threshold}")
+        if not (math.isfinite(self.perturb_strength) and self.perturb_strength >= 0):
+            raise ValueError(
+                f"TrainConfig: perturb_strength must be finite and >= 0, "
+                f"got {self.perturb_strength}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"TrainConfig: optimizer must be one of {OPTIMIZERS}")
         if self.selection not in SELECTIONS:
@@ -124,7 +134,7 @@ class TrainState:
     gamma: float
     epoch: int
     step: int
-    stats: "object"  # ClassStats, serialized into the run manifest
+    stats: "object"  # ClassStats, serialized into the checkpoint
     partition: ClassPartition
     best_val_recall: float = -1.0
     best_encoder_params: encoder.EncoderParams | None = None
@@ -454,14 +464,3 @@ def save_checkpoint(state: TrainState, path: str) -> None:
         fh.writelines(_json_chunks(payload))
     os.replace(tmp, path)
 
-
-def load_checkpoint(path: str) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
-    payload["encoder"] = encoder.EncoderParams(
-        weights=[np.asarray(w) for w in payload["encoder"]["weights"]],
-        biases=[np.asarray(b) for b in payload["encoder"]["biases"]],
-        activation=payload["encoder"]["activation"],
-    )
-    payload["prototypes"] = np.asarray(payload["prototypes"])
-    return payload

@@ -22,7 +22,7 @@ from dualmargin.config import (
     parse_config_text,
     valid_keys,
 )
-from dualmargin.trainer import load_checkpoint
+from dualmargin.experiment import run_id_for
 
 FAST_CONFIG = """
 # Small, fast experiment for harness tests.
@@ -77,9 +77,16 @@ class TestConfigParsing:
         cfg = parse_config_text(
             "partition.head_threshold = 500\npartition.tail_threshold = 50"
         )
-        assert cfg.eval.head_threshold == 500
         assert cfg.train.head_threshold == 500
         assert cfg.train.tail_threshold == 50
+
+    def test_run_id_pinned(self):
+        # The run id hashes the flat config; moving a key's field must not
+        # change it.
+        assert run_id_for(default_config()) == "9a0261efa380"
+        cfg = parse_config_text(
+            "partition.head_threshold = 500\npartition.tail_threshold = 50")
+        assert run_id_for(cfg) == "669faa1d25bf"
 
     def test_flat_dict_roundtrip(self):
         cfg = assemble({"margin.m": 0.2, "train.epochs": 7})
@@ -145,9 +152,9 @@ class TestCliCommands:
         cfg = self._write_config(tmp_path)
         out = str(tmp_path / "run")
         assert main(["train", "--config", cfg, "--out", out]) == EXIT_OK
-        for name in ("metrics.csv", "metrics.json", "manifest.json",
-                     "history.jsonl", "plans.jsonl", "checkpoint.json"):
-            assert os.path.exists(os.path.join(out, name)), name
+        assert sorted(os.listdir(out)) == ["checkpoint.json", "history.jsonl",
+                                           "manifest.json", "metrics.csv",
+                                           "metrics.json", "plans.jsonl"]
         header = open(os.path.join(out, "metrics.csv")).readline().strip()
         assert header == ("run_id,mode,seed,rank1,macro_recall,macro_precision,"
                           "macro_f1,recall_head,recall_between,recall_tail,tpr,tnr,acc")
@@ -201,6 +208,25 @@ class TestCliCommands:
         assert payload["exit_code"] == EXIT_CONFIG
         assert message in payload["error"]
         assert not os.path.exists(os.path.join(out, "checkpoint.json"))
+
+    @pytest.mark.parametrize("lines, keys", [
+        ("partition.head_threshold = 50\npartition.tail_threshold = 100",
+         ("tail_threshold", "head_threshold")),
+        ("train.perturb_strength = -0.5\ntrain.oversample_prob = 1.0",
+         ("perturb_strength",)),
+    ], ids=["crossed_thresholds", "negative_perturb_strength"])
+    def test_bad_setting_stops_before_training(self, tmp_path, lines, keys):
+        # Config validation, not a failure inside train(), must reject
+        # these: exit 2, and nothing of a training run written.
+        bad = tmp_path / "bad.ini"
+        bad.write_text(FAST_CONFIG + lines + "\n")
+        out = str(tmp_path / "err")
+        assert main(["train", "--config", str(bad), "--out", out]) == EXIT_CONFIG
+        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        assert payload["exit_code"] == EXIT_CONFIG
+        for key in keys:
+            assert key in payload["error"]
+        assert not os.path.exists(os.path.join(out, "history.jsonl"))
 
     def test_infeasible_dataset_is_config_error(self, tmp_path):
         bad = tmp_path / "angle.ini"
@@ -263,7 +289,8 @@ class TestCliCommands:
         out = str(tmp_path / "late")
         cfg = self._write_config(tmp_path)
         assert main(["train", "--config", cfg, "--out", out]) == EXIT_NUMERICAL
-        payload = load_checkpoint(os.path.join(out, "checkpoint.json"))
+        with open(os.path.join(out, "checkpoint.json")) as fh:
+            payload = json.load(fh)
         assert payload["epoch"] == 2
         assert os.path.exists(os.path.join(out, "manifest.json"))
         assert not os.path.exists(os.path.join(out, "metrics.csv"))

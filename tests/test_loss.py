@@ -7,11 +7,8 @@ import numpy as np
 import pytest
 
 from dualmargin.loss import (
-    LossGrads,
     MarginConfig,
-    loss_plan,
     margin_loss,
-    margin_loss_backward,
     margin_loss_forward,
     power_scaled_margins,
     zeta,
@@ -339,9 +336,6 @@ class TestStackedForward:
         rng = np.random.default_rng(13)
         x, labels, w = rng.normal(size=(2, 3, 4)), np.array([0, 1, 1]), rng.normal(size=(2, 2, 4))
         cfg = MarginConfig(mode="am_softmax")
-        _, ctx = margin_loss_forward(x, labels, w, None, cfg)
-        with pytest.raises(ValueError, match="stacked forward has no backward"):
-            margin_loss_backward(ctx)
         with pytest.raises(ValueError, match="stacked forward has no backward"):
             margin_loss(x, labels, w, None, cfg)
 
@@ -398,25 +392,13 @@ class TestBackward:
         self._check_grads(MarginConfig(eq5_sign="magnitude", gamma=-0.5), seed=7)
 
     def test_saturated_sample_contributes_nothing(self):
-        # A per-sample probability of exactly 1 on the target yields zero
-        # contribution from that sample.
-        probs = np.array([[1.0, 0.0], [0.4, 0.6]])
-        from dualmargin.loss import LossContext
-
-        cfg = MarginConfig(mode="ce")
-        ctx = LossContext(
-            cfg=cfg,
-            labels=np.array([0, 1]),
-            probs=probs,
-            plan=loss_plan(None, cfg, batch_size=2, grad_prototypes=np.empty((2, 2))),
-            raw_embeddings=np.eye(2),
-            raw_prototypes=np.eye(2),
-        )
-        grads = margin_loss_backward(ctx)
-        assert isinstance(grads, LossGrads)
-        np.testing.assert_allclose(grads.embeddings[0], 0.0, atol=1e-15)
-        # The backward pass works on a copy; the forward's probs are kept.
-        np.testing.assert_array_equal(ctx.probs, [[1.0, 0.0], [0.4, 0.6]])
+        # A target logit of 1000 against 0 gives the target a probability
+        # of exactly 1, so that sample contributes no gradient.
+        x = np.array([[1000.0, 0.0], [0.4, 0.6]])
+        out = margin_loss(x, np.array([0, 1]), np.eye(2), None, MarginConfig(mode="ce"))
+        assert out.per_sample[0] == 0.0
+        np.testing.assert_array_equal(out.grad_embeddings[0], 0.0)
+        assert np.all(out.grad_embeddings[1] != 0.0)
 
     def test_mirrored_inputs_give_mirrored_gradients(self):
         x = np.array([[0.3, 0.7, -0.2]])
