@@ -108,7 +108,7 @@ def cmd_train(args) -> int:
     )
     write_metrics_csv([row], os.path.join(args.out, "metrics.csv"))
     with open(os.path.join(args.out, "metrics.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(vars(report), fh, indent=2, default=np.ndarray.tolist)
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ their line number so manifests stay trustworthy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .loss import MODES, SIGN_CHOICES, MarginConfig
@@ -60,76 +61,65 @@ class ExperimentConfig:
     split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
     def to_flat_dict(self) -> dict[str, object]:
-        values = {}
-        for key, (caster, getter, setter) in _REGISTRY.items():
-            values[key] = getter(self)
-        return values
+        return {key: _get(self, key) for key in _REGISTRY}
 
 
-# key -> (caster, getter, setter). The setter mutates a mutable builder
-# dict because SyntheticSpec is frozen; assembly happens in parse_config.
-_REGISTRY: dict[str, tuple] = {}
+# key -> (caster, section, field); a "fractions" field indexes split_fractions.
+_REGISTRY: dict[str, tuple] = {
+    "data.classes": (int, "data", "num_classes"),
+    "data.dim": (int, "data", "dim"),
+    "data.imbalance_ratio": (float, "data", "imbalance_ratio"),
+    "data.head_count": (int, "data", "head_count"),
+    "data.decay": (_choice(DECAYS), "data", "decay"),
+    "data.cluster_spread": (float, "data", "cluster_spread"),
+    "data.unknown_classes": (int, "data", "unknown_class_count"),
+    "data.seed": (int, "data", "seed"),
+    "data.min_angle": (float, "data", "min_angle"),
+    "data.train_frac": (float, "fractions", 0),
+    "data.val_frac": (float, "fractions", 1),
+    "data.test_frac": (float, "fractions", 2),
+
+    "margin.s": (float, "margin", "s"),
+    "margin.m": (float, "margin", "m"),
+    "margin.beta": (float, "margin", "beta"),
+    "margin.epsilon": (float, "margin", "epsilon"),
+    "margin.lambda": (float, "margin", "lam"),
+    "margin.gamma": (float, "margin", "gamma"),
+    "margin.mode": (_choice(MODES), "margin", "mode"),
+    "margin.eq5_sign": (_choice(SIGN_CHOICES), "margin", "eq5_sign"),
+    "margin.use_effective_priors": (_bool, "margin", "use_effective_priors"),
+
+    "train.epochs": (int, "train", "epochs"),
+    "train.base_lr": (float, "train", "base_lr"),
+    "train.weight_decay": (float, "train", "weight_decay"),
+    "train.lr_decay_epochs": (_int_tuple, "train", "lr_decay_epochs"),
+    "train.lr_decay_factor": (float, "train", "lr_decay_factor"),
+    "train.batch_size": (int, "train", "batch_size"),
+    "train.oversample_size": (int, "train", "oversample_size"),
+    "train.oversample_prob": (float, "train", "oversample_prob"),
+    "train.seed": (int, "train", "seed"),
+    "train.optimizer": (_choice(OPTIMIZERS), "train", "optimizer"),
+    "train.selection": (_choice(SELECTIONS), "train", "selection"),
+    "train.hidden_dims": (_int_tuple, "train", "hidden_dims"),
+    "train.embed_dim": (int, "train", "embed_dim"),
+    "train.perturb_strength": (float, "train", "perturb_strength"),
+    "train.perturb_prob": (float, "train", "perturb_prob"),
+    "train.gamma_shares_schedule": (_bool, "train", "gamma_shares_schedule"),
+
+    "partition.head_threshold": (int, "train", "head_threshold"),
+    "partition.tail_threshold": (int, "train", "tail_threshold"),
+    "eval.target_tpr": (float, "eval", "target_tpr"),
+    "eval.score": (_choice(("cosine", "softmax")), "eval", "score"),
+}
 
 
-def _register(key, caster, path):
-    section, name = path
-    _REGISTRY[key] = (caster, _make_getter(section, name), (section, name))
-
-
-def _make_getter(section, name):
-    def get(cfg: ExperimentConfig):
-        if section == "fractions":
-            return cfg.split_fractions[name]
-        obj = {"data": lambda: cfg.data, "train": lambda: cfg.train,
-               "margin": lambda: cfg.train.margin, "eval": lambda: cfg.eval}[section]()
-        return getattr(obj, name)
-    return get
-
-
-_register("data.classes", int, ("data", "num_classes"))
-_register("data.dim", int, ("data", "dim"))
-_register("data.imbalance_ratio", float, ("data", "imbalance_ratio"))
-_register("data.head_count", int, ("data", "head_count"))
-_register("data.decay", _choice(DECAYS), ("data", "decay"))
-_register("data.cluster_spread", float, ("data", "cluster_spread"))
-_register("data.unknown_classes", int, ("data", "unknown_class_count"))
-_register("data.seed", int, ("data", "seed"))
-_register("data.min_angle", float, ("data", "min_angle"))
-_register("data.train_frac", float, ("fractions", 0))
-_register("data.val_frac", float, ("fractions", 1))
-_register("data.test_frac", float, ("fractions", 2))
-
-_register("margin.s", float, ("margin", "s"))
-_register("margin.m", float, ("margin", "m"))
-_register("margin.beta", float, ("margin", "beta"))
-_register("margin.epsilon", float, ("margin", "epsilon"))
-_register("margin.lambda", float, ("margin", "lam"))
-_register("margin.gamma", float, ("margin", "gamma"))
-_register("margin.mode", _choice(MODES), ("margin", "mode"))
-_register("margin.eq5_sign", _choice(SIGN_CHOICES), ("margin", "eq5_sign"))
-_register("margin.use_effective_priors", _bool, ("margin", "use_effective_priors"))
-
-_register("train.epochs", int, ("train", "epochs"))
-_register("train.base_lr", float, ("train", "base_lr"))
-_register("train.weight_decay", float, ("train", "weight_decay"))
-_register("train.lr_decay_epochs", _int_tuple, ("train", "lr_decay_epochs"))
-_register("train.lr_decay_factor", float, ("train", "lr_decay_factor"))
-_register("train.batch_size", int, ("train", "batch_size"))
-_register("train.oversample_size", int, ("train", "oversample_size"))
-_register("train.oversample_prob", float, ("train", "oversample_prob"))
-_register("train.seed", int, ("train", "seed"))
-_register("train.optimizer", _choice(OPTIMIZERS), ("train", "optimizer"))
-_register("train.selection", _choice(SELECTIONS), ("train", "selection"))
-_register("train.hidden_dims", _int_tuple, ("train", "hidden_dims"))
-_register("train.embed_dim", int, ("train", "embed_dim"))
-_register("train.perturb_strength", float, ("train", "perturb_strength"))
-_register("train.perturb_prob", float, ("train", "perturb_prob"))
-_register("train.gamma_shares_schedule", _bool, ("train", "gamma_shares_schedule"))
-
-_register("partition.head_threshold", int, ("train", "head_threshold"))
-_register("partition.tail_threshold", int, ("train", "tail_threshold"))
-_register("eval.target_tpr", float, ("eval", "target_tpr"))
-_register("eval.score", _choice(("cosine", "softmax")), ("eval", "score"))
+def _get(cfg: ExperimentConfig, key: str) -> object:
+    _, section, name = _REGISTRY[key]
+    if section == "fractions":
+        return cfg.split_fractions[name]
+    obj = {"data": cfg.data, "train": cfg.train, "margin": cfg.train.margin,
+           "eval": cfg.eval}[section]
+    return getattr(obj, name)
 
 
 def valid_keys() -> list[str]:
@@ -178,7 +168,9 @@ def assemble(overrides: dict[str, object]) -> ExperimentConfig:
     sections: dict[str, dict] = {"data": {}, "train": {}, "margin": {}, "eval": {}}
     fractions = list(ExperimentConfig().split_fractions)
     for key, value in overrides.items():
-        _, (section, name) = _REGISTRY[key][0], _REGISTRY[key][2]
+        caster, section, name = _REGISTRY[key]
+        if caster is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
         if section == "fractions":
             fractions[name] = value
         else:
@@ -199,6 +191,5 @@ def describe_defaults() -> str:
     cfg = ExperimentConfig()
     lines = []
     for key in valid_keys():
-        getter = _REGISTRY[key][1]
-        lines.append(f"  {key} = {getter(cfg)}")
+        lines.append(f"  {key} = {_get(cfg, key)}")
     return "configuration keys and defaults:\n" + "\n".join(lines)

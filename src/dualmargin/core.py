@@ -1,4 +1,6 @@
-"""Numerically stable vector/matrix primitives shared across the package.
+"""Numerically stable primitives shared across the package: row
+normalization, label range checks, the softmax, and the scalar softplus
+and logistic functions of the loss's margin exponent.
 
 All routines work in double precision and are pure functions of their
 inputs, so they can be called from anywhere without synchronization.
@@ -12,21 +14,21 @@ import numpy as np
 NORM_EPS = 1e-12
 
 
-def rows_normalize(mat: np.ndarray, eps: float = NORM_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def rows_normalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise L2 normalization with a zero-guard.
 
     Rows run along the last axis, so a stack (P, rows, d) is normalized
     row by row too. Returns ``(units, norms, degenerate_mask)``; the norms
     and the mask have the input's shape without its last axis. A row whose
-    norm is at or below ``eps`` is degenerate: its unit row falls back to
-    the first basis vector e1, so downstream code never sees NaNs from it.
+    norm is at or below ``NORM_EPS`` is degenerate: its unit row falls back
+    to the first basis vector e1, so downstream code never sees NaNs from it.
     Non-finite entries are not checked here: callers check at their own
     boundaries (encoder input, loss logits), and a NaN or inf row yields
     NaN units there.
     """
     mat = np.asarray(mat, dtype=np.float64)
     norms = np.sqrt((mat * mat).sum(axis=-1))
-    degenerate = norms <= eps
+    degenerate = norms <= NORM_EPS
     safe = np.where(degenerate, 1.0, norms)
     units = mat / safe[..., None]
     if degenerate.any():
@@ -52,43 +54,15 @@ def stable_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / np.sum(exp, axis=axis, keepdims=True)
 
 
-def cosine_logits(x_unit: np.ndarray, prototypes_unit: np.ndarray) -> np.ndarray:
-    """Cosine similarities between unit embeddings and unit prototype rows.
-
-    ``x_unit`` may be a single vector (d,) or a batch (n, d);
-    ``prototypes_unit`` is (c, d). Output values lie in [-1, 1] up to
-    roundoff.
-    """
-    x_unit = np.asarray(x_unit, dtype=np.float64)
-    prototypes_unit = np.asarray(prototypes_unit, dtype=np.float64)
-    if x_unit.shape[-1] != prototypes_unit.shape[-1]:
-        raise ValueError(
-            f"cosine_logits: dimension mismatch {x_unit.shape[-1]} vs {prototypes_unit.shape[-1]}"
-        )
-    return x_unit @ prototypes_unit.T
-
-
 def softplus(x: np.ndarray | float) -> np.ndarray | float:
     """log(1 + e^x), computed without overflow for large x."""
     return np.logaddexp(0.0, x)
 
 
-def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
-    """Logistic function, stable for large |x|.
-
-    A Python float or 0-d input takes a scalar branch and returns a float,
-    bit-equal to the array branch at the same value.
-    """
-    if np.ndim(x) == 0:
-        x = float(x)
-        if x >= 0:
-            return float(1.0 / (1.0 + np.exp(-x)))
-        ex = np.exp(x)
-        return float(ex / (1.0 + ex))
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid(x: float) -> float:
+    """Logistic function of a scalar, stable for large |x|."""
+    x = float(x)
+    if x >= 0:
+        return float(1.0 / (1.0 + np.exp(-x)))
+    ex = np.exp(x)
+    return float(ex / (1.0 + ex))

@@ -1,11 +1,11 @@
-"""Small MLP feature encoder with manual backpropagation.
+"""Small tanh MLP feature encoder with manual backpropagation.
 
-Hidden layers use a smooth nonlinearity by default so finite-difference
+Hidden layers use tanh, a smooth nonlinearity, so finite-difference
 gradient checks are well behaved; the final layer is linear so embedding
 norms genuinely vary across samples.
 
 Each layer's output is computed in place: the bias is added into the
-matmul result and the activation is written over it, so a layer allocates
+matmul result and the tanh is written over it, so a layer allocates
 one array and the cache holds exactly those arrays. The caller's features
 are never written.
 
@@ -22,14 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("tanh", "relu")
-
 
 @dataclass
 class EncoderParams:
     weights: list[np.ndarray]  # layer l: (out_dim, in_dim)
     biases: list[np.ndarray]
-    activation: str = "tanh"
 
     @property
     def dims(self) -> list[int]:
@@ -39,7 +36,6 @@ class EncoderParams:
         return EncoderParams(
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
-            activation=self.activation,
         )
 
 
@@ -52,37 +48,19 @@ class ForwardCache:
         return ForwardCache(activations=[a[rows] for a in self.activations])
 
 
-def init_params(dims: list[int], seed: int, activation: str = "tanh") -> EncoderParams:
+def init_params(dims: list[int], seed: int) -> EncoderParams:
     """Deterministic variance-scaled uniform init; biases zero."""
     if len(dims) < 2:
         raise ValueError("init_params: need at least input and output widths")
     if any(d <= 0 for d in dims):
         raise ValueError(f"init_params: widths must be positive, got {dims}")
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"init_params: activation must be one of {ACTIVATIONS}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return EncoderParams(weights=weights, biases=biases, activation=activation)
-
-
-def _activate(z: np.ndarray, kind: str) -> None:
-    """Apply the activation to ``z`` in place."""
-    if kind == "tanh":
-        np.tanh(z, out=z)
-    else:
-        np.maximum(z, 0.0, out=z)
-
-
-def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    """Derivative of the activation, from its output ``a``; relu's is a boolean mask."""
-    if kind == "tanh":
-        grad = a * a
-        return np.subtract(1.0, grad, out=grad)
-    return a > 0
+    return EncoderParams(weights=weights, biases=biases)
 
 
 def forward(params: EncoderParams, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -101,7 +79,7 @@ def forward(params: EncoderParams, features: np.ndarray) -> tuple[np.ndarray, Fo
         z = activations[-1] @ w.T
         z += b
         if l < num_layers - 1:
-            _activate(z, params.activation)
+            np.tanh(z, out=z)
         activations.append(z)
     return activations[-1], ForwardCache(activations=activations)
 
@@ -127,5 +105,7 @@ def backward(
         delta.sum(axis=0, out=db)
         if l:
             delta = delta @ params.weights[l]
-            delta *= _activate_grad(cache.activations[l], params.activation)
+            a = cache.activations[l]
+            grad = a * a  # tanh' is 1 - a^2, from the layer's output a
+            delta *= np.subtract(1.0, grad, out=grad)
     return out

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder
-from .core import cosine_logits, rows_normalize, stable_softmax
+from .core import rows_normalize, stable_softmax
 from .priors import GROUP_NAMES, ClassPartition
 
 # Rows per scoring block (the last block also takes a shorter remainder).
@@ -50,19 +50,6 @@ class EvalReport:
     macro_f1: float
     group_recall: dict[str, float]
     open_set: dict[str, float] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "rank1": self.rank1,
-            "per_class_recall": self.per_class_recall.tolist(),
-            "per_class_precision": self.per_class_precision.tolist(),
-            "per_class_f1": self.per_class_f1.tolist(),
-            "macro_recall": self.macro_recall,
-            "macro_precision": self.macro_precision,
-            "macro_f1": self.macro_f1,
-            "group_recall": self.group_recall,
-            "open_set": self.open_set,
-        }
 
 
 def prototype_scores(
@@ -102,7 +89,7 @@ def open_set_scores(
     units: np.ndarray, unit_prototypes: np.ndarray, kind: str = "cosine", s: float = 32.0
 ) -> np.ndarray:
     """Novelty scores of unit embeddings against unit prototypes."""
-    return novelty_scores(cosine_logits(units, unit_prototypes), kind, s)
+    return novelty_scores(units @ unit_prototypes.T, kind, s)
 
 
 def closed_set_metrics(

@@ -62,21 +62,26 @@ def evaluate_state(
     protos = state.best_prototypes
 
     test_idx = dataset.indices(TEST)
-    logits = prototype_scores(enc, protos, dataset.features[test_idx],
-                              cosine=cfg.train.margin.mode != "ce")
+    cosine = cfg.train.margin.mode != "ce"
+    logits = prototype_scores(enc, protos, dataset.features[test_idx], cosine=cosine)
     preds = np.argmax(logits, axis=1)
     report = closed_set_metrics(preds, dataset.labels[test_idx], state.partition,
                                 dataset.num_classes)
 
     unknown_idx = dataset.indices(UNKNOWN)
     if unknown_idx.size:
-        def scores_of(idx):
-            cosines = prototype_scores(enc, protos, dataset.features[idx], cosine=True)
+        def cosines_of(idx):
+            return prototype_scores(enc, protos, dataset.features[idx], cosine=True)
+
+        def novelty(cosines):
             return novelty_scores(cosines, cfg.eval.score, cfg.train.margin.s)
 
-        val_scores = scores_of(dataset.indices(VAL))
-        tau, _ = calibrate_threshold(val_scores, cfg.eval.target_tpr)
-        report.open_set = open_set_eval(scores_of(test_idx), scores_of(unknown_idx), tau)
+        tau, _ = calibrate_threshold(novelty(cosines_of(dataset.indices(VAL))),
+                                     cfg.eval.target_tpr)
+        # In a margin mode the closed-set logits are the test cosines already.
+        test_cosines = logits if cosine else cosines_of(test_idx)
+        report.open_set = open_set_eval(
+            novelty(test_cosines), novelty(cosines_of(unknown_idx)), tau)
     return report
 
 

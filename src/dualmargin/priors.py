@@ -17,9 +17,6 @@ BETWEEN = 1
 TAIL = 2
 GROUP_NAMES = {HEAD: "head", BETWEEN: "between", TAIL: "tail"}
 
-DEFAULT_HEAD_THRESHOLD = 2000
-DEFAULT_TAIL_THRESHOLD = 100
-
 
 @dataclass(frozen=True)
 class ClassStats:
@@ -31,16 +28,6 @@ class ClassStats:
     effective_priors: np.ndarray
     deltas: np.ndarray
     num_classes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "counts": self.counts.tolist(),
-            "priors": self.priors.tolist(),
-            "effective_numbers": self.effective_numbers.tolist(),
-            "effective_priors": self.effective_priors.tolist(),
-            "deltas": self.deltas.tolist(),
-            "num_classes": self.num_classes,
-        }
 
 
 @dataclass(frozen=True)
@@ -148,11 +135,8 @@ def compute_class_stats(
     )
 
 
-def partition_classes(
-    counts: np.ndarray,
-    head_threshold: int = DEFAULT_HEAD_THRESHOLD,
-    tail_threshold: int = DEFAULT_TAIL_THRESHOLD,
-) -> ClassPartition:
+def partition_classes(counts: np.ndarray, head_threshold: int,
+                      tail_threshold: int) -> ClassPartition:
     """Assign every class to head (> head_threshold), tail (< tail_threshold) or between."""
     if head_threshold <= 0 or tail_threshold <= 0:
         raise ValueError("partition_classes: thresholds must be positive")

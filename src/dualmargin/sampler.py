@@ -1,12 +1,11 @@
 """Batch assembly: Bernoulli-gated tail oversampling and norm-guided retention.
 
 A batch plan draws a base batch uniformly without replacement, then with
-a fixed Bernoulli probability appends extra tail-class samples (with
-replacement; duplicates of base samples are allowed, and are counted and
-logged only when DEBUG logging is on). After embedding all candidates,
-only the batch-size lowest-norm samples are kept; ties break by ascending
-candidate index so selection is a deterministic function of (dataset,
-seed, step).
+a fixed Bernoulli probability appends extra tail-class samples, with
+replacement; an extra sample may duplicate one of the base batch. After
+embedding all candidates, only the batch-size lowest-norm samples are
+kept; ties break by ascending candidate index so selection is a
+deterministic function of (dataset, seed, step).
 """
 
 from __future__ import annotations
@@ -70,10 +69,6 @@ def plan_batch(
         else:
             extra = rng.choice(pool, size=oversample_size, replace=True)
             mask = rng.random(oversample_size) < perturb_prob
-            if log.isEnabledFor(logging.DEBUG):
-                dup = np.intersect1d(extra, base).size
-                if dup:
-                    log.debug("plan_batch: %d oversampled indices duplicate base batch", dup)
     return BatchPlan(base_indices=base, extra_indices=extra, oversample_fired=fired,
                      perturbation_mask=mask)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,15 +33,6 @@ class SyntheticSpec:
     unknown_class_count: int = 0
     seed: int = 0
     min_angle: float = 0.15  # radians, minimum pairwise mean separation
-
-    def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes, "dim": self.dim,
-            "imbalance_ratio": self.imbalance_ratio, "head_count": self.head_count,
-            "decay": self.decay, "cluster_spread": self.cluster_spread,
-            "unknown_class_count": self.unknown_class_count, "seed": self.seed,
-            "min_angle": self.min_angle,
-        }
 
 
 @dataclass
@@ -132,6 +123,14 @@ def generate(spec: SyntheticSpec) -> Dataset:
     )
 
 
+def _class_pools(ids: np.ndarray, labels: np.ndarray,
+                 num_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ids`` grouped by their ``labels``, keeping their order within a
+    class, with each class's start and size in that order."""
+    sizes = np.bincount(labels, minlength=num_classes)
+    return ids[np.argsort(labels, kind="stable")], np.cumsum(sizes) - sizes, sizes
+
+
 def split(
     dataset: Dataset,
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -149,10 +148,8 @@ def split(
         seed = (dataset.spec.seed + 1) if dataset.spec is not None else 1
     rng = np.random.default_rng(seed)
     assignment = np.full(len(dataset), TRAIN, dtype=np.int64)
-    # Sample ids grouped by class, ascending within a class.
-    by_class = np.argsort(dataset.labels, kind="stable")
-    sizes = np.bincount(dataset.labels, minlength=dataset.num_classes)
-    starts = np.cumsum(sizes) - sizes
+    by_class, starts, sizes = _class_pools(
+        np.arange(len(dataset)), dataset.labels, dataset.num_classes)
     for j in range(dataset.num_classes):
         n = int(sizes[j])
         if n == 0:
@@ -200,7 +197,7 @@ def export_csv(dataset: Dataset, csv_path: str, sidecar_path: str) -> None:
             name = SPLIT_NAMES.get(int(sp), "unassigned")
             writer.writerow([repr(float(v)) for v in row] + [int(label), name])
     sidecar = {
-        "spec": dataset.spec.to_dict() if dataset.spec else None,
+        "spec": asdict(dataset.spec) if dataset.spec else None,
         "num_classes": dataset.num_classes,
         "known_mask": dataset.known_mask.tolist(),
     }

@@ -56,7 +56,7 @@ from .evaluation import prototype_scores
 from .loss import DIVERGENCE_LIMIT, MarginConfig, loss_plan, margin_loss
 from .priors import ClassPartition, compute_class_stats, partition_classes
 from .sampler import lowest_norm_indices, perturb, plan_batch
-from .synthdata import TRAIN, VAL, Dataset
+from .synthdata import TRAIN, VAL, Dataset, _class_pools
 
 OPTIMIZERS = ("adaptive_decoupled", "sgd")
 SELECTIONS = ("norm_guided", "random")
@@ -238,15 +238,6 @@ def _flat_layout(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]
     return flat, _views(flat, arrays)
 
 
-def _class_pools(train_idx: np.ndarray, train_labels: np.ndarray,
-                 num_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Training ids grouped by class, keeping split order within a class,
-    with each class's start and size in that order."""
-    by_class = train_idx[np.argsort(train_labels, kind="stable")]
-    sizes = np.bincount(train_labels, minlength=num_classes)
-    return by_class, np.cumsum(sizes) - sizes, sizes
-
-
 def _validate(enc: encoder.EncoderParams, prototypes: np.ndarray, dataset: Dataset,
               cfg: TrainConfig) -> float:
     """Macro recall on the validation split with current parameters."""
@@ -290,8 +281,7 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
         train_idx, dataset.labels[train_idx], dataset.num_classes)
 
     input_dim = dataset.features.shape[1]
-    enc = encoder.init_params([input_dim, *cfg.hidden_dims, cfg.embed_dim],
-                              seed=cfg.seed, activation="tanh")
+    enc = encoder.init_params([input_dim, *cfg.hidden_dims, cfg.embed_dim], seed=cfg.seed)
     prototypes = rng.normal(0.0, 1.0 / math.sqrt(cfg.embed_dim),
                             size=(dataset.num_classes, cfg.embed_dim))
     # Weights, biases, prototypes and gamma (the last element) live in one
@@ -448,7 +438,7 @@ def save_checkpoint(state: TrainState, path: str) -> None:
     """
     payload = {
         "encoder": {
-            "activation": state.best_encoder_params.activation,
+            "activation": "tanh",  # the encoder's only hidden-layer nonlinearity
             "weights": state.best_encoder_params.weights,
             "biases": state.best_encoder_params.biases,
         },
@@ -457,7 +447,7 @@ def save_checkpoint(state: TrainState, path: str) -> None:
         "epoch": state.epoch,
         "step": state.step,
         "best_val_recall": state.best_val_recall,
-        "class_stats": state.stats.to_dict(),
+        "class_stats": vars(state.stats),
     }
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from dualmargin.cli import (
     main,
     verification_rows,
 )
+from dualmargin import config
 from dualmargin.config import (
     ConfigError,
     assemble,
@@ -102,6 +104,14 @@ class TestConfigParsing:
         assert "data.classes" in keys
         assert "eval.target_tpr" in keys
 
+    def test_non_finite_float_is_rejected_naming_its_key(self):
+        float_keys = [key for key, (caster, *_) in config._REGISTRY.items() if caster is float]
+        assert len(float_keys) == 19
+        for key in float_keys:
+            for value in ("nan", "inf", "-inf"):
+                with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be finite"):
+                    parse_config_text(f"{key} = {value}\n")
+
     def test_invalid_combination_rejected(self):
         with pytest.raises(ConfigError):
             assemble({"margin.m": 2.0})
@@ -159,6 +169,33 @@ class TestCliCommands:
         assert header == ("run_id,mode,seed,rank1,macro_recall,macro_precision,"
                           "macro_f1,recall_head,recall_between,recall_tail,tpr,tnr,acc")
 
+    def test_artifact_key_order(self, tmp_path):
+        # The dataclass fields are the artifacts' schema: reordering a field
+        # reorders these keys.
+        cfg = self._write_config(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", cfg, "--out", out]) == EXIT_OK
+        assert main(["generate", "--config", cfg, "--out", out]) == EXIT_OK
+
+        def load(name):
+            with open(os.path.join(out, name)) as fh:
+                return json.load(fh)
+
+        assert list(load("metrics.json")) == [
+            "rank1", "per_class_recall", "per_class_precision", "per_class_f1",
+            "macro_recall", "macro_precision", "macro_f1", "group_recall", "open_set"]
+        checkpoint = load("checkpoint.json")
+        assert list(checkpoint) == ["encoder", "prototypes", "gamma", "epoch", "step",
+                                    "best_val_recall", "class_stats"]
+        assert checkpoint["encoder"]["activation"] == "tanh"
+        assert list(checkpoint["encoder"]) == ["activation", "weights", "biases"]
+        assert list(checkpoint["class_stats"]) == [
+            "counts", "priors", "effective_numbers", "effective_priors", "deltas",
+            "num_classes"]
+        assert list(load("dataset.json")["spec"]) == [
+            "num_classes", "dim", "imbalance_ratio", "head_count", "decay",
+            "cluster_spread", "unknown_class_count", "seed", "min_angle"]
+
     def test_manifest_reproduces_run(self, tmp_path):
         cfg = self._write_config(tmp_path)
         out_a = str(tmp_path / "a")
@@ -214,7 +251,8 @@ class TestCliCommands:
          ("tail_threshold", "head_threshold")),
         ("train.perturb_strength = -0.5\ntrain.oversample_prob = 1.0",
          ("perturb_strength",)),
-    ], ids=["crossed_thresholds", "negative_perturb_strength"])
+        ("margin.s = nan", ("margin.s",)),
+    ], ids=["crossed_thresholds", "negative_perturb_strength", "non_finite_float"])
     def test_bad_setting_stops_before_training(self, tmp_path, lines, keys):
         # Config validation, not a failure inside train(), must reject
         # these: exit 2, and nothing of a training run written.
@@ -227,6 +265,7 @@ class TestCliCommands:
         for key in keys:
             assert key in payload["error"]
         assert not os.path.exists(os.path.join(out, "history.jsonl"))
+        assert not os.path.exists(os.path.join(out, "plans.jsonl"))
 
     def test_infeasible_dataset_is_config_error(self, tmp_path):
         bad = tmp_path / "angle.ini"

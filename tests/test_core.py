@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dualmargin.core import (
-    cosine_logits,
     rows_normalize,
     sigmoid,
     softplus,
@@ -120,33 +119,6 @@ class TestStableSoftmax:
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(7), atol=1e-12)
 
 
-class TestCosineLogits:
-    def test_orthonormal_basis(self):
-        protos = np.eye(4)
-        logits = cosine_logits(np.array([1.0, 0.0, 0.0, 0.0]), protos)
-        np.testing.assert_allclose(logits, [1.0, 0.0, 0.0, 0.0])
-
-    def test_self_similarity(self):
-        w = np.array([[0.6, 0.8]])
-        assert cosine_logits(w[0], w)[0] == pytest.approx(1.0)
-
-    def test_hand_dot(self):
-        logits = cosine_logits(np.array([1.0, 0.0]), np.array([[0.6, 0.8]]))
-        assert logits[0] == pytest.approx(0.6)
-
-    def test_bounded(self):
-        rng = np.random.default_rng(5)
-        x, _, _ = rows_normalize(rng.normal(size=(20, 6)))
-        w, _, _ = rows_normalize(rng.normal(size=(5, 6)))
-        logits = cosine_logits(x, w)
-        assert np.all(logits >= -1 - 1e-12)
-        assert np.all(logits <= 1 + 1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            cosine_logits(np.ones(3), np.ones((2, 4)))
-
-
 class TestSoftplusSigmoid:
     def test_softplus_at_zero(self):
         assert softplus(0.0) == pytest.approx(np.log(2.0))
@@ -162,7 +134,10 @@ class TestSoftplusSigmoid:
 
     @pytest.mark.parametrize("x", [0.0, 1e-3, -1e-3, 5.0, -5.0, 1000.0, -1000.0])
     def test_sigmoid_scalar_is_float_equal_to_array_path(self, x):
-        array_value = sigmoid(np.array([x, 0.25]))[0]
+        # The stable logistic on a float64 array, one branch per sign.
+        arr = np.array([x])
+        ex = np.exp(-np.abs(arr))
+        array_value = np.where(arr >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))[0]
         for scalar in (x, np.float64(x), np.array(x)):
             value = sigmoid(scalar)
             assert type(value) is float

@@ -32,8 +32,6 @@ class TestInitParams:
             encoder.init_params([4], seed=0)
         with pytest.raises(ValueError, match="positive"):
             encoder.init_params([4, 0, 3], seed=0)
-        with pytest.raises(ValueError, match="activation"):
-            encoder.init_params([4, 3], seed=0, activation="softsign")
 
 
 class TestForward:
@@ -63,9 +61,8 @@ class TestForward:
         with pytest.raises(ValueError, match="feature width"):
             encoder.forward(params, np.ones((2, 5)))
 
-    @pytest.mark.parametrize("activation", encoder.ACTIVATIONS)
-    def test_layers_equal_the_out_of_place_expression(self, activation):
-        params = _random_params(activation)
+    def test_layers_equal_the_out_of_place_expression(self):
+        params = _random_params()
         x = np.random.default_rng(6).normal(size=(9, 5))
         emb, cache = encoder.forward(params, x)
         expected = _reference_activations(params, x)
@@ -73,11 +70,9 @@ class TestForward:
         for got, want in zip(cache.activations, expected):
             assert np.array_equal(got, want)
         assert emb is cache.activations[-1]
-        if activation == "relu":
-            assert (cache.activations[1] == 0.0).any()  # the clamp was exercised
 
     def test_cached_layers_share_no_memory_and_input_is_unchanged(self):
-        params = _random_params("tanh")
+        params = _random_params()
         x = np.random.default_rng(7).normal(size=(9, 5))
         before = x.copy()
         _, cache = encoder.forward(params, x)
@@ -88,9 +83,9 @@ class TestForward:
         assert np.array_equal(x, before)
 
 
-def _random_params(activation):
+def _random_params():
     """Three layers with nonzero biases, so every term of a layer matters."""
-    params = encoder.init_params([5, 7, 6, 3], seed=4, activation=activation)
+    params = encoder.init_params([5, 7, 6, 3], seed=4)
     rng = np.random.default_rng(5)
     for b in params.biases:
         b[:] = rng.normal(size=b.shape)
@@ -98,12 +93,12 @@ def _random_params(activation):
 
 
 def _reference_activations(params, x):
-    """Each layer as one out-of-place expression: ``act(a @ w.T + b)``."""
+    """Each layer as one out-of-place expression: ``tanh(a @ w.T + b)``."""
     acts = [x]
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = acts[-1] @ w.T + b
         if l < len(params.weights) - 1:
-            z = np.tanh(z) if params.activation == "tanh" else np.maximum(z, 0.0)
+            z = np.tanh(z)
         acts.append(z)
     return acts
 
@@ -180,9 +175,8 @@ class TestBackward:
         err = np.max(np.abs(numeric - analytic) / np.maximum(1.0, np.abs(analytic)))
         assert err < 1e-5
 
-    @pytest.mark.parametrize("activation", encoder.ACTIVATIONS)
-    def test_equals_the_out_of_place_expression(self, activation):
-        params = _random_params(activation)
+    def test_equals_the_out_of_place_expression(self):
+        params = _random_params()
         x = np.random.default_rng(8).normal(size=(9, 5))
         _, cache = encoder.forward(params, x)
         g = np.random.default_rng(9).normal(size=(9, 3))
@@ -194,8 +188,7 @@ class TestBackward:
             assert np.array_equal(grads[l][1], delta.sum(axis=0))
             if l:
                 a = acts[l]
-                local = 1.0 - a * a if activation == "tanh" else (a > 0).astype(np.float64)
-                delta = (delta @ params.weights[l]) * local
+                delta = (delta @ params.weights[l]) * (1.0 - a * a)
 
     def test_shape_mismatch(self):
         params = encoder.init_params([3, 2], seed=0)

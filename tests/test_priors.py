@@ -197,8 +197,8 @@ class TestComputeClassStats:
     def test_roundtrip_dict(self):
         labels = np.array([0, 0, 1])
         stats = compute_class_stats(labels, 2, 0.15)
-        # The checkpoint stores the stats as JSON; every value survives it.
-        again = json.loads(json.dumps(stats.to_dict()))
+        # The checkpoint stores the stats' fields as JSON; every value survives it.
+        again = json.loads(json.dumps(vars(stats), default=np.ndarray.tolist))
         for name in ("counts", "priors", "effective_numbers", "effective_priors", "deltas"):
             np.testing.assert_array_equal(again[name], getattr(stats, name))
         assert again["num_classes"] == 2

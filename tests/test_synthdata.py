@@ -3,6 +3,7 @@
 import csv
 import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ class TestCsvRoundtrip:
         np.testing.assert_array_equal([split_ids[r[5]] for r in rows], ds.split)
         with open(sidecar_path) as fh:
             sidecar = json.load(fh)
-        assert sidecar == {"spec": spec.to_dict(), "num_classes": 3,
+        assert sidecar == {"spec": asdict(spec), "num_classes": 3,
                            "known_mask": ds.known_mask.tolist()}
 
 

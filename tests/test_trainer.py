@@ -407,10 +407,10 @@ class TestCheckpoint:
         state.best_prototypes[0, 0] = float("inf")
         path = str(tmp_path / "ckpt.json")
         save_checkpoint(state, path)
-        enc = state.best_encoder_params
+        enc, stats = state.best_encoder_params, state.stats
         expected = json.dumps({
             "encoder": {
-                "activation": enc.activation,
+                "activation": "tanh",
                 "weights": [w.tolist() for w in enc.weights],
                 "biases": [b.tolist() for b in enc.biases],
             },
@@ -419,7 +419,14 @@ class TestCheckpoint:
             "epoch": state.epoch,
             "step": state.step,
             "best_val_recall": state.best_val_recall,
-            "class_stats": state.stats.to_dict(),
+            "class_stats": {
+                "counts": stats.counts.tolist(),
+                "priors": stats.priors.tolist(),
+                "effective_numbers": stats.effective_numbers.tolist(),
+                "effective_priors": stats.effective_priors.tolist(),
+                "deltas": stats.deltas.tolist(),
+                "num_classes": stats.num_classes,
+            },
         })
         with open(path) as fh:
             written = fh.read()
