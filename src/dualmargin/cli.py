@@ -13,15 +13,12 @@ import json
 import os
 import sys
 from collections import defaultdict
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, ExperimentConfig, default_config,
-                     describe_defaults, parse_config)
-from .experiment import (METRIC_COLUMNS, build_dataset, metrics_row,
-                         run_experiment, run_id_for, with_seed)
+from .config import ConfigError, ExperimentConfig, assemble, describe_defaults, parse_config
+from .experiment import build_dataset, run_experiment, run_id_for, with_seed
 from .loss import MarginConfig, margin_loss, margin_loss_forward
 from .synthdata import export_csv
 from .trainer import TrainingDiverged, save_checkpoint
@@ -33,19 +30,24 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
-ABLATION_CONFIG_PRESETS = {
+# grid -> variant name -> config-key overrides, applied over the loaded config.
+ABLATION_GRIDS = {
     # Letters: A base margin only, B dual margin, C no oversampling,
     # D oversampling with random selection, E oversampling with
     # norm-guided selection, F regularization.
-    "A,C": {"mode": "am_softmax", "oversample_prob": 0.0, "lam": 0.0},
-    "B,C": {"mode": "dual_margin", "oversample_prob": 0.0, "lam": 0.0},
-    "B,D": {"mode": "dual_margin", "selection": "random", "lam": 0.0},
-    "B,E": {"mode": "dual_margin", "selection": "norm_guided", "lam": 0.0},
-    "B,E,F": {"mode": "dual_margin", "selection": "norm_guided"},
+    "configs": {
+        "A,C": {"margin.mode": "am_softmax", "train.oversample_prob": 0.0, "margin.lambda": 0.0},
+        "B,C": {"margin.mode": "dual_margin", "train.oversample_prob": 0.0, "margin.lambda": 0.0},
+        "B,D": {"margin.mode": "dual_margin", "train.selection": "random", "margin.lambda": 0.0},
+        "B,E": {"margin.mode": "dual_margin", "train.selection": "norm_guided",
+                "margin.lambda": 0.0},
+        "B,E,F": {"margin.mode": "dual_margin", "train.selection": "norm_guided"},
+    },
+    "seeds": {f"seed={seed}": {"data.seed": seed, "train.seed": seed}
+              for seed in (0, 1, 42, 2025)},
+    "margin": {f"m={m}": {"margin.m": m} for m in (0.05, 0.10, 0.15, 0.20)},
+    "lambda": {f"lambda={lam}": {"margin.lambda": lam} for lam in (0.0, 0.0001, 1.0, 5.0)},
 }
-ABLATION_SEEDS = (0, 1, 42, 2025)
-ABLATION_MARGINS = (0.05, 0.10, 0.15, 0.20)
-ABLATION_LAMBDAS = (0.0, 0.0001, 1.0, 5.0)
 SCALES = (1.0, 32.0)  # the logit scales s the verification probes draw from
 
 
@@ -55,13 +57,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_metrics_csv(rows: list[dict], path: str,
-                      columns: tuple[str, ...] = METRIC_COLUMNS) -> None:
+def write_metrics_csv(rows: list[dict], path: str) -> None:
+    """One line per row under a header of the first row's keys."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_fmt(row[col]) for col in columns])
+            writer.writerow([_fmt(v) for v in row.values()])
 
 
 def write_manifest(cfg: ExperimentConfig, out_dir: str) -> None:
@@ -75,7 +77,7 @@ def write_manifest(cfg: ExperimentConfig, out_dir: str) -> None:
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = parse_config(args.config) if args.config else default_config()
+    cfg = parse_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
     return cfg
@@ -156,14 +158,15 @@ def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
 
         def f(points):
             # A stacked forward shares one gamma, so the points go in one
-            # call per gamma value: the base, +h and -h.
+            # call per gamma value: the base, +h and -h. ``cfg`` is not read
+            # after the check, so its gamma is set in place.
             values = np.empty(len(points))
             for gamma in np.unique(points[:, -1]):
                 rows = points[:, -1] == gamma
                 group = points[rows]
+                cfg.gamma = float(gamma)
                 o, _ = margin_loss_forward(group[:, :n * d].reshape(-1, n, d), labels,
-                                           group[:, n * d:-1].reshape(-1, c, d), deltas,
-                                           replace(cfg, gamma=float(gamma)))
+                                           group[:, n * d:-1].reshape(-1, c, d), deltas, cfg)
                 values[rows] = o.total
             return values
 
@@ -220,45 +223,16 @@ def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
     return rows
 
 
-def _ablation_variants(which: str, cfg: ExperimentConfig):
-    if which == "configs":
-        for name, preset in ABLATION_CONFIG_PRESETS.items():
-            margin_keys = {k: v for k, v in preset.items() if k in ("mode", "lam")}
-            train_keys = {k: v for k, v in preset.items()
-                          if k in ("oversample_prob", "selection")}
-            variant = replace(
-                cfg,
-                train=replace(cfg.train, margin=replace(cfg.train.margin, **margin_keys),
-                              **train_keys),
-            )
-            yield name, variant
-    elif which == "seeds":
-        for seed in ABLATION_SEEDS:
-            yield f"seed={seed}", with_seed(cfg, seed)
-    elif which == "margin":
-        for m in ABLATION_MARGINS:
-            yield f"m={m}", replace(
-                cfg, train=replace(cfg.train, margin=replace(cfg.train.margin, m=m)))
-    elif which == "lambda":
-        for lam in ABLATION_LAMBDAS:
-            yield f"lambda={lam}", replace(
-                cfg, train=replace(cfg.train, margin=replace(cfg.train.margin, lam=lam)))
-    else:
-        raise ConfigError(
-            f"unknown ablation grid {which!r}; choose configs, seeds, margin or lambda")
-
-
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for name, variant in _ablation_variants(args.grid, cfg):
-        _, _, _, row = run_experiment(variant)
+    for name, overrides in ABLATION_GRIDS[args.grid].items():
+        _, _, _, row = run_experiment(assemble({**cfg.to_flat_dict(), **overrides}))
         row = {"variant": name, **row}
         rows.append(row)
         print(f"{name}: macro_recall={row['macro_recall']:.4f} rank1={row['rank1']:.4f}")
-    write_metrics_csv(rows, os.path.join(args.out, "ablate.csv"),
-                      ("variant",) + METRIC_COLUMNS)
+    write_metrics_csv(rows, os.path.join(args.out, "ablate.csv"))
     write_manifest(cfg, args.out)
     return EXIT_OK
 
@@ -278,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override all seeds")
         p.add_argument("--out", default="runs/out", help="output directory")
         if name == "ablate":
-            p.add_argument("grid", choices=("configs", "seeds", "margin", "lambda"))
+            p.add_argument("grid", choices=tuple(ABLATION_GRIDS))
         p.set_defaults(func=fn)
     return parser
 
@@ -291,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _emit_error(args, exc, EXIT_CONFIG)
         return EXIT_CONFIG
-    except (TrainingDiverged, FloatingPointError, ValueError) as exc:
+    except (TrainingDiverged, ValueError) as exc:
         _emit_error(args, exc, EXIT_NUMERICAL)
         return EXIT_NUMERICAL
 

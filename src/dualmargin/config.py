@@ -126,10 +126,6 @@ def valid_keys() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
-
-
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse flat key = value lines into an ExperimentConfig."""
     overrides: dict[str, object] = {}

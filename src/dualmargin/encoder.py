@@ -4,10 +4,12 @@ Hidden layers use tanh, a smooth nonlinearity, so finite-difference
 gradient checks are well behaved; the final layer is linear so embedding
 norms genuinely vary across samples.
 
-Each layer's output is computed in place: the bias is added into the
-matmul result and the tanh is written over it, so a layer allocates
-one array and the cache holds exactly those arrays. The caller's features
-are never written.
+``forward`` returns the embeddings and the activations list: the input to
+each layer, then the embeddings, so ``activations[l]`` feeds layer l and
+``backward`` reads the list back. Each layer's output is computed in
+place: the bias is added into the matmul result and the tanh is written
+over it, so a layer allocates one array and the list holds exactly those
+arrays. The caller's features are never written.
 
 The backward pass writes each layer's weight and bias gradients into
 buffers the caller provides: the trainer makes them once per run, as views
@@ -39,15 +41,6 @@ class EncoderParams:
         )
 
 
-@dataclass
-class ForwardCache:
-    # Input to each layer, then the embeddings: activations[l] feeds layer l.
-    activations: list[np.ndarray]
-
-    def subset(self, rows: np.ndarray) -> "ForwardCache":
-        return ForwardCache(activations=[a[rows] for a in self.activations])
-
-
 def init_params(dims: list[int], seed: int) -> EncoderParams:
     """Deterministic variance-scaled uniform init; biases zero."""
     if len(dims) < 2:
@@ -63,8 +56,8 @@ def init_params(dims: list[int], seed: int) -> EncoderParams:
     return EncoderParams(weights=weights, biases=biases)
 
 
-def forward(params: EncoderParams, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Map (n, input_dim) features to (n, d) raw embeddings."""
+def forward(params: EncoderParams, features: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Map (n, input_dim) features to (n, d) raw embeddings and the activations."""
     features = np.asarray(features, dtype=np.float64)
     if not np.isfinite(features).all():
         bad = ~np.isfinite(features).all(axis=1)
@@ -81,12 +74,12 @@ def forward(params: EncoderParams, features: np.ndarray) -> tuple[np.ndarray, Fo
         if l < num_layers - 1:
             np.tanh(z, out=z)
         activations.append(z)
-    return activations[-1], ForwardCache(activations=activations)
+    return activations[-1], activations
 
 
 def backward(
     params: EncoderParams,
-    cache: ForwardCache,
+    activations: list[np.ndarray],
     grad_embeddings: np.ndarray,
     out: list[tuple[np.ndarray, np.ndarray]],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -96,16 +89,16 @@ def backward(
     arrays shaped like ``params.weights[l]`` and ``params.biases[l]``.
     """
     grad_embeddings = np.asarray(grad_embeddings, dtype=np.float64)
-    if grad_embeddings.shape != cache.activations[-1].shape:
+    if grad_embeddings.shape != activations[-1].shape:
         raise ValueError("encoder.backward: upstream gradient shape mismatch")
     delta = grad_embeddings
     for l in range(len(params.weights) - 1, -1, -1):
         dw, db = out[l]
-        np.matmul(delta.T, cache.activations[l], out=dw)
+        np.matmul(delta.T, activations[l], out=dw)
         delta.sum(axis=0, out=db)
         if l:
             delta = delta @ params.weights[l]
-            a = cache.activations[l]
+            a = activations[l]
             grad = a * a  # tanh' is 1 - a^2, from the layer's output a
             delta *= np.subtract(1.0, grad, out=grad)
     return out

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import encoder
 from .core import rows_normalize, stable_softmax
-from .priors import GROUP_NAMES, ClassPartition
+from .priors import GROUP_NAMES
 
 # Rows per scoring block (the last block also takes a shorter remainder).
 SCORE_BLOCK_ROWS = 1024
@@ -95,13 +95,14 @@ def open_set_scores(
 def closed_set_metrics(
     preds: np.ndarray,
     labels: np.ndarray,
-    partition: ClassPartition,
+    partition: np.ndarray,
     num_classes: int,
 ) -> EvalReport:
     """Rank-1 plus per-class and macro recall/precision/F1 and group recalls.
 
-    Classes absent from the test labels are excluded from macro and
-    group averages; their per-class entries are NaN.
+    ``partition`` holds each class's group id. Classes absent from the
+    test labels are excluded from macro and group averages; their
+    per-class entries are NaN.
     """
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -124,7 +125,7 @@ def closed_set_metrics(
     has_test = present > 0
     group_recall: dict[str, float] = {}
     for gid, name in GROUP_NAMES.items():
-        members = has_test & (partition.group_of == gid)
+        members = has_test & (partition == gid)
         group_recall[name] = float(np.mean(recall[members])) if members.any() else float("nan")
     group_recall["overall"] = float(np.nanmean(recall))
 

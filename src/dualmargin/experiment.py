@@ -8,22 +8,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, assemble
 from .evaluation import (MIN_CALIBRATION_SCORES, EvalReport, calibrate_threshold,
                          closed_set_metrics, novelty_scores, open_set_eval,
                          prototype_scores)
 from .synthdata import TEST, UNKNOWN, VAL, Dataset, generate, open_set_partition, split
 from .trainer import TrainState, train
-
-METRIC_COLUMNS = (
-    "run_id", "mode", "seed", "rank1", "macro_recall", "macro_precision",
-    "macro_f1", "recall_head", "recall_between", "recall_tail", "tpr", "tnr", "acc",
-)
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -127,5 +121,4 @@ def run_experiment(
 
 def with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
     """Copy of the config with both the data and training seeds replaced."""
-    return replace(cfg, data=replace(cfg.data, seed=seed),
-                   train=replace(cfg.train, seed=seed))
+    return assemble({**cfg.to_flat_dict(), "data.seed": seed, "train.seed": seed})

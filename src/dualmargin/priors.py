@@ -1,7 +1,9 @@
 """Per-class statistics: counts, priors, effective numbers, margin adjustments.
 
 Class statistics are computed once from the training labels and are
-immutable afterwards, so they are safe to share across threads.
+immutable afterwards, so they are safe to share across threads. The
+head/between/tail partition is a plain per-class array of group ids
+(``HEAD``, ``BETWEEN``, ``TAIL``), indexed by class.
 """
 
 from __future__ import annotations
@@ -28,13 +30,6 @@ class ClassStats:
     effective_priors: np.ndarray
     deltas: np.ndarray
     num_classes: int
-
-
-@dataclass(frozen=True)
-class ClassPartition:
-    """Head/between/tail grouping by training sample count."""
-
-    group_of: np.ndarray  # per-class group id (HEAD / BETWEEN / TAIL)
 
 
 def class_counts(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -136,8 +131,8 @@ def compute_class_stats(
 
 
 def partition_classes(counts: np.ndarray, head_threshold: int,
-                      tail_threshold: int) -> ClassPartition:
-    """Assign every class to head (> head_threshold), tail (< tail_threshold) or between."""
+                      tail_threshold: int) -> np.ndarray:
+    """Per-class group ids: head (> head_threshold), tail (< tail_threshold) or between."""
     if head_threshold <= 0 or tail_threshold <= 0:
         raise ValueError("partition_classes: thresholds must be positive")
     if tail_threshold >= head_threshold:
@@ -146,4 +141,4 @@ def partition_classes(counts: np.ndarray, head_threshold: int,
     group = np.full(counts.shape, BETWEEN, dtype=np.int64)
     group[counts > head_threshold] = HEAD
     group[counts < tail_threshold] = TAIL
-    return ClassPartition(group_of=group)
+    return group

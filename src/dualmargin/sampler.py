@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import TAIL, ClassPartition
+from .priors import TAIL
 
 log = logging.getLogger(__name__)
 
@@ -40,7 +40,7 @@ class BatchPlan:
 def plan_batch(
     train_indices: np.ndarray,
     labels: np.ndarray,
-    partition: ClassPartition,
+    partition: np.ndarray,
     batch_size: int,
     oversample_size: int,
     oversample_prob: float,
@@ -50,7 +50,8 @@ def plan_batch(
     """Plan one batch: base draw plus optional tail-class oversampling.
 
     ``train_indices`` are dataset-level sample ids eligible for training;
-    ``labels`` are the full per-sample label array indexed by those ids.
+    ``labels`` are the full per-sample label array indexed by those ids;
+    ``partition`` holds each class's group id (``priors.partition_classes``).
     """
     train_indices = np.asarray(train_indices, dtype=np.int64)
     if train_indices.size < batch_size:
@@ -62,7 +63,7 @@ def plan_batch(
     extra = np.empty(0, dtype=np.int64)
     mask = np.empty(0, dtype=bool)
     if fired:
-        pool = train_indices[partition.group_of[labels[train_indices]] == TAIL]
+        pool = train_indices[partition[labels[train_indices]] == TAIL]
         if pool.size == 0:
             log.warning("plan_batch: oversample fired but no tail-class samples; skipping")
             fired = False

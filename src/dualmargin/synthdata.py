@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -103,6 +103,8 @@ def generate(spec: SyntheticSpec) -> Dataset:
         raise ValueError("generate: need dim >= 2")
     if spec.cluster_spread <= 0:
         raise ValueError("generate: cluster_spread must be > 0")
+    if spec.min_angle < 0:
+        raise ValueError(f"generate: min_angle must be >= 0, got {spec.min_angle}")
     rng = np.random.default_rng(spec.seed)
     means = _sphere_means(spec, rng)
     counts = class_count_schedule(spec)
@@ -162,12 +164,7 @@ def split(
         n_test = max(1, int(round(f_test * n)))
         assignment[idx[:n_val]] = VAL
         assignment[idx[n_val:n_val + n_test]] = TEST
-    out = Dataset(
-        features=dataset.features, labels=dataset.labels, split=assignment,
-        known_mask=dataset.known_mask.copy(), num_classes=dataset.num_classes,
-        spec=dataset.spec,
-    )
-    return out
+    return replace(dataset, split=assignment)
 
 
 def open_set_partition(dataset: Dataset, unknown_class_count: int, seed: int) -> Dataset:
@@ -181,10 +178,7 @@ def open_set_partition(dataset: Dataset, unknown_class_count: int, seed: int) ->
         unknown = rng.choice(dataset.num_classes, size=unknown_class_count, replace=False)
         known_mask[unknown] = False
         assignment[np.isin(dataset.labels, unknown)] = UNKNOWN
-    return Dataset(
-        features=dataset.features, labels=dataset.labels, split=assignment,
-        known_mask=known_mask, num_classes=dataset.num_classes, spec=dataset.spec,
-    )
+    return replace(dataset, split=assignment, known_mask=known_mask)
 
 
 def export_csv(dataset: Dataset, csv_path: str, sidecar_path: str) -> None:

@@ -22,14 +22,15 @@ Computed once per run:
 Computed once per step: the gamma terms of the loss (the scaled margins,
 their gamma derivative and the regularizer), shared by its forward and
 backward pass. Finiteness is checked at the boundaries only: encoder input,
-the loss's adjusted logits, the batch loss and the gradients. Only after a
-gradient check fails is the first bad element traced back to its parameter
-(gamma, an encoder weight or bias, or the prototypes) for the error and its
-snapshot.
+the loss's adjusted logits, the batch loss and the gradients. The gradient
+check is made once per step, in ``train`` on the flat gradient buffer before
+the optimizer step; the optimizers check nothing. Only after it fails is the
+first bad element traced back to its parameter (gamma, an encoder weight or
+bias, or the prototypes) for the error and its snapshot.
 
-The last step's batch arrays (features, embeddings, forward cache, loss
-output) are released before each epoch's validation, so they do not sit
-under its working set. Validation scores in row blocks
+The last step's batch arrays (features, embeddings, the encoder's
+activations, loss output) are released before each epoch's validation, so
+they do not sit under its working set. Validation scores in row blocks
 (``evaluation.prototype_scores``), so it holds one block of layer outputs.
 
 ``save_checkpoint`` writes the JSON one array row at a time, each row
@@ -54,7 +55,7 @@ import numpy as np
 from . import encoder
 from .evaluation import prototype_scores
 from .loss import DIVERGENCE_LIMIT, MarginConfig, loss_plan, margin_loss
-from .priors import ClassPartition, compute_class_stats, partition_classes
+from .priors import compute_class_stats, partition_classes
 from .sampler import lowest_norm_indices, perturb, plan_batch
 from .synthdata import TRAIN, VAL, Dataset, _class_pools
 
@@ -117,6 +118,12 @@ class TrainConfig:
             raise ValueError(
                 f"TrainConfig: partition thresholds need 0 < tail_threshold < head_threshold, "
                 f"got tail_threshold={self.tail_threshold}, head_threshold={self.head_threshold}")
+        if self.lr_decay_factor <= 0:
+            raise ValueError(
+                f"TrainConfig: lr_decay_factor must be > 0, got {self.lr_decay_factor}")
+        if self.weight_decay < 0:
+            raise ValueError(
+                f"TrainConfig: weight_decay must be >= 0, got {self.weight_decay}")
         if not (math.isfinite(self.perturb_strength) and self.perturb_strength >= 0):
             raise ValueError(
                 f"TrainConfig: perturb_strength must be finite and >= 0, "
@@ -135,7 +142,7 @@ class TrainState:
     epoch: int
     step: int
     stats: "object"  # ClassStats, serialized into the checkpoint
-    partition: ClassPartition
+    partition: np.ndarray  # per-class group id (HEAD / BETWEEN / TAIL)
     best_val_recall: float = -1.0
     best_encoder_params: encoder.EncoderParams | None = None
     best_prototypes: np.ndarray | None = None
@@ -170,7 +177,6 @@ class AdamW:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: float) -> None:
-        _require_finite(grads)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -196,19 +202,9 @@ class SGD:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: float) -> None:
-        _require_finite(grads)
         for name, p in params.items():
             p *= 1.0 - lr * self.weight_decay
             p -= lr * grads[name]
-
-
-def _require_finite(grads: dict[str, np.ndarray]) -> None:
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise TrainingDiverged(
-                f"non-finite gradient for parameter {name!r}",
-                {"param": name},
-            )
 
 
 def _first_non_finite_param(flat: np.ndarray, views: list[np.ndarray],
@@ -347,8 +343,8 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                         keep = lowest_norm_indices(np.linalg.norm(emb, axis=1), cfg.batch_size)
                     else:
                         keep = np.sort(rng.choice(len(labels), size=cfg.batch_size, replace=False))
-                    cache = cache.subset(keep)
-                    emb, labels = cache.activations[-1], labels[keep]
+                    cache = [a[keep] for a in cache]
+                    emb, labels = cache[-1], labels[keep]
 
                 mcfg.gamma = float(flat[-1])
                 out = margin_loss(emb, labels, prototypes, margin_plan, mcfg)
@@ -360,16 +356,15 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                     )
                 encoder.backward(enc, cache, out.grad_embeddings, enc_grads)
                 grad_flat[-1] = out.grad_gamma
-                try:
-                    opt.step(params, grads, lr)
-                except TrainingDiverged:
+                if not np.isfinite(grad_flat).all():
                     name = _first_non_finite_param(grad_flat, views, num_layers)
                     raise TrainingDiverged(
                         f"non-finite gradient for parameter {name!r} at epoch {epoch} "
                         f"step {state.step}",
                         {"param": name, "epoch": epoch, "step": state.step,
                          "lr": lr, "gamma": mcfg.gamma},
-                    ) from None
+                    )
+                opt.step(params, grads, lr)
                 state.step += 1
                 epoch_losses.append(out.total)
 

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from dualmargin.cli import (
+    ABLATION_GRIDS,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -19,8 +20,9 @@ from dualmargin.cli import (
 from dualmargin import config
 from dualmargin.config import (
     ConfigError,
+    ExperimentConfig,
     assemble,
-    default_config,
+    parse_config,
     parse_config_text,
     valid_keys,
 )
@@ -41,6 +43,9 @@ train.embed_dim = 8
 partition.head_threshold = 40
 partition.tail_threshold = 10
 """
+
+WORKLOADS = sorted((pathlib.Path(__file__).resolve().parents[1] / "benchmark" / "workloads")
+                   .glob("*.ini"))
 
 
 class TestConfigParsing:
@@ -85,18 +90,25 @@ class TestConfigParsing:
     def test_run_id_pinned(self):
         # The run id hashes the flat config; moving a key's field must not
         # change it.
-        assert run_id_for(default_config()) == "9a0261efa380"
+        assert run_id_for(ExperimentConfig()) == "9a0261efa380"
         cfg = parse_config_text(
             "partition.head_threshold = 500\npartition.tail_threshold = 50")
         assert run_id_for(cfg) == "669faa1d25bf"
 
     def test_flat_dict_roundtrip(self):
-        cfg = assemble({"margin.m": 0.2, "train.epochs": 7})
-        flat = cfg.to_flat_dict()
-        assert flat["margin.m"] == 0.2
-        assert flat["train.epochs"] == 7
-        again = assemble(flat)
-        assert again == cfg
+        # ``with_seed`` and every ablation variant are built as
+        # assemble({**cfg.to_flat_dict(), **overrides}), tuple and choice
+        # keys included; that must give back the config and its overrides.
+        assert len(WORKLOADS) == 3
+        for path in WORKLOADS:
+            cfg = parse_config(str(path))
+            flat = cfg.to_flat_dict()
+            assert assemble(flat) == cfg, path.name
+            for variants in ABLATION_GRIDS.values():
+                for overrides in variants.values():
+                    variant = assemble({**flat, **overrides})
+                    assert variant.to_flat_dict() == {**flat, **overrides}, (path.name, overrides)
+                    assert assemble(variant.to_flat_dict()) == variant
 
     def test_valid_keys_cover_registry(self):
         keys = valid_keys()
@@ -117,7 +129,8 @@ class TestConfigParsing:
             assemble({"margin.m": 2.0})
 
     def test_default_config_assembles(self):
-        cfg = default_config()
+        cfg = assemble({})
+        assert cfg == ExperimentConfig()
         assert cfg.split_fractions == (0.8, 0.1, 0.1)
 
 
@@ -235,6 +248,10 @@ class TestCliCommands:
         ("train.perturb_prob = -1", "perturb_prob must be in [0, 1], got -1.0"),
         ("eval.target_tpr = 1.5", "target_tpr must be in (0, 1], got 1.5"),
         ("eval.target_tpr = 0", "target_tpr must be in (0, 1], got 0.0"),
+        ("train.lr_decay_factor = -1", "lr_decay_factor must be > 0, got -1.0"),
+        ("train.lr_decay_factor = 0", "lr_decay_factor must be > 0, got 0.0"),
+        ("train.weight_decay = -1", "weight_decay must be >= 0, got -1.0"),
+        ("data.min_angle = -1", "min_angle must be >= 0, got -1.0"),
     ])
     def test_unusable_setting_is_config_error(self, tmp_path, line, message):
         bad = tmp_path / "bad.ini"
@@ -244,6 +261,7 @@ class TestCliCommands:
         payload = json.loads(open(os.path.join(out, "error.json")).read())
         assert payload["exit_code"] == EXIT_CONFIG
         assert message in payload["error"]
+        assert not os.path.exists(os.path.join(out, "history.jsonl"))
         assert not os.path.exists(os.path.join(out, "checkpoint.json"))
 
     @pytest.mark.parametrize("lines, keys", [
@@ -356,6 +374,8 @@ class TestCliCommands:
         assert main(["ablate", "seeds", "--config", cfg, "--out", out]) == EXIT_OK
         lines = open(os.path.join(out, "ablate.csv")).read().splitlines()
         assert len(lines) == 5  # header + 4 seeds
+        assert lines[0] == ("variant,run_id,mode,seed,rank1,macro_recall,macro_precision,"
+                            "macro_f1,recall_head,recall_between,recall_tail,tpr,tnr,acc")
         variants = [line.split(",")[0] for line in lines[1:]]
         assert variants == ["seed=0", "seed=1", "seed=42", "seed=2025"]
 

@@ -64,19 +64,18 @@ class TestForward:
     def test_layers_equal_the_out_of_place_expression(self):
         params = _random_params()
         x = np.random.default_rng(6).normal(size=(9, 5))
-        emb, cache = encoder.forward(params, x)
+        emb, acts = encoder.forward(params, x)
         expected = _reference_activations(params, x)
-        assert len(cache.activations) == len(expected)
-        for got, want in zip(cache.activations, expected):
+        assert len(acts) == len(expected)
+        for got, want in zip(acts, expected):
             assert np.array_equal(got, want)
-        assert emb is cache.activations[-1]
+        assert emb is acts[-1]
 
     def test_cached_layers_share_no_memory_and_input_is_unchanged(self):
         params = _random_params()
         x = np.random.default_rng(7).normal(size=(9, 5))
         before = x.copy()
-        _, cache = encoder.forward(params, x)
-        acts = cache.activations
+        _, acts = encoder.forward(params, x)
         for i in range(len(acts)):
             for j in range(i + 1, len(acts)):
                 assert not np.shares_memory(acts[i], acts[j]), (i, j)

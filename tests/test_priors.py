@@ -207,15 +207,15 @@ class TestComputeClassStats:
 class TestPartitionClasses:
     def test_reference_counts(self):
         part = partition_classes([6269, 983, 6], 2000, 100)
-        np.testing.assert_array_equal(part.group_of, [HEAD, BETWEEN, TAIL])
+        np.testing.assert_array_equal(part, [HEAD, BETWEEN, TAIL])
 
     def test_all_tail(self):
         part = partition_classes([50, 50, 50], 2000, 100)
-        assert np.all(part.group_of == TAIL)
+        assert np.all(part == TAIL)
 
     def test_boundary_strict(self):
         part = partition_classes([2001, 2000, 100, 99], 2000, 100)
-        np.testing.assert_array_equal(part.group_of, [HEAD, BETWEEN, BETWEEN, TAIL])
+        np.testing.assert_array_equal(part, [HEAD, BETWEEN, BETWEEN, TAIL])
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="below head"):

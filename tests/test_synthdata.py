@@ -129,6 +129,9 @@ class TestGenerate:
             generate(SyntheticSpec(dim=1))
         with pytest.raises(ValueError, match="cluster_spread"):
             generate(SyntheticSpec(cluster_spread=0.0))
+        # cos is even, so a negative angle would silently act as its magnitude.
+        with pytest.raises(ValueError, match="min_angle must be >= 0, got -1"):
+            generate(SyntheticSpec(min_angle=-1.0))
 
 
 class TestSplit:

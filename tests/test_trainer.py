@@ -85,16 +85,6 @@ class TestAdamW:
         opt.step(p, {"w": np.array([1.0])}, lr=0.1)
         assert p["w"][0] == pytest.approx(0.9, abs=1e-7)
 
-    def test_non_finite_grad_aborts(self):
-        opt = AdamW()
-        with pytest.raises(TrainingDiverged):
-            opt.step({"w": np.ones(2)}, {"w": np.array([np.nan, 1.0])}, lr=0.1)
-        # An inf in the last element, gamma's place in the training layout.
-        p = {"flat": np.ones(3)}
-        with pytest.raises(TrainingDiverged, match="'flat'"):
-            opt.step(p, {"flat": np.array([0.1, 0.2, np.inf])}, lr=0.1)
-        np.testing.assert_array_equal(p["flat"], [1.0, 1.0, 1.0])
-
     def test_decay_override(self):
         # The training layout: one flat buffer whose last element is gamma,
         # with a per-element decay that exempts gamma.
@@ -140,18 +130,6 @@ class TestSGD:
         opt.step(p, {"w": np.zeros(1)}, lr=0.1)
         assert p["w"][0] == pytest.approx(0.95)
 
-    def test_non_finite_grad_aborts(self):
-        opt = SGD()
-        p = {"w": np.ones(2)}
-        with pytest.raises(TrainingDiverged):
-            opt.step(p, {"w": np.array([np.nan, 1.0])}, lr=0.1)
-        np.testing.assert_array_equal(p["w"], [1.0, 1.0])
-        # A -inf in the last element, gamma's place in the training layout.
-        p = {"flat": np.ones(3)}
-        with pytest.raises(TrainingDiverged, match="'flat'"):
-            opt.step(p, {"flat": np.array([0.1, 0.2, -np.inf])}, lr=0.1)
-        np.testing.assert_array_equal(p["flat"], [1.0, 1.0, 1.0])
-
     def test_per_element_decay(self):
         opt = SGD(weight_decay=np.array([0.5, 0.0]))
         p = {"flat": np.array([1.0, 1.0])}
@@ -180,6 +158,11 @@ class TestTrainConfig:
             TrainConfig(optimizer="rmsprop")
         with pytest.raises(ValueError):
             TrainConfig(selection="highest_norm")
+        with pytest.raises(ValueError, match="lr_decay_factor must be > 0"):
+            TrainConfig(lr_decay_factor=0.0)
+        with pytest.raises(ValueError, match="weight_decay must be >= 0"):
+            TrainConfig(weight_decay=-1e-6)
+        TrainConfig(weight_decay=0.0)
 
 
 class TestTrainLoop:
