@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, assemble, describe_defaults, parse_config
 from .experiment import build_dataset, run_experiment, run_id_for, with_seed
-from .loss import MarginConfig, margin_loss, margin_loss_forward
+from .loss import MODES, MarginConfig, margin_loss, margin_loss_forward
 from .synthdata import export_csv
 from .trainer import TrainingDiverged, save_checkpoint
 from .verify import alignment_probe, bound_probe, central_difference
@@ -117,17 +117,14 @@ def cmd_train(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
-    rows = verification_rows(seed=cfg.train.seed)
-    with open(os.path.join(args.out, "verify.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "statistic", "value", "threshold", "passed"])
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    rows = [dict(zip(("check", "statistic", "value", "threshold", "passed"), row))
+            for row in verification_rows(seed=cfg.train.seed)]
+    write_metrics_csv(rows, os.path.join(args.out, "verify.csv"))
     write_manifest(cfg, args.out)
     for row in rows:
-        print(f"{row[0]}: {row[1]}={row[2]} (threshold {row[3]}) -> "
-              f"{'PASS' if row[4] else 'FAIL'}")
-    return EXIT_OK if all(row[4] for row in rows) else EXIT_VERIFY
+        print(f"{row['check']}: {row['statistic']}={row['value']} "
+              f"(threshold {row['threshold']}) -> {'PASS' if row['passed'] else 'FAIL'}")
+    return EXIT_OK if all(row["passed"] for row in rows) else EXIT_VERIFY
 
 
 def _unit_stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -142,11 +139,11 @@ def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
     max_err = 0.0
     for _ in range(gradcheck_instances):
         n, c, d = rng.integers(2, 9), rng.integers(2, 6), rng.integers(2, 8)
-        cfg = MarginConfig(s=float(rng.choice([1.0, 32.0])),
+        cfg = MarginConfig(s=float(rng.choice(SCALES)),
                            m=float(rng.uniform(0.05, 0.3)),
                            lam=float(rng.choice([0.0, 1.0, 5.0])),
                            gamma=float(rng.normal(0, 0.5)),
-                           mode=str(rng.choice(["dual_margin", "am_softmax", "ce"])))
+                           mode=str(rng.choice(MODES)))
         x = rng.normal(size=(n, d))
         w = rng.normal(size=(c, d))
         labels = rng.integers(0, c, size=n)

@@ -171,6 +171,12 @@ def assemble(overrides: dict[str, object]) -> ExperimentConfig:
             fractions[name] = value
         else:
             sections[section][name] = value
+    frac_keys = [key for key, entry in _REGISTRY.items() if entry[1] == "fractions"]
+    for key, value in zip(frac_keys, fractions):
+        if value <= 0:
+            raise ConfigError(f"{key} must be > 0, got {value}")
+    if sum(fractions) > 1 + 1e-9:
+        raise ConfigError(f"{' + '.join(frac_keys)} must be <= 1, got {sum(fractions)}")
     try:
         data = SyntheticSpec(**sections["data"])
         margin = MarginConfig(**sections["margin"])

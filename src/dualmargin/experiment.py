@@ -16,7 +16,7 @@ from .config import ConfigError, ExperimentConfig, assemble
 from .evaluation import (MIN_CALIBRATION_SCORES, EvalReport, calibrate_threshold,
                          closed_set_metrics, novelty_scores, open_set_eval,
                          prototype_scores)
-from .synthdata import TEST, UNKNOWN, VAL, Dataset, generate, open_set_partition, split
+from .synthdata import TEST, TRAIN, UNKNOWN, VAL, Dataset, generate, open_set_partition, split
 from .trainer import TrainState, train
 
 
@@ -25,7 +25,8 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
 
     The dataset depends on the config alone, so a failure here is a
     config error. That includes a validation split too small to calibrate
-    the open-set threshold on, which would otherwise fail after training.
+    the open-set threshold on, which would otherwise fail after training,
+    and a training split smaller than one batch.
     """
     try:
         ds = generate(cfg.data)
@@ -39,6 +40,10 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
             f"open-set calibration needs >= {MIN_CALIBRATION_SCORES} validation "
             f"samples of known classes, the split has {n_val}; raise data.val_frac "
             f"or data.head_count")
+    n_train = ds.indices(TRAIN).size
+    if n_train < cfg.train.batch_size:
+        raise ConfigError(f"train.batch_size = {cfg.train.batch_size} is larger than the "
+                          f"training split of {n_train} samples")
     return ds
 
 
@@ -56,7 +61,7 @@ def evaluate_state(
     protos = state.best_prototypes
 
     test_idx = dataset.indices(TEST)
-    cosine = cfg.train.margin.mode != "ce"
+    cosine = cfg.train.margin.cosine
     logits = prototype_scores(enc, protos, dataset.features[test_idx], cosine=cosine)
     preds = np.argmax(logits, axis=1)
     report = closed_set_metrics(preds, dataset.labels[test_idx], state.partition,

@@ -6,12 +6,13 @@ margins ``scaled_delta[k]`` inside a scaled softmax over cosine logits.
 a learnable exponent, pulled back toward the raw adjustments by an L2
 regularizer.
 
-Three modes are supported:
+Three modes are supported. The mode is plan data: ``loss_plan`` is the
+only code that reads it, and one kernel runs the same lines for all three.
 
 * ``dual_margin`` -- the full loss on cosine logits.
-* ``am_softmax``  -- scaled deltas forced to zero (constant-margin form).
+* ``am_softmax``  -- non-target margins fixed at zero (constant-margin form).
 * ``ce``          -- plain softmax cross-entropy on raw dot-product
-  logits with s = 1 and no margin.
+  logits (rows not normalized) with s = 1 and no margin.
 
 Gradients are returned with respect to the *raw* (pre-normalization)
 embeddings and prototypes plus the margin-scaling scalar, so the trainer
@@ -24,13 +25,14 @@ zero), where each batch row's logits start in a flat view, and the buffer
 that receives the prototype gradient
 (in training, a view of the flat gradient buffer). Computed once per step:
 the gamma terms (the scaled margins ``m * ratio**zeta``, their gamma
-derivative, the regularizer and its gamma gradient); the unit rows of the
-embeddings and prototypes, normalized as one stack; the adjusted logits,
-formed as the cosine logits minus the scaled margins by broadcast, with
-each target entry rewritten as ``logits[i, y] - (scaled[y] + m)``; and one
+derivative, the regularizer and its gamma gradient); the embedding and
+prototype rows as one stack, normalized in a cosine mode; the adjusted
+logits, formed as the stack's logits minus the margins by broadcast, with
+each target entry rewritten as ``logits[i, y] - (margin[y] + m)``; and one
 max-shifted exp whose row sums give both the log-sum-exp and the softmax.
 The fused ``margin_loss`` then turns the softmax into its gradient in
-place, and chains it back through the normalization as one stack.
+place, and chains it back through the stack (and its normalization, in a
+cosine mode).
 
 ``train`` builds the plan once and passes it to ``margin_loss`` in place of
 the adjustments; its training labels were range-checked once, by the class
@@ -100,6 +102,11 @@ class MarginConfig:
         if self.eq5_sign not in SIGN_CHOICES:
             raise ValueError(f"MarginConfig: eq5_sign must be one of {SIGN_CHOICES}")
 
+    @property
+    def cosine(self) -> bool:
+        """Whether the mode scores cosines; ``ce`` scores raw dot products."""
+        return self.mode != "ce"
+
 
 @dataclass
 class LossOutput:
@@ -116,18 +123,25 @@ class LossOutput:
 class LossPlan:
     """The loss's inputs that stay fixed within a run: all but the batch and gamma.
 
-    ``row_starts`` holds the flat index of each batch row's first logit,
-    so that ``row_starts + labels`` indexes the target logits of a
-    C-contiguous (batch, classes) array viewed flat; for a stacked forward
-    it is (P, batch), over a (P, batch, classes) array. ``deltas`` are the raw
-    adjustments, ``ratio`` = |delta|/m and ``log_ratio`` = log(ratio), zero
-    where the ratio is (``dual_margin`` only; None otherwise). Each step
-    computes the scaled adjustments from them. ``grad_prototypes``
-    (classes, dim) receives the prototype gradient.
+    The mode is held as data: ``cosine`` says whether rows are L2-normalized,
+    ``s`` and ``m`` are the scale and target margin applied (1.0 and 0.0 in
+    ``ce``), and ``margins`` are the fixed non-target margins (zeros; None
+    in ``dual_margin``). ``row_starts`` holds the flat index of each batch
+    row's first logit, so that ``row_starts + labels`` indexes the target
+    logits of a C-contiguous (batch, classes) array viewed flat; for a
+    stacked forward it is (P, batch), over a (P, batch, classes) array.
+    ``deltas`` are the raw adjustments, ``ratio`` = |delta|/m and
+    ``log_ratio`` = log(ratio), zero where the ratio is (``dual_margin``
+    only; None otherwise). Each step computes the scaled adjustments from
+    them. ``grad_prototypes`` (classes, dim) receives the prototype gradient.
     """
 
     row_starts: np.ndarray
     grad_prototypes: np.ndarray
+    cosine: bool
+    s: float
+    m: float
+    margins: np.ndarray | None = None
     deltas: np.ndarray | None = None
     ratio: np.ndarray | None = None
     log_ratio: np.ndarray | None = None
@@ -139,11 +153,10 @@ class LossContext:
 
     cfg: MarginConfig
     labels: np.ndarray
-    probs: np.ndarray
     plan: LossPlan
-    # Margin-mode fields (None in ce mode): the embedding rows, then the
-    # prototype rows, normalized as one stack.
-    units: np.ndarray | None = None
+    # The embedding rows, then the prototype rows, as one stack: unit rows
+    # in a cosine mode (with their norms and zero-norm mask), raw rows in ce.
+    units: np.ndarray
     norms: np.ndarray | None = None
     degenerate: np.ndarray | None = None
     scaled_deltas: np.ndarray | None = None
@@ -151,9 +164,6 @@ class LossContext:
     # regularizer's gamma gradient, computed once by the forward pass.
     dscaled_dgamma: np.ndarray | None = None
     dreg_dgamma: float | None = None
-    # ce-mode fields.
-    raw_embeddings: np.ndarray | None = None
-    raw_prototypes: np.ndarray | None = None
 
 
 def zeta(gamma: float) -> float:
@@ -213,17 +223,19 @@ def loss_plan(deltas: np.ndarray | None, cfg: MarginConfig, batch_size: int | tu
     """
     num_classes = grad_prototypes.shape[-2]
     row_starts = np.arange(np.prod(batch_size)).reshape(batch_size) * num_classes
+    s, m = (cfg.s, cfg.m) if cfg.cosine else (1.0, 0.0)
     if cfg.mode != "dual_margin":
-        return LossPlan(row_starts=row_starts, grad_prototypes=grad_prototypes)
+        return LossPlan(row_starts=row_starts, grad_prototypes=grad_prototypes,
+                        cosine=cfg.cosine, s=s, m=m, margins=np.zeros(num_classes))
     if deltas is None:
         raise ValueError("loss_plan: dual_margin mode requires deltas")
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.shape != (num_classes,):
         raise ValueError(f"loss_plan: deltas shape {deltas.shape} does not match "
                          f"{num_classes} classes")
-    ratio, log_ratio = _ratio_terms(deltas, cfg.m)
-    return LossPlan(row_starts=row_starts, grad_prototypes=grad_prototypes,
-                    deltas=deltas, ratio=ratio, log_ratio=log_ratio)
+    ratio, log_ratio = _ratio_terms(deltas, m)
+    return LossPlan(row_starts=row_starts, grad_prototypes=grad_prototypes, cosine=True,
+                    s=s, m=m, deltas=deltas, ratio=ratio, log_ratio=log_ratio)
 
 
 def _checked(caller: str, embeddings, labels, prototypes, deltas,
@@ -252,31 +264,24 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     (c, d), or stacks (P, n, d) and (P, c, d) sharing the labels and gamma."""
     targets = plan.row_starts + labels  # flat indices of the target logits
     n = embeddings.shape[-2]
-    if cfg.mode == "ce":
-        adjusted = embeddings @ prototypes.swapaxes(-1, -2)  # raw dot logits, s = 1, no margin
-        ctx = LossContext(cfg=cfg, labels=labels, probs=None, plan=plan,
-                          raw_embeddings=embeddings, raw_prototypes=prototypes)
-        reg_value = 0.0
+    units, norms, degenerate = np.concatenate([embeddings, prototypes], axis=-2), None, None
+    if plan.cosine:
+        units, norms, degenerate = rows_normalize(units)
+    logits = units[..., :n, :] @ units[..., n:, :].swapaxes(-1, -2)
+    if plan.ratio is None:
+        scaled, dscaled, reg_value, dreg = plan.margins, None, 0.0, None
     else:
-        units, norms, degenerate = rows_normalize(
-            np.concatenate([embeddings, prototypes], axis=-2))
-        logits = units[..., :n, :] @ units[..., n:, :].swapaxes(-1, -2)
-        if cfg.mode == "am_softmax":
-            scaled, dscaled, reg_value, dreg = np.zeros(prototypes.shape[-2]), None, 0.0, None
-        else:
-            scaled, dscaled = _gamma_terms(plan.ratio, plan.log_ratio, cfg.m, cfg.gamma,
-                                           cfg.eq5_sign)
-            reg_value, dreg = _regularizer(plan.deltas, scaled, dscaled)
-        # Entry (i, j) is logits[i, j] - scaled[j], and the target entry
-        # logits[i, y] - (scaled[y] + m).
-        adjusted = logits - scaled
-        adjusted.reshape(-1)[targets] = logits.reshape(-1)[targets] - (scaled[labels] + cfg.m)
-        adjusted *= cfg.s
-        ctx = LossContext(
-            cfg=cfg, labels=labels, probs=None, plan=plan,
-            units=units, norms=norms, degenerate=degenerate, scaled_deltas=scaled,
-            dscaled_dgamma=dscaled, dreg_dgamma=dreg,
-        )
+        scaled, dscaled = _gamma_terms(plan.ratio, plan.log_ratio, plan.m, cfg.gamma,
+                                       cfg.eq5_sign)
+        reg_value, dreg = _regularizer(plan.deltas, scaled, dscaled)
+    # Entry (i, j) is logits[i, j] - scaled[j], and the target entry
+    # logits[i, y] - (scaled[y] + m).
+    adjusted = logits - scaled
+    adjusted.reshape(-1)[targets] = logits.reshape(-1)[targets] - (scaled[labels] + plan.m)
+    adjusted *= plan.s
+    ctx = LossContext(cfg=cfg, labels=labels, plan=plan, units=units, norms=norms,
+                      degenerate=degenerate, scaled_deltas=scaled,
+                      dscaled_dgamma=dscaled, dreg_dgamma=dreg)
 
     # The one finiteness check of the loss: a NaN or inf embedding or
     # prototype row shows up here as a non-finite logit row.
@@ -291,7 +296,6 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     sums = probs.sum(axis=-1, keepdims=True)
     per_sample = (np.log(sums) + peak)[..., 0] - adjusted.reshape(-1)[targets]
     probs /= sums
-    ctx.probs = probs
     total = per_sample.sum(axis=-1) / n + cfg.lam * reg_value  # (P,) for a stack
     out = LossOutput(total=float(total) if total.ndim == 0 else total,
                      per_sample=per_sample, probs=probs, reg_value=reg_value)
@@ -304,12 +308,12 @@ def _backward(ctx: LossContext, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     and is turned into the logit gradient in place.
 
     The softmax gradient p - onehot is chained through the scale factor,
-    the cosine logits, and the L2 normalization of both embeddings and
-    prototypes. The gamma gradient flows through the scaled adjustments
-    in both the data term and the regularizer. Rows that hit the
-    zero-norm guard have no dependence on their raw vector, so their
-    gradient is zero. The prototype gradient is written into the plan's
-    ``grad_prototypes``.
+    the logits, and (in a cosine mode) the L2 normalization of both
+    embeddings and prototypes. The gamma gradient flows through the scaled
+    adjustments in both the data term and the regularizer; it is 0.0
+    without them. Rows that hit the zero-norm guard have no dependence on
+    their raw vector, so their gradient is zero. The prototype gradient is
+    written into the plan's ``grad_prototypes``.
     """
     if g.ndim != 2:
         raise ValueError("margin_loss: a stacked forward has no backward pass")
@@ -317,24 +321,20 @@ def _backward(ctx: LossContext, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     g.reshape(-1)[plan.row_starts + ctx.labels] -= 1.0
     g /= g.shape[0]  # batch-mean reduction
 
-    if cfg.mode == "ce":
-        grad_x = g @ ctx.raw_prototypes
-        grad_w = np.matmul(g.T, ctx.raw_embeddings, out=plan.grad_prototypes)
-        return grad_x, grad_w, 0.0
-
     grad_gamma = 0.0
-    if cfg.mode == "dual_margin":
+    if plan.ratio is not None:
         # Data term: every margin-matrix column j is scaled_delta[j] (+m on
         # the target), so dL/d(scaled_delta[j]) = -s * column-sum of g.
-        dscaled_data = -cfg.s * g.sum(axis=0)
+        dscaled_data = -plan.s * g.sum(axis=0)
         grad_gamma = float((dscaled_data * ctx.dscaled_dgamma).sum() + cfg.lam * ctx.dreg_dgamma)
 
-    g *= cfg.s  # now the gradient wrt the unscaled cosine logits
+    g *= plan.s  # now the gradient wrt the unscaled logits
     units, n = ctx.units, g.shape[0]
     grad = np.empty_like(units)
     np.matmul(g, units[n:], out=grad[:n])
     np.matmul(g.T, units[:n], out=grad[n:])
-    _chain_through_normalization(grad, units, ctx.norms, ctx.degenerate)
+    if plan.cosine:
+        _chain_through_normalization(grad, units, ctx.norms, ctx.degenerate)
     plan.grad_prototypes[...] = grad[n:]
     return grad[:n], plan.grad_prototypes, grad_gamma
 

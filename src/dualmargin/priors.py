@@ -59,8 +59,6 @@ def effective_numbers(counts: np.ndarray, beta: float) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.float64)
     if np.any(counts < 0):
         raise ValueError("effective_numbers: negative count")
-    if beta == 0.0:
-        return (counts > 0).astype(np.float64)
     return (1.0 - np.power(beta, counts)) / (1.0 - beta)
 
 

@@ -7,8 +7,9 @@ Computed once per run:
 * the class statistics, whose tally rejects a training label outside
   [0, num_classes), their margin adjustments (deltas), and the per-class
   index pools partners are drawn from;
-* the loss plan (``loss.loss_plan``): the deltas, |delta|/m and its log,
-  and where each batch row's logits start in a flat view;
+* the loss plan (``loss.loss_plan``): the mode as data, the deltas,
+  |delta|/m and its log, and where each batch row's logits start in a
+  flat view;
 * the parameter layout: encoder weights, encoder biases, prototypes and,
   as the last element, gamma live in one flat buffer (the arrays the loop
   uses are views into it), so the optimizer makes one update per step;
@@ -242,7 +243,7 @@ def _validate(enc: encoder.EncoderParams, prototypes: np.ndarray, dataset: Datas
         return float("nan")
     labels = dataset.labels[val_idx]
     scores = prototype_scores(enc, prototypes, dataset.features[val_idx],
-                              cosine=cfg.margin.mode != "ce")
+                              cosine=cfg.margin.cosine)
     preds = np.argmax(scores, axis=1)
     totals = np.bincount(labels, minlength=dataset.num_classes)
     hits = np.bincount(labels[preds == labels], minlength=dataset.num_classes)
@@ -305,7 +306,7 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
 
     # Norm-guided retention only applies to margin-based modes; plain CE
     # falls back to random retention of the candidate set.
-    norm_guided = cfg.selection == "norm_guided" and mcfg.mode in ("dual_margin", "am_softmax")
+    norm_guided = cfg.selection == "norm_guided" and mcfg.cosine
 
     steps_per_epoch = math.ceil(train_idx.size / cfg.batch_size)
     state = TrainState(encoder_params=enc, prototypes=prototypes,

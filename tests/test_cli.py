@@ -270,7 +270,11 @@ class TestCliCommands:
         ("train.perturb_strength = -0.5\ntrain.oversample_prob = 1.0",
          ("perturb_strength",)),
         ("margin.s = nan", ("margin.s",)),
-    ], ids=["crossed_thresholds", "negative_perturb_strength", "non_finite_float"])
+        ("train.batch_size = 1000", ("train.batch_size",)),
+        ("data.train_frac = -1", ("data.train_frac",)),
+        ("data.val_frac = 0.95", ("data.train_frac", "data.val_frac", "data.test_frac")),
+    ], ids=["crossed_thresholds", "negative_perturb_strength", "non_finite_float",
+            "batch_above_training_split", "non_positive_fraction", "fractions_above_one"])
     def test_bad_setting_stops_before_training(self, tmp_path, lines, keys):
         # Config validation, not a failure inside train(), must reject
         # these: exit 2, and nothing of a training run written.

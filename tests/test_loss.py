@@ -415,3 +415,17 @@ class TestBackward:
         out = margin_loss(x, np.array([0, 1]), w, None, MarginConfig(mode="am_softmax"))
         np.testing.assert_allclose(out.grad_embeddings[0], 0.0)
         assert np.all(np.isfinite(out.grad_embeddings))
+
+    def test_ce_zero_row_gets_raw_dot_gradient(self):
+        # ce has no zero-norm guard: a zero embedding row scores 0 against
+        # every prototype, and its gradient is the raw-dot ((p - onehot) / n) @ W.
+        x = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        w = np.random.default_rng(8).normal(size=(2, 3))
+        labels = np.array([0, 1])
+        out = margin_loss(x, labels, w, None, MarginConfig(mode="ce"))
+        logits = x @ w.T
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        expected = ((p - np.eye(2)[labels]) / 2) @ w
+        np.testing.assert_allclose(out.grad_embeddings, expected, atol=1e-12)
+        assert np.all(out.grad_embeddings[0] != 0.0)
