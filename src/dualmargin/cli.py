@@ -2,7 +2,8 @@
 
 Every run writes a manifest sufficient to reproduce it exactly; metrics
 go to CSV/JSON with a fixed column layout. Exit codes: 0 success,
-2 config error, 3 numerical failure, 4 verification failure.
+2 config error (``ConfigError``), 3 numerical failure (``NumericalError``),
+4 verification failure. Any other exception propagates: it is a bug.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from collections import defaultdict
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .loss import MODES, MarginConfig, margin_loss, margin_loss_forward
 from .synthdata import export_csv
 from .trainer import TrainingDiverged, save_checkpoint
 from .verify import alignment_probe, bound_probe, central_difference
-from .core import rows_normalize
+from .core import NumericalError, rows_normalize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -127,11 +127,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(row["passed"] for row in rows) else EXIT_VERIFY
 
 
-def _unit_stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """Stack equal-shaped (rows, d) arrays to (P, rows, d) with unit rows."""
-    return rows_normalize(np.array(arrays))[0]
-
-
 def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
                       prop_probes: int = 2000) -> list[tuple]:
     """Gradient oracle plus both inequality probes, as report rows."""
@@ -176,42 +171,34 @@ def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
 
     rows = [("gradcheck", "max_rel_error", max_err, 1e-5, max_err < 1e-5)]
 
-    # The probes are drawn one at a time, in a fixed stream order, then run
-    # as stacks of equal shape and scale: one call per stack instead of per
-    # probe. A choice between two scales is drawn as an index, which takes
-    # the same draw from the stream as ``rng.choice``.
+    # The probes are drawn in bulk. One call draws every probe's shape and
+    # the index of its scale in SCALES, each column from [low, high). The
+    # probes are grouped by that row, in the sorted order of ``np.unique``;
+    # each group draws each of its fields with one call, normalized as it is
+    # drawn, and runs as one stacked probe call.
     margin = MarginConfig().m
-    align = defaultdict(lambda: ([], [], [], []))
-    for _ in range(prop_probes):
-        n, c, d = int(rng.integers(2, 9)), int(rng.integers(2, 6)), int(rng.integers(3, 8))
-        s = SCALES[rng.integers(0, 2)]
-        units, protos, deltas, class_ids = align[n, c, d, s]
-        units.append(rng.normal(size=(n, d)))
-        protos.append(rng.normal(size=(c, d)))
-        deltas.append(rng.uniform(0, margin, size=c))
-        class_ids.append(rng.integers(0, c))
+    shapes, counts = np.unique(rng.integers([2, 2, 3, 0], [9, 6, 8, 2], size=(prop_probes, 4)),
+                               axis=0, return_counts=True)
     viol1 = 0
-    for (n, c, d, s), (units, protos, deltas, class_ids) in align.items():
-        probe = alignment_probe(_unit_stack(units), np.array(class_ids),
-                                _unit_stack(protos), np.array(deltas), MarginConfig(s=s))
+    for (n, c, d, si), k in zip(shapes.tolist(), counts.tolist()):
+        units = rows_normalize(rng.normal(size=(k, n, d)))[0]
+        protos = rows_normalize(rng.normal(size=(k, c, d)))[0]
+        deltas = rng.uniform(0, margin, size=(k, c))
+        class_ids = rng.integers(0, c, size=k)
+        probe = alignment_probe(units, class_ids, protos, deltas, MarginConfig(s=SCALES[si]))
         viol1 += int(np.count_nonzero(probe.residual > probe.bound + 1e-9))
     rows.append(("prototype_alignment", "violations", viol1, 0, viol1 == 0))
 
-    dev = defaultdict(lambda: ([], [], []))
-    for _ in range(prop_probes):
-        c, d = int(rng.integers(3, 7)), int(rng.integers(3, 8))
-        s = SCALES[rng.integers(0, 2)]
-        protos, deltas, noise = dev[c, d, s]
-        protos.append(rng.normal(size=(c, d)))
-        deltas.append(np.sort(rng.uniform(0, margin, size=c)))  # increasing: tail last
-        noise.append(rng.normal(size=d))
+    shapes, counts = np.unique(rng.integers([3, 3, 0], [7, 8, 2], size=(prop_probes, 3)),
+                               axis=0, return_counts=True)
     viol2 = 0
     checked = 0
-    for (c, d, s), (protos, deltas, noise) in dev.items():
-        protos = _unit_stack(protos)
+    for (c, d, si), k in zip(shapes.tolist(), counts.tolist()):
+        protos = rows_normalize(rng.normal(size=(k, c, d)))[0]
+        deltas = np.sort(rng.uniform(0, margin, size=(k, c)), axis=1)  # increasing: tail last
         # Each sample lies near its class-0 prototype; the tail class is the last.
-        units, _, _ = rows_normalize(protos[:, 0] + 0.3 * np.array(noise))
-        probe = bound_probe(units, 0, c - 1, protos, np.array(deltas), MarginConfig(s=s))
+        units = rows_normalize(protos[:, 0] + 0.3 * rng.normal(size=(k, d)))[0]
+        probe = bound_probe(units, 0, c - 1, protos, deltas, MarginConfig(s=SCALES[si]))
         checked += int(np.count_nonzero(probe.condition_met))
         viol2 += int(np.count_nonzero(probe.condition_met
                                       & (probe.grad_norm > probe.bound + 1e-9)))
@@ -262,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _emit_error(args, exc, EXIT_CONFIG)
         return EXIT_CONFIG
-    except (TrainingDiverged, ValueError) as exc:
+    except NumericalError as exc:
         _emit_error(args, exc, EXIT_NUMERICAL)
         return EXIT_NUMERICAL
 

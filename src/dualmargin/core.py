@@ -1,6 +1,7 @@
-"""Numerically stable primitives shared across the package: row
-normalization, label range checks, the softmax, and the scalar softplus
-and logistic functions of the loss's margin exponent.
+"""Numerically stable primitives shared across the package: the error type
+of a numerical failure, row normalization, label range checks, the
+softmax, and the scalar softplus and logistic functions of the loss's
+margin exponent.
 
 All routines work in double precision and are pure functions of their
 inputs, so they can be called from anywhere without synchronization.
@@ -12,6 +13,10 @@ import numpy as np
 
 # Norms at or below this are treated as degenerate (zero) vectors.
 NORM_EPS = 1e-12
+
+
+class NumericalError(ValueError):
+    """A non-finite value where a finite one is needed; the CLI's exit 3."""
 
 
 def rows_normalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import NumericalError
+
 
 @dataclass
 class EncoderParams:
@@ -61,7 +63,8 @@ def forward(params: EncoderParams, features: np.ndarray) -> tuple[np.ndarray, li
     features = np.asarray(features, dtype=np.float64)
     if not np.isfinite(features).all():
         bad = ~np.isfinite(features).all(axis=1)
-        raise ValueError(f"encoder.forward: non-finite input at sample {int(np.flatnonzero(bad)[0])}")
+        raise NumericalError(
+            f"encoder.forward: non-finite input at sample {int(np.flatnonzero(bad)[0])}")
     if features.shape[1] != params.weights[0].shape[1]:
         raise ValueError(
             f"encoder.forward: feature width {features.shape[1]} != input dim {params.weights[0].shape[1]}"

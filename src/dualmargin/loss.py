@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_labels, rows_normalize, sigmoid, softplus
+from .core import NumericalError, check_labels, rows_normalize, sigmoid, softplus
 
 MODES = ("dual_margin", "am_softmax", "ce")
 SIGN_CHOICES = ("literal", "magnitude")
@@ -159,7 +159,6 @@ class LossContext:
     units: np.ndarray
     norms: np.ndarray | None = None
     degenerate: np.ndarray | None = None
-    scaled_deltas: np.ndarray | None = None
     # Gamma terms (dual_margin mode only): d(scaled_delta)/d(gamma) and the
     # regularizer's gamma gradient, computed once by the forward pass.
     dscaled_dgamma: np.ndarray | None = None
@@ -280,15 +279,14 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     adjusted.reshape(-1)[targets] = logits.reshape(-1)[targets] - (scaled[labels] + plan.m)
     adjusted *= plan.s
     ctx = LossContext(cfg=cfg, labels=labels, plan=plan, units=units, norms=norms,
-                      degenerate=degenerate, scaled_deltas=scaled,
-                      dscaled_dgamma=dscaled, dreg_dgamma=dreg)
+                      degenerate=degenerate, dscaled_dgamma=dscaled, dreg_dgamma=dreg)
 
     # The one finiteness check of the loss: a NaN or inf embedding or
     # prototype row shows up here as a non-finite logit row.
     if not np.isfinite(adjusted).all():
         *entry, sample = np.argwhere(~np.isfinite(adjusted).all(axis=-1))[0]
-        raise ValueError(f"margin_loss: non-finite logits at sample {int(sample)}"
-                         + (f" of stack entry {int(entry[0])}" if entry else ""))
+        raise NumericalError(f"margin_loss: non-finite logits at sample {int(sample)}"
+                             + (f" of stack entry {int(entry[0])}" if entry else ""))
 
     # Max-shifted exp and its row sums, shared by log-sum-exp and softmax.
     peak = adjusted.max(axis=-1, keepdims=True)

@@ -54,6 +54,7 @@ from typing import Iterator
 import numpy as np
 
 from . import encoder
+from .core import NumericalError
 from .evaluation import prototype_scores
 from .loss import DIVERGENCE_LIMIT, MarginConfig, loss_plan, margin_loss
 from .priors import compute_class_stats, partition_classes
@@ -64,7 +65,7 @@ OPTIMIZERS = ("adaptive_decoupled", "sgd")
 SELECTIONS = ("norm_guided", "random")
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(NumericalError):
     """Batch loss exceeded the divergence limit or turned non-finite."""
 
     def __init__(self, message: str, snapshot: dict):

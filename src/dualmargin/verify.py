@@ -23,9 +23,10 @@ raw-space gradients.
 Both probes also take a stack of P same-shaped probes along a leading
 axis and return one result whose fields have length P. ``dualmargin
 verify`` runs thousands of probes on arrays of at most 8 x 7, where the
-cost is NumPy call overhead, so it groups them by shape and scale and
-makes one call per group. An unstacked call is the P = 1 case and returns
-Python scalars.
+cost is NumPy call overhead. So it draws every probe's shape and scale in
+one call, groups the probes by them, draws each group's fields with one
+call per field, and makes one probe call per group. An unstacked call is
+the P = 1 case and returns Python scalars.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import stable_softmax
+from .core import NumericalError, stable_softmax
 from .loss import MarginConfig, power_scaled_margins
 
 
@@ -67,7 +68,7 @@ def central_difference(
     finite = np.isfinite(values[:k]) & np.isfinite(values[k:])
     if not finite.all():
         i = int(np.flatnonzero(~finite)[0])
-        raise ValueError(f"central_difference: non-finite function value at coordinate {i}")
+        raise NumericalError(f"central_difference: non-finite function value at coordinate {i}")
     return ((values[:k] - values[k:]) / (2.0 * h)).reshape(x.shape)
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dualmargin.cli import (
@@ -14,10 +15,11 @@ from dualmargin.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    EXIT_VERIFY,
     main,
     verification_rows,
 )
-from dualmargin import config
+from dualmargin import cli, config
 from dualmargin.config import (
     ConfigError,
     ExperimentConfig,
@@ -26,6 +28,7 @@ from dualmargin.config import (
     parse_config_text,
     valid_keys,
 )
+from dualmargin.core import NumericalError
 from dualmargin.experiment import run_id_for
 
 FAST_CONFIG = """
@@ -234,6 +237,7 @@ class TestCliCommands:
         bad.write_text("margin.m = banana\n")
         out = str(tmp_path / "err")
         assert main(["train", "--config", str(bad), "--out", out]) == EXIT_CONFIG
+        assert os.listdir(out) == ["error.json"]
         payload = json.loads(open(os.path.join(out, "error.json")).read())
         assert payload["exit_code"] == EXIT_CONFIG
         stderr = capsys.readouterr().err
@@ -316,6 +320,8 @@ class TestCliCommands:
         bad.write_text("margin.lambda = 1e9\ntrain.epochs = 1\n")
         out = str(tmp_path / "err")
         assert main(["train", "--config", str(bad), "--out", out]) == EXIT_NUMERICAL
+        # The run stopped inside training: no model, no metrics.
+        assert sorted(os.listdir(out)) == ["error.json", "history.jsonl", "plans.jsonl"]
         payload = json.loads(open(os.path.join(out, "error.json")).read())
         assert payload["exit_code"] == EXIT_NUMERICAL
         assert set(payload["snapshot"]) == {"epoch", "step", "loss", "lr", "gamma"}
@@ -344,7 +350,7 @@ class TestCliCommands:
         import dualmargin.experiment
 
         def failing_evaluation(*args):
-            raise ValueError("evaluation failed")
+            raise NumericalError("evaluation failed")
 
         monkeypatch.setattr(dualmargin.experiment, "evaluate_state", failing_evaluation)
         out = str(tmp_path / "late")
@@ -353,8 +359,24 @@ class TestCliCommands:
         with open(os.path.join(out, "checkpoint.json")) as fh:
             payload = json.load(fh)
         assert payload["epoch"] == 2
-        assert os.path.exists(os.path.join(out, "manifest.json"))
-        assert not os.path.exists(os.path.join(out, "metrics.csv"))
+        assert sorted(os.listdir(out)) == ["checkpoint.json", "error.json", "history.jsonl",
+                                           "manifest.json", "plans.jsonl"]
+
+    def test_plain_value_error_is_not_numerical(self, tmp_path, monkeypatch):
+        # Only a NumericalError means exit 3. Any other ValueError is a bug:
+        # it propagates, and no error.json reports it as numerical.
+        import dualmargin.experiment
+
+        def buggy_evaluation(*args):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(dualmargin.experiment, "evaluate_state", buggy_evaluation)
+        out = str(tmp_path / "bug")
+        cfg = self._write_config(tmp_path)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["train", "--config", cfg, "--out", out])
+        assert sorted(os.listdir(out)) == ["checkpoint.json", "history.jsonl",
+                                           "manifest.json", "plans.jsonl"]
 
     def test_missing_config_file(self, tmp_path):
         out = str(tmp_path / "err")
@@ -364,6 +386,7 @@ class TestCliCommands:
     def test_verify_passes_on_defaults(self, tmp_path, capsys):
         out = str(tmp_path / "verify")
         assert main(["verify", "--out", out]) == EXIT_OK
+        assert sorted(os.listdir(out)) == ["manifest.json", "verify.csv"]
         lines = open(os.path.join(out, "verify.csv")).read().splitlines()
         assert lines[0] == "check,statistic,value,threshold,passed"
         checks = {line.split(",")[0] for line in lines[1:]}
@@ -371,6 +394,18 @@ class TestCliCommands:
         assert all(line.endswith("True") for line in lines[1:])
         stdout = capsys.readouterr().out
         assert stdout.count("PASS") == 3
+
+    def test_failed_verification_exits_4(self, tmp_path, monkeypatch, capsys):
+        # A broken oracle (every numeric gradient zero) fails the gradient
+        # check; the report is still written, and nothing reports an error.
+        monkeypatch.setattr(cli, "central_difference",
+                            lambda f, x, h, stacked: np.zeros_like(x))
+        out = str(tmp_path / "verify")
+        assert main(["verify", "--out", out]) == EXIT_VERIFY
+        assert sorted(os.listdir(out)) == ["manifest.json", "verify.csv"]
+        lines = open(os.path.join(out, "verify.csv")).read().splitlines()
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["False", "True", "True"]
+        assert capsys.readouterr().out.count("-> FAIL") == 1
 
     def test_ablate_seeds_writes_rows(self, tmp_path):
         cfg = self._write_config(tmp_path)
@@ -404,7 +439,7 @@ class TestVerificationRows:
         assert by_name["deviation_bound"][2] == 0
         assert all(row[4] for row in rows)
 
-    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, *range(100, 110)])
     def test_full_rows_pass_across_seeds(self, seed):
         rows = verification_rows(seed=seed)
         assert [row[0] for row in rows] == ["gradcheck", "prototype_alignment", "deviation_bound"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dualmargin import encoder
+from dualmargin.core import NumericalError
 from dualmargin.loss import MarginConfig, margin_loss, margin_loss_forward
 from dualmargin.verify import central_difference
 
@@ -53,7 +54,7 @@ class TestForward:
         params = encoder.init_params([3, 2], seed=0)
         x = np.ones((3, 3))
         x[2, 1] = np.nan
-        with pytest.raises(ValueError, match="sample 2"):
+        with pytest.raises(NumericalError, match="sample 2"):
             encoder.forward(params, x)
 
     def test_width_mismatch(self):

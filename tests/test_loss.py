@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dualmargin.core import NumericalError
 from dualmargin.loss import (
     MarginConfig,
     margin_loss,
@@ -89,7 +90,8 @@ class TestPowerScaledMargins:
 
         def scaled_and_grad(cfg):
             _, ctx = margin_loss_forward(x, labels, w, deltas, cfg)
-            return ctx.scaled_deltas, ctx.dscaled_dgamma
+            scaled = power_scaled_margins(deltas, cfg.m, cfg.gamma, cfg.eq5_sign)
+            return scaled, ctx.dscaled_dgamma
 
         for sign in ("literal", "magnitude"):
             cfg = MarginConfig(gamma=rng.normal(), eq5_sign=sign)
@@ -274,7 +276,7 @@ class TestForward:
     def test_non_finite_logit_reports_sample(self):
         x = np.array([[1.0, 0.0], [1e308, 1e308]])
         w = np.array([[1e308, 0.0], [0.0, 1.0]])
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="sample 1"):
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="sample 1"):
             margin_loss_forward(x, np.array([0, 1]), w, None, MarginConfig(mode="ce"))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -283,7 +285,7 @@ class TestForward:
         x = rng.normal(size=(4, 3))
         x[2, 1] = bad
         w = rng.normal(size=(3, 3))
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="sample 2"):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="sample 2"):
             margin_loss_forward(x, np.array([0, 1, 2, 0]), w, np.array([0.0, 0.05, 0.15]),
                                 MarginConfig())
 
@@ -295,10 +297,10 @@ class TestForward:
         labels = rng.integers(0, 5, size=6)
         deltas = np.linspace(0.0, 0.15, 5)
         cfg = MarginConfig(s=1000.0, gamma=0.4)
-        out, ctx = margin_loss_forward(x, labels, w, deltas, cfg)
+        out, _ = margin_loss_forward(x, labels, w, deltas, cfg)
         ux = x / np.linalg.norm(x, axis=1, keepdims=True)
         uw = w / np.linalg.norm(w, axis=1, keepdims=True)
-        mm = np.tile(ctx.scaled_deltas, (6, 1))
+        mm = np.tile(power_scaled_margins(deltas, cfg.m, cfg.gamma, cfg.eq5_sign), (6, 1))
         mm[np.arange(6), labels] += cfg.m
         z = cfg.s * (ux @ uw.T - mm)
         peak = z.max(axis=1)
@@ -351,7 +353,7 @@ class TestStackedForward:
         x = np.ones((3, 2, 2))
         x[1, 1, 0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(
-                ValueError, match="sample 1 of stack entry 1"):
+                NumericalError, match="sample 1 of stack entry 1"):
             margin_loss_forward(x, np.array([0, 1]), np.ones((3, 2, 2)), None,
                                 MarginConfig(mode="ce"))
 

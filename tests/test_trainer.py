@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dualmargin import encoder as encoder_module
+from dualmargin.core import NumericalError
 from dualmargin.evaluation import prototype_scores
 from dualmargin.loss import MarginConfig, margin_loss, margin_loss_forward
 from dualmargin.synthdata import TRAIN, VAL, SyntheticSpec, generate, split
@@ -319,6 +320,7 @@ class TestTrainLoop:
         cfg = _fast_config(seed=15, hidden_dims=(16, 12))
         with pytest.raises(TrainingDiverged, match=r"'encoder\.weights\[1\]' at epoch 0 step 4") as err:
             train(cfg, _small_dataset(seed=15))
+        assert isinstance(err.value, NumericalError)
         snapshot = err.value.snapshot
         assert snapshot["param"] == "encoder.weights[1]"
         assert (snapshot["epoch"], snapshot["step"]) == (0, 4)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dualmargin import cli
-from dualmargin.core import rows_normalize
+from dualmargin.core import NumericalError, rows_normalize
 from dualmargin.loss import MarginConfig
 from dualmargin.verify import (
     alignment_probe,
@@ -34,7 +34,7 @@ class TestCentralDifference:
         assert np.all(np.abs(slopes - 2.0) < 0.3)
 
     def test_non_finite_function(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NumericalError, match="non-finite"):
             central_difference(lambda v: float("nan"), np.ones(2), 1e-6)
 
     def test_stacked_matches_per_point(self):
@@ -64,7 +64,7 @@ class TestCentralDifference:
 
         messages = []
         for fn, stacked in ((f, False), (f_stack, True)):
-            with pytest.raises(ValueError, match="non-finite") as err:
+            with pytest.raises(NumericalError, match="non-finite") as err:
                 central_difference(fn, np.zeros(5), 1e-3, stacked=stacked)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
@@ -239,6 +239,23 @@ class TestStackedProbes:
             bound_probe(units[:, 0], 0, np.array([3, 0, 2]), protos, deltas, MarginConfig())
 
 
+def _record_probes(monkeypatch, **kwargs):
+    """Run ``cli.verification_rows``; return its rows and, per claim, the
+    arguments and result of every probe call it made."""
+    calls = {"alignment": [], "bound": []}
+
+    def recording(key, fn):
+        def wrapper(*args):
+            probe = fn(*args)
+            calls[key].append((args, probe))
+            return probe
+        return wrapper
+
+    monkeypatch.setattr(cli, "alignment_probe", recording("alignment", alignment_probe))
+    monkeypatch.setattr(cli, "bound_probe", recording("bound", bound_probe))
+    return cli.verification_rows(**kwargs), calls
+
+
 class TestVerifyOracle:
     """Frozen outputs of ``dualmargin verify``. Every probe is drawn from
     one RNG stream, so a draw taken out of order changes these numbers."""
@@ -254,23 +271,63 @@ class TestVerifyOracle:
                 b"deviation_bound,violations,0,0,True\r\n")
 
     def test_probe_sums(self, monkeypatch):
-        seen = {"alignment": [], "bound": []}
-
-        def recording(key, fn):
-            def wrapper(*args, **kwargs):
-                probe = fn(*args, **kwargs)
-                seen[key].append(probe)
-                return probe
-            return wrapper
-
-        monkeypatch.setattr(cli, "alignment_probe", recording("alignment", alignment_probe))
-        monkeypatch.setattr(cli, "bound_probe", recording("bound", bound_probe))
-        rows = cli.verification_rows(seed=0, gradcheck_instances=2, prop_probes=200)
+        rows, calls = _record_probes(monkeypatch, seed=0, gradcheck_instances=2,
+                                     prop_probes=200)
         assert [row[2] for row in rows[1:]] == [0, 0]
-        align, bound = seen["alignment"], seen["bound"]
+        align = [probe for _, probe in calls["alignment"]]
+        bound = [probe for _, probe in calls["bound"]]
         assert sum(np.size(p.residual) for p in align) == 200
-        assert sum(np.sum(p.bound) for p in align) == pytest.approx(333.77490727824653, rel=1e-12)
-        assert sum(np.sum(p.residual) for p in align) == pytest.approx(106.55889063028116, rel=1e-12)
+        assert sum(np.sum(p.bound) for p in align) == pytest.approx(261.65883858434483, rel=1e-12)
+        assert sum(np.sum(p.residual) for p in align) == pytest.approx(84.32272581273482, rel=1e-12)
         assert sum(np.size(p.condition_met) for p in bound) == 200
         assert sum(int(np.sum(p.condition_met)) for p in bound) == 142
-        assert sum(np.sum(p.grad_norm) for p in bound) == pytest.approx(31.80152351724522, rel=1e-12)
+        assert sum(np.sum(p.grad_norm) for p in bound) == pytest.approx(33.768024514605244, rel=1e-12)
+
+    def test_each_stack_entry_is_its_own_probe(self, monkeypatch):
+        # A stack holds unit rows of one shape and one scale, and each of
+        # its entries gives what an unstacked call on that entry gives.
+        _, calls = _record_probes(monkeypatch, seed=0, gradcheck_instances=2, prop_probes=200)
+        groups = []
+        for (units, class_ids, protos, deltas, cfg), probe in calls["alignment"]:
+            groups.append(("alignment", units.shape[1:], protos.shape[1], cfg.s))
+            for stack in (units, protos):
+                np.testing.assert_allclose(np.linalg.norm(stack, axis=-1), 1.0, rtol=0, atol=1e-12)
+            for i in range(len(units)):
+                one = alignment_probe(units[i], int(class_ids[i]), protos[i], deltas[i], cfg)
+                for name in ("mean_prob", "prob_std", "alpha", "residual", "bound"):
+                    assert getattr(probe, name)[i] == pytest.approx(getattr(one, name),
+                                                                    rel=0, abs=1e-12), name
+        for (units, label, tail, protos, deltas, cfg), probe in calls["bound"]:
+            groups.append(("bound", units.shape[1:], protos.shape[1], cfg.s))
+            for stack in (units, protos):
+                np.testing.assert_allclose(np.linalg.norm(stack, axis=-1), 1.0, rtol=0, atol=1e-12)
+            for i in range(len(units)):
+                one = bound_probe(units[i], label, tail, protos[i], deltas[i], cfg)
+                assert one.condition_met == probe.condition_met[i]
+                for name in ("grad_norm", "bound"):
+                    assert getattr(probe, name)[i] == pytest.approx(getattr(one, name),
+                                                                    rel=0, abs=1e-12), name
+        assert len(set(groups)) == len(groups)  # one call per (shape, scale)
+
+    def test_probe_counts_and_ranges(self, monkeypatch):
+        rows, calls = _record_probes(monkeypatch)
+        # The gradient-check instances are drawn first, before any probe.
+        assert rows[0][2] == 2.954041955494091e-09
+        align = [args for args, _ in calls["alignment"]]
+        bound = [args for args, _ in calls["bound"]]
+        assert sum(len(args[0]) for args in align) == 2000
+        assert sum(len(args[0]) for args in bound) == 2000
+        # At 2,000 probes every (shape, scale) group is drawn.
+        assert (len(align), len(bound)) == (7 * 4 * 5 * 2, 4 * 5 * 2)
+        for units, class_ids, protos, deltas, cfg in align:
+            (k, n, d), c = units.shape, protos.shape[1]
+            assert 2 <= n <= 8 and 2 <= c <= 5 and 3 <= d <= 7 and cfg.s in cli.SCALES
+            assert (protos.shape, deltas.shape, class_ids.shape) == ((k, c, d), (k, c), (k,))
+            assert ((class_ids >= 0) & (class_ids < c)).all()
+            assert ((deltas >= 0) & (deltas < cfg.m)).all()
+        for units, label, tail, protos, deltas, cfg in bound:
+            (k, d), c = units.shape, protos.shape[1]
+            assert 3 <= c <= 6 and 3 <= d <= 7 and cfg.s in cli.SCALES
+            assert (protos.shape, deltas.shape, label, tail) == ((k, c, d), (k, c), 0, c - 1)
+            assert ((deltas >= 0) & (deltas < cfg.m)).all()
+            assert (np.diff(deltas, axis=1) >= 0).all()  # increasing: tail last
