@@ -36,12 +36,6 @@ class EncoderParams:
     def dims(self) -> list[int]:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
 
 def init_params(dims: list[int], seed: int) -> EncoderParams:
     """Deterministic variance-scaled uniform init; biases zero."""

@@ -24,9 +24,10 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     """Generate, split and (optionally) open-set-partition the dataset.
 
     The dataset depends on the config alone, so a failure here is a
-    config error. That includes a validation split too small to calibrate
-    the open-set threshold on, which would otherwise fail after training,
-    and a training split smaller than one batch.
+    config error. That includes an empty test split (an empty validation
+    split too) and a validation split too small to calibrate the open-set
+    threshold on, both of which would fail after training, and a training
+    split smaller than one batch.
     """
     try:
         ds = generate(cfg.data)
@@ -34,6 +35,10 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
         ds = open_set_partition(ds, cfg.data.unknown_class_count, seed=cfg.data.seed + 2)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if ds.indices(TEST).size == 0:
+        raise ConfigError(
+            "the data.test_frac split is empty: no known class has the 3 samples "
+            "it takes to reach the validation and test splits; raise data.head_count")
     n_val = ds.indices(VAL).size
     if ds.indices(UNKNOWN).size and n_val < MIN_CALIBRATION_SCORES:
         raise ConfigError(

@@ -10,14 +10,12 @@ deterministic function of (dataset, seed, step).
 
 from __future__ import annotations
 
-import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .priors import TAIL
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -65,7 +63,7 @@ def plan_batch(
     if fired:
         pool = train_indices[partition[labels[train_indices]] == TAIL]
         if pool.size == 0:
-            log.warning("plan_batch: oversample fired but no tail-class samples; skipping")
+            warnings.warn("plan_batch: oversample fired but no tail-class samples; skipping")
             fired = False
         else:
             extra = rng.choice(pool, size=oversample_size, replace=True)

@@ -5,6 +5,8 @@ separation (the loss operates on cosine logits, so directional clusters
 are the natural geometry). Within-class noise is added in raw space so
 embedding norms genuinely vary. Counts interpolate from the head count
 down to head_count / imbalance_ratio under a geometric or Zipf decay.
+A ``Dataset`` carries the ``SyntheticSpec`` that generated it, and ``split``
+draws from ``spec.seed + 1``, so the split follows from the spec alone.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class Dataset:
     split: np.ndarray  # per-sample TRAIN/VAL/TEST/UNKNOWN, -1 when unassigned
     known_mask: np.ndarray  # per-class boolean
     num_classes: int
-    spec: SyntheticSpec | None = None
+    spec: SyntheticSpec  # what generated it; seeds the split
 
     def indices(self, which: int) -> np.ndarray:
         return np.flatnonzero(self.split == which)
@@ -136,9 +138,8 @@ def _class_pools(ids: np.ndarray, labels: np.ndarray,
 def split(
     dataset: Dataset,
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int | None = None,
 ) -> Dataset:
-    """Stratified train/val/test assignment.
+    """Stratified train/val/test assignment, drawn from ``spec.seed + 1``.
 
     Every class with at least 3 samples gets at least one sample in each
     split; classes with fewer go entirely to train with a warning.
@@ -146,9 +147,7 @@ def split(
     f_train, f_val, f_test = fractions
     if min(fractions) <= 0 or sum(fractions) > 1 + 1e-9:
         raise ValueError("split: fractions must be positive and sum to <= 1")
-    if seed is None:
-        seed = (dataset.spec.seed + 1) if dataset.spec is not None else 1
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(dataset.spec.seed + 1)
     assignment = np.full(len(dataset), TRAIN, dtype=np.int64)
     by_class, starts, sizes = _class_pools(
         np.arange(len(dataset)), dataset.labels, dataset.num_classes)
@@ -191,7 +190,7 @@ def export_csv(dataset: Dataset, csv_path: str, sidecar_path: str) -> None:
             name = SPLIT_NAMES.get(int(sp), "unassigned")
             writer.writerow([repr(float(v)) for v in row] + [int(label), name])
     sidecar = {
-        "spec": asdict(dataset.spec) if dataset.spec else None,
+        "spec": asdict(dataset.spec),
         "num_classes": dataset.num_classes,
         "known_mask": dataset.known_mask.tolist(),
     }

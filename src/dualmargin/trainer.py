@@ -18,7 +18,11 @@ Computed once per run:
 * the optimizer's moments;
 * the weight decay: with ``gamma_shares_schedule`` off, an array with a
   zero for gamma's element;
-* a copy of the margin config, whose gamma is set from the buffer each step.
+* a copy of the margin config, whose gamma is set from the buffer each step;
+* the best-epoch buffer, shaped like the flat one, which an epoch that beats
+  every earlier validation recall copies the flat buffer into; the state's
+  ``best_*`` parameters are views of it. With no validation rows no epoch
+  could be chosen, so ``train`` rejects such a dataset before the first step.
 
 Computed once per step: the gamma terms of the loss (the scaled margins,
 their gamma derivative and the regularizer), shared by its forward and
@@ -138,16 +142,14 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    encoder_params: encoder.EncoderParams
-    prototypes: np.ndarray
-    gamma: float
     epoch: int
     step: int
     stats: "object"  # ClassStats, serialized into the checkpoint
     partition: np.ndarray  # per-class group id (HEAD / BETWEEN / TAIL)
+    # Views of the best-epoch buffer, written by each improving epoch.
+    best_encoder_params: encoder.EncoderParams
+    best_prototypes: np.ndarray
     best_val_recall: float = -1.0
-    best_encoder_params: encoder.EncoderParams | None = None
-    best_prototypes: np.ndarray | None = None
     best_gamma: float = 0.0
 
 
@@ -169,9 +171,9 @@ class AdamW:
     gamma when ``gamma_shares_schedule`` is off).
     """
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float | np.ndarray = 0.0):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, weight_decay: float | np.ndarray = 0.0):
         self.weight_decay = weight_decay
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -180,20 +182,20 @@ class AdamW:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for name, p in params.items():
             g = grads[name]
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
             m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
+            m *= self.BETA1
+            m += (1 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1 - self.BETA2) * g * g
             p *= 1.0 - lr * self.weight_decay
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
 class SGD:
@@ -240,8 +242,6 @@ def _validate(enc: encoder.EncoderParams, prototypes: np.ndarray, dataset: Datas
               cfg: TrainConfig) -> float:
     """Macro recall on the validation split with current parameters."""
     val_idx = dataset.indices(VAL)
-    if val_idx.size == 0:
-        return float("nan")
     labels = dataset.labels[val_idx]
     scores = prototype_scores(enc, prototypes, dataset.features[val_idx],
                               cosine=cfg.margin.cosine)
@@ -264,6 +264,8 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
         raise ValueError("train: need at least 2 classes")
     if train_idx.size < cfg.batch_size:
         raise ValueError("train: training split smaller than one batch")
+    if dataset.indices(VAL).size == 0:
+        raise ValueError("train: no validation rows to choose the best epoch on")
 
     rng = np.random.default_rng(cfg.seed)
     # A run-private copy whose gamma follows the flat buffer's last element.
@@ -295,6 +297,9 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     enc_grads = list(zip(grad_views[:num_layers], grad_views[num_layers:-2]))
     margin_plan = loss_plan(stats.deltas, mcfg, cfg.batch_size, grad_views[-2])
     params, grads = {"flat": flat}, {"flat": grad_flat}
+    # Epoch 0 always fills it: its validation recall is >= 0 > the initial -1.
+    best = np.empty_like(flat)
+    best_views = _views(best, views)
 
     weight_decay = cfg.weight_decay
     if not cfg.gamma_shares_schedule:
@@ -310,9 +315,10 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     norm_guided = cfg.selection == "norm_guided" and mcfg.cosine
 
     steps_per_epoch = math.ceil(train_idx.size / cfg.batch_size)
-    state = TrainState(encoder_params=enc, prototypes=prototypes,
-                       gamma=float(flat[-1]), epoch=0, step=0,
-                       stats=stats, partition=partition)
+    state = TrainState(epoch=0, step=0, stats=stats, partition=partition,
+                       best_encoder_params=replace(enc, weights=best_views[:num_layers],
+                                                   biases=best_views[num_layers:-2]),
+                       best_prototypes=best_views[-2])
     history: list[dict] = []
     hist_fh = open(history_path, "w") if history_path else None
     plan_fh = open(plan_log_path, "w") if plan_log_path else None
@@ -372,31 +378,23 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
 
             del feats, emb, cache, out  # not alive under validation's working set
             state.epoch = epoch + 1
-            state.gamma = float(flat[-1])
             val_recall = _validate(enc, prototypes, dataset, cfg)
             record = {"epoch": epoch, "lr": lr,
                       "train_loss": float(np.mean(epoch_losses)),
                       "val_macro_recall": val_recall,
-                      "gamma": state.gamma}
+                      "gamma": float(flat[-1])}
             history.append(record)
             if hist_fh:
                 hist_fh.write(json.dumps(record) + "\n")
-            if not math.isnan(val_recall) and val_recall > state.best_val_recall:
+            if val_recall > state.best_val_recall:
                 state.best_val_recall = val_recall
-                state.best_encoder_params = enc.copy()
-                state.best_prototypes = prototypes.copy()
-                state.best_gamma = state.gamma
+                best[...] = flat
+                state.best_gamma = float(best[-1])
     finally:
         if hist_fh:
             hist_fh.close()
         if plan_fh:
             plan_fh.close()
-
-    if state.best_encoder_params is None:
-        state.best_encoder_params = enc.copy()
-        state.best_prototypes = prototypes.copy()
-        state.best_gamma = state.gamma
-        state.best_val_recall = float("nan")
     return state, history
 
 

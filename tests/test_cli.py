@@ -277,8 +277,11 @@ class TestCliCommands:
         ("train.batch_size = 1000", ("train.batch_size",)),
         ("data.train_frac = -1", ("data.train_frac",)),
         ("data.val_frac = 0.95", ("data.train_frac", "data.val_frac", "data.test_frac")),
+        ("data.classes = 40\ndata.head_count = 1\ndata.imbalance_ratio = 1\ntrain.epochs = 1",
+         ("data.head_count", "data.test_frac")),
     ], ids=["crossed_thresholds", "negative_perturb_strength", "non_finite_float",
-            "batch_above_training_split", "non_positive_fraction", "fractions_above_one"])
+            "batch_above_training_split", "non_positive_fraction", "fractions_above_one",
+            "empty_test_split"])
     def test_bad_setting_stops_before_training(self, tmp_path, lines, keys):
         # Config validation, not a failure inside train(), must reject
         # these: exit 2, and nothing of a training run written.
@@ -292,6 +295,7 @@ class TestCliCommands:
             assert key in payload["error"]
         assert not os.path.exists(os.path.join(out, "history.jsonl"))
         assert not os.path.exists(os.path.join(out, "plans.jsonl"))
+        assert not os.path.exists(os.path.join(out, "checkpoint.json"))
 
     def test_infeasible_dataset_is_config_error(self, tmp_path):
         bad = tmp_path / "angle.ini"

@@ -159,7 +159,8 @@ class TestBackward:
         )
 
         def f(theta):
-            trial = params.copy()
+            trial = encoder.EncoderParams(weights=[w.copy() for w in params.weights],
+                                          biases=[b.copy() for b in params.biases])
             pos = 0
             for w in trial.weights:
                 w[:] = theta[pos : pos + w.size].reshape(w.shape)

@@ -48,15 +48,14 @@ class TestPlanBatch:
         )
         assert 0.08 <= fired / 2000 <= 0.12
 
-    def test_no_tail_pool_falls_back(self, caplog):
+    def test_no_tail_pool_falls_back(self):
         labels = np.array([0] * 30 + [1] * 30)
         partition = partition_classes([30, 30], head_threshold=100, tail_threshold=10)
         rng = np.random.default_rng(0)
-        with caplog.at_level("WARNING"):
+        with pytest.warns(UserWarning, match="no tail-class samples"):
             plan = plan_batch(np.arange(60), labels, partition, 8, 4, 1.0, rng)
         assert not plan.oversample_fired
         assert plan.extra_indices.size == 0
-        assert any("no tail-class samples" in rec.message for rec in caplog.records)
 
     def test_too_small_population(self):
         indices, labels, partition, rng = _toy_population()

@@ -235,8 +235,8 @@ class TestTrainLoop:
     def test_gamma_moves_during_dual_margin_training(self):
         dataset = _small_dataset(seed=8)
         cfg = _fast_config(seed=8, base_lr=0.01)
-        state, _ = train(cfg, dataset)
-        assert state.gamma != 0.0
+        _, history = train(cfg, dataset)
+        assert history[-1]["gamma"] != 0.0
 
     def test_ce_mode_trains(self):
         dataset = _small_dataset(seed=9)
@@ -244,21 +244,24 @@ class TestTrainLoop:
         state, history = train(cfg, dataset)
         assert np.isfinite(history[-1]["train_loss"])
 
-    def test_best_params_are_copies_of_the_flat_buffer(self):
-        # Live parameters are views into one flat buffer that ends with
-        # gamma; the best-epoch snapshot must not change when training
-        # goes on updating it.
-        dataset = _small_dataset(seed=13)
-        state, _ = train(_fast_config(seed=13, epochs=2), dataset)
-        flat = state.prototypes.base
-        live = [*state.encoder_params.weights, *state.encoder_params.biases,
-                state.prototypes]
-        assert flat.size == sum(a.size for a in live) + 1
-        assert flat[-1] == state.gamma != 0.0
-        assert all(np.shares_memory(a, flat) for a in live)
-        best = [*state.best_encoder_params.weights, *state.best_encoder_params.biases,
-                state.best_prototypes]
-        assert not any(np.shares_memory(a, flat) for a in best)
+    def test_state_holds_the_first_best_epoch(self):
+        # Seed 24's validation recall peaks at epoch 2 and ties at epoch 3,
+        # so the state must hold epoch 2's parameters, not the last ones.
+        # They are views of one buffer in the training layout, gamma last.
+        dataset = _small_dataset(seed=24)
+        cfg = _fast_config(seed=24, epochs=4)
+        state, history = train(cfg, dataset)
+        recalls = [rec["val_macro_recall"] for rec in history]
+        k = recalls.index(max(recalls))
+        assert k == 2 and recalls[3] == recalls[2]
+        best = state.best_prototypes.base
+        params = [*state.best_encoder_params.weights, *state.best_encoder_params.biases,
+                  state.best_prototypes]
+        assert all(a.base is best for a in params)
+        assert best.size == sum(a.size for a in params) + 1
+        assert state.best_gamma == best[-1] == history[k]["gamma"] != history[-1]["gamma"]
+        assert state.best_val_recall == recalls[k] == _validate(
+            state.best_encoder_params, state.best_prototypes, dataset, cfg)
 
     def test_oversampled_run_matches_frozen_losses(self):
         # Frozen oracle: every step oversamples, and two tail classes have
@@ -334,6 +337,16 @@ class TestTrainLoop:
         dataset.labels[dataset.indices(TRAIN)[3]] = dataset.num_classes + 2
         with pytest.raises(ValueError, match=r"label outside \[0, 5\): 7"):
             train(_fast_config(), dataset)
+
+    def test_no_validation_rows_rejected_before_training(self, tmp_path):
+        # The best epoch is chosen on validation; without validation rows
+        # the run stops before it opens its logs or takes a step.
+        dataset = _small_dataset(seed=10)
+        dataset = replace(dataset, split=np.where(dataset.split == VAL, TRAIN, dataset.split))
+        plan_path = tmp_path / "plans.jsonl"
+        with pytest.raises(ValueError, match="no validation rows"):
+            train(_fast_config(), dataset, plan_log_path=str(plan_path))
+        assert not plan_path.exists()
 
     def test_small_training_split_rejected(self):
         dataset = _small_dataset(seed=10, num_classes=2, head_count=6, ratio=1.0)
