@@ -173,38 +173,75 @@ def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
 
     # The probes are drawn in bulk. One call draws every probe's shape and
     # the index of its scale in SCALES, each column from [low, high). The
-    # probes are grouped by that row, in the sorted order of ``np.unique``;
-    # each group draws each of its fields with one call, normalized as it is
-    # drawn, and runs as one stacked probe call.
+    # probes are grouped by that row, in sorted order; each group draws each
+    # of its fields with one call, into its rows of a zero-padded stack. The
+    # probes read all-zero rows as padding, so each claim makes one probe
+    # call per scale.
     margin = MarginConfig().m
-    shapes, counts = np.unique(rng.integers([2, 2, 3, 0], [9, 6, 8, 2], size=(prop_probes, 4)),
-                               axis=0, return_counts=True)
+    configs = [MarginConfig(s=s) for s in SCALES]
+    high = [9, 6, 8, 2]
+    shapes, counts = _unique_rows(rng.integers([2, 2, 3, 0], high, size=(prop_probes, 4)), high)
+    units = np.zeros((prop_probes, 8, 7))
+    protos = np.zeros((prop_probes, 5, 7))
+    deltas = np.zeros((prop_probes, 5))
+    class_ids = np.empty(prop_probes, dtype=np.int64)
+    for (n, c, d, _), k, end in zip(shapes.tolist(), counts.tolist(), np.cumsum(counts).tolist()):
+        block = slice(end - k, end)
+        units[block, :n, :d] = rng.normal(size=(k, n, d))
+        protos[block, :c, :d] = rng.normal(size=(k, c, d))
+        deltas[block, :c] = rng.uniform(0, margin, size=(k, c))
+        class_ids[block] = rng.integers(0, c, size=k)
+    units, protos = _normalize_padded(units), _normalize_padded(protos)
+    scale_of = np.repeat(shapes[:, 3], counts)
     viol1 = 0
-    for (n, c, d, si), k in zip(shapes.tolist(), counts.tolist()):
-        units = rows_normalize(rng.normal(size=(k, n, d)))[0]
-        protos = rows_normalize(rng.normal(size=(k, c, d)))[0]
-        deltas = rng.uniform(0, margin, size=(k, c))
-        class_ids = rng.integers(0, c, size=k)
-        probe = alignment_probe(units, class_ids, protos, deltas, MarginConfig(s=SCALES[si]))
+    for si, cfg in enumerate(configs):
+        sel = scale_of == si
+        probe = alignment_probe(units[sel], class_ids[sel], protos[sel], deltas[sel], cfg)
         viol1 += int(np.count_nonzero(probe.residual > probe.bound + 1e-9))
     rows.append(("prototype_alignment", "violations", viol1, 0, viol1 == 0))
 
-    shapes, counts = np.unique(rng.integers([3, 3, 0], [7, 8, 2], size=(prop_probes, 3)),
-                               axis=0, return_counts=True)
+    high = [7, 8, 2]
+    shapes, counts = _unique_rows(rng.integers([3, 3, 0], high, size=(prop_probes, 3)), high)
+    noise = np.zeros((prop_probes, 7))
+    protos = np.zeros((prop_probes, 6, 7))
+    deltas = np.zeros((prop_probes, 6))
+    tails = np.repeat(shapes[:, 0] - 1, counts)  # deltas increase, so the tail is the last class
+    for (c, d, _), k, end in zip(shapes.tolist(), counts.tolist(), np.cumsum(counts).tolist()):
+        block = slice(end - k, end)
+        protos[block, :c, :d] = rng.normal(size=(k, c, d))
+        deltas[block, :c] = np.sort(rng.uniform(0, margin, size=(k, c)), axis=1)
+        noise[block, :d] = rng.normal(size=(k, d))
+    protos = _normalize_padded(protos)
+    # Each sample lies near its class-0 prototype.
+    units = rows_normalize(protos[:, 0] + 0.3 * noise)[0]
+    scale_of = np.repeat(shapes[:, 2], counts)
     viol2 = 0
     checked = 0
-    for (c, d, si), k in zip(shapes.tolist(), counts.tolist()):
-        protos = rows_normalize(rng.normal(size=(k, c, d)))[0]
-        deltas = np.sort(rng.uniform(0, margin, size=(k, c)), axis=1)  # increasing: tail last
-        # Each sample lies near its class-0 prototype; the tail class is the last.
-        units = rows_normalize(protos[:, 0] + 0.3 * rng.normal(size=(k, d)))[0]
-        probe = bound_probe(units, 0, c - 1, protos, deltas, MarginConfig(s=SCALES[si]))
+    for si, cfg in enumerate(configs):
+        sel = scale_of == si
+        probe = bound_probe(units[sel], 0, tails[sel], protos[sel], deltas[sel], cfg)
         checked += int(np.count_nonzero(probe.condition_met))
         viol2 += int(np.count_nonzero(probe.condition_met
                                       & (probe.grad_norm > probe.bound + 1e-9)))
     rows.append(("deviation_bound", "violations", viol2, 0,
                  viol2 == 0 and checked > 0))
     return rows
+
+
+def _unique_rows(rows: np.ndarray, high: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_counts=True)`` for rows whose column j
+    lies in [0, high[j]): each row's flat index in that grid sorts as the
+    row does, and a 1-D ``np.unique`` of it skips the row-wise sort."""
+    keys, counts = np.unique(np.ravel_multi_index(rows.T, high), return_counts=True)
+    return np.stack(np.unravel_index(keys, high), axis=1), counts
+
+
+def _normalize_padded(stack: np.ndarray) -> np.ndarray:
+    """Unit rows of a zero-padded stack, with its all-zero padding rows kept
+    zero. Trailing zero columns leave a real row's norm bit-equal."""
+    units = rows_normalize(stack)[0]
+    units[~stack.any(axis=-1)] = 0.0
+    return units
 
 
 def cmd_ablate(args) -> int:

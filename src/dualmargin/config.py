@@ -184,6 +184,11 @@ def assemble(overrides: dict[str, object]) -> ExperimentConfig:
         train = TrainConfig(margin=margin, **sections["train"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    known = data.num_classes - data.unknown_class_count
+    if known < 2:
+        raise ConfigError(f"data.unknown_classes = {data.unknown_class_count} leaves {known} of "
+                          f"data.classes = {data.num_classes} known; training needs at least 2 "
+                          f"known classes")
     return ExperimentConfig(data=data, train=train, eval=ev,
                             split_fractions=tuple(fractions))
 

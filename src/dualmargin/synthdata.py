@@ -142,7 +142,7 @@ def split(
     """Stratified train/val/test assignment, drawn from ``spec.seed + 1``.
 
     Every class with at least 3 samples gets at least one sample in each
-    split; classes with fewer go entirely to train with a warning.
+    split; classes with fewer go entirely to train, named in one warning.
     """
     f_train, f_val, f_test = fractions
     if min(fractions) <= 0 or sum(fractions) > 1 + 1e-9:
@@ -151,18 +151,22 @@ def split(
     assignment = np.full(len(dataset), TRAIN, dtype=np.int64)
     by_class, starts, sizes = _class_pools(
         np.arange(len(dataset)), dataset.labels, dataset.num_classes)
+    small = []
     for j in range(dataset.num_classes):
         n = int(sizes[j])
         if n == 0:
             continue
         if n < 3:
-            warnings.warn(f"split: class {j} has only {n} samples; all assigned to train")
+            small.append(j)
             continue
         idx = rng.permutation(by_class[starts[j]:starts[j] + n])
         n_val = max(1, int(round(f_val * n)))
         n_test = max(1, int(round(f_test * n)))
         assignment[idx[:n_val]] = VAL
         assignment[idx[n_val:n_val + n_test]] = TEST
+    if small:
+        warnings.warn(f"split: {len(small)} class(es) have fewer than 3 samples and are all "
+                      f"assigned to train: class ids {small}")
     return replace(dataset, split=assignment)
 
 

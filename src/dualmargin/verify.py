@@ -20,13 +20,21 @@ raw-space gradients.
   softmax, the partial norm on another class c is at most
   exp(s * (m_y - m_c)).
 
-Both probes also take a stack of P same-shaped probes along a leading
-axis and return one result whose fields have length P. ``dualmargin
-verify`` runs thousands of probes on arrays of at most 8 x 7, where the
-cost is NumPy call overhead. So it draws every probe's shape and scale in
-one call, groups the probes by them, draws each group's fields with one
-call per field, and makes one probe call per group. An unstacked call is
-the P = 1 case and returns Python scalars.
+Both probes also take a stack of P probes along a leading axis and
+return one result whose fields have length P. An all-zero row is
+padding: an all-zero prototype row is a class that does not exist, and
+an all-zero embedding row (alignment) a sample that does not exist. So
+probes of different shapes share one stack, zero-padded to the largest.
+``rows_normalize`` never returns a zero row, so a real row is never
+taken for padding. An unstacked call is the P = 1 case and returns
+Python scalars.
+
+``dualmargin verify`` runs thousands of probes on arrays of at most
+8 x 7, where the cost is NumPy call overhead. So it draws every probe's
+shape and scale in one call, groups the probes by them, draws each
+group's fields with one call per field, copies the groups into one
+zero-padded stack per claim and scale, and makes one probe call per
+stack.
 """
 
 from __future__ import annotations
@@ -98,6 +106,11 @@ def _first(probe):
                           for name, value in fields.items()})
 
 
+# The logit of a padded class: finite, because ``stable_softmax`` rejects
+# non-finite input, and far enough below any real logit that its exp is 0.
+PAD_LOGIT = -1e300
+
+
 def _normalized_probs(
     units: np.ndarray,
     class_ids: np.ndarray,
@@ -106,11 +119,14 @@ def _normalized_probs(
     cfg: MarginConfig,
 ) -> np.ndarray:
     """Adjusted softmax of a stack: units (P, n, d) all of class class_ids (P,),
-    prototypes (P, c, d), scaled deltas (P, c); returns (P, n, c)."""
+    prototypes (P, c, d), scaled deltas (P, c); returns (P, n, c). A class
+    whose prototype row is all zero is padding and gets probability 0."""
     logits = units @ unit_prototypes.transpose(0, 2, 1)
     num_classes = unit_prototypes.shape[1]
     margins = scaled_deltas + cfg.m * (np.arange(num_classes) == class_ids[:, None])
-    return stable_softmax(cfg.s * (logits - margins[:, None, :]), axis=-1)
+    logits = cfg.s * (logits - margins[:, None, :])
+    np.copyto(logits, PAD_LOGIT, where=~unit_prototypes.any(axis=-1)[:, None, :])
+    return stable_softmax(logits, axis=-1)
 
 
 def alignment_probe(
@@ -126,29 +142,35 @@ def alignment_probe(
     (c, d) and ``deltas`` (c,). With a leading stack axis, ``units`` is
     (P, n, d), ``class_id`` an int or (P,), ``unit_prototypes`` (P, c, d)
     and ``deltas`` (P, c), and every field of the result has length P.
-    Partials follow the positive convention (1 - p_{i,c}) x_i.
+    All-zero rows of ``units`` and ``unit_prototypes`` are padding: N, the
+    means, the std, the partial sum and the max run over the real rows,
+    and a padded class takes no probability. Partials follow the positive
+    convention (1 - p_{i,c}) x_i.
     """
     units, unit_prototypes, deltas = (
         np.asarray(a, dtype=np.float64) for a in (units, unit_prototypes, deltas))
     stacked = units.ndim == 3
     if not stacked:
         units, unit_prototypes, deltas = units[None], unit_prototypes[None], deltas[None]
-    num_probes, n = units.shape[:2]
-    if n < 2:
+    num_probes = units.shape[0]
+    real = units.any(axis=-1)
+    n = real.sum(axis=1)
+    if (n < 2).any():
         raise ValueError("alignment_probe: need at least 2 samples (std uses N-1)")
     class_ids = np.full(num_probes, class_id, dtype=np.int64)
     scaled = power_scaled_margins(deltas, cfg.m, cfg.gamma, cfg.eq5_sign)
     probs = _normalized_probs(units, class_ids, unit_prototypes, scaled, cfg)
     p = probs[np.arange(num_probes), :, class_ids]
-    p_bar = p.mean(axis=1)
-    mu = units.mean(axis=1)
+    p_bar = (p * real).sum(axis=1) / n
+    mu = units.sum(axis=1) / n[:, None]
     alpha = n * (1.0 - p_bar)
+    spread = np.abs(p - p_bar[:, None]) * real
     partial_sum = ((1.0 - p)[:, :, None] * units).sum(axis=1)
     probe = AlignmentProbe(
         class_id=class_ids, class_mean=mu, mean_prob=p_bar,
-        prob_std=np.std(p, axis=1, ddof=1), alpha=alpha,
+        prob_std=np.sqrt((spread * spread).sum(axis=1) / (n - 1)), alpha=alpha,
         residual=np.linalg.norm(partial_sum - alpha[:, None] * mu, axis=1),
-        bound=n * np.max(np.abs(p_bar[:, None] - p), axis=1),
+        bound=n * spread.max(axis=1),
     )
     return probe if stacked else _first(probe)
 
@@ -166,7 +188,8 @@ def bound_probe(
     ``unit`` is (d,), ``unit_prototypes`` (c, d) and ``deltas`` (c,). With a
     leading stack axis, ``unit`` is (P, d), ``label`` and ``tail_class``
     ints or (P,), ``unit_prototypes`` (P, c, d) and ``deltas`` (P, c), and
-    every field of the result has length P.
+    every field of the result has length P. An all-zero prototype row is
+    a padded class and takes no probability; ``tail_class`` must be real.
 
     In normalized space the partial on class c is p_{i,c} * x_hat_i with
     unit norm, so the gradient norm is just p_{i,c}. The bound includes

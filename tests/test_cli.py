@@ -279,9 +279,11 @@ class TestCliCommands:
         ("data.val_frac = 0.95", ("data.train_frac", "data.val_frac", "data.test_frac")),
         ("data.classes = 40\ndata.head_count = 1\ndata.imbalance_ratio = 1\ntrain.epochs = 1",
          ("data.head_count", "data.test_frac")),
+        ("data.classes = 2\ndata.unknown_classes = 1\ntrain.epochs = 1",
+         ("data.unknown_classes", "data.classes")),
     ], ids=["crossed_thresholds", "negative_perturb_strength", "non_finite_float",
             "batch_above_training_split", "non_positive_fraction", "fractions_above_one",
-            "empty_test_split"])
+            "empty_test_split", "one_known_class"])
     def test_bad_setting_stops_before_training(self, tmp_path, lines, keys):
         # Config validation, not a failure inside train(), must reject
         # these: exit 2, and nothing of a training run written.

@@ -150,9 +150,26 @@ class TestSplit:
                              dim=4, seed=3)
         ds = generate(spec)
         assert np.sum(ds.labels == 2) == 2
-        with pytest.warns(UserWarning, match="class 2"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             out = split(ds)
+        assert [str(w.message) for w in caught] == [
+            "split: 1 class(es) have fewer than 3 samples and are all assigned to train: "
+            "class ids [2]"]
         assert np.all(out.split[out.labels == 2] == TRAIN)
+
+    def test_small_classes_share_one_warning_and_the_same_split(self):
+        # 40 classes of one sample each: one warning names all of them, and
+        # the split is what the per-class loop gave (every row in train).
+        spec = SyntheticSpec(num_classes=40, head_count=1, imbalance_ratio=1.0, dim=4, seed=5)
+        ds = generate(spec)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = split(ds)
+        assert len(caught) == 1
+        assert str(caught[0].message).startswith("split: 40 class(es) have fewer than 3")
+        assert str(caught[0].message).endswith(f"class ids {list(range(40))}")
+        assert np.all(out.split == TRAIN)
 
     def test_stratification_fractions(self):
         spec = SyntheticSpec(num_classes=4, head_count=400, imbalance_ratio=4.0,

@@ -270,6 +270,35 @@ class TestVerifyOracle:
                 b"prototype_alignment,violations,0,0,True\r\n"
                 b"deviation_bound,violations,0,0,True\r\n")
 
+    @pytest.mark.parametrize("seed, gradcheck_error", [
+        (0, b"4.395058761375026e-09"), (1, b"4.470941894485492e-09"),
+        (7, b"4.398799047233837e-09"), (42, b"2.954041955494091e-09"),
+        (100, b"4.057108426991363e-09"), (101, b"3.01335201235986e-09"),
+        (102, b"4.210156730188874e-09"), (103, b"5.44569353586738e-09"),
+        (104, b"3.3167116275656383e-09"), (105, b"2.8062278750740077e-09"),
+        (106, b"3.0841650899837703e-09"), (107, b"3.4203903043206196e-09"),
+        (108, b"4.263391917280757e-09"), (109, b"4.9882262764811e-09"),
+    ])
+    def test_verify_csv_bytes_per_seed(self, tmp_path, seed, gradcheck_error):
+        out = str(tmp_path / "verify")
+        assert cli.main(["verify", "--seed", str(seed), "--out", out]) == cli.EXIT_OK
+        with open(os.path.join(out, "verify.csv"), "rb") as fh:
+            assert fh.read() == (
+                b"check,statistic,value,threshold,passed\r\n"
+                b"gradcheck,max_rel_error," + gradcheck_error + b",1e-05,True\r\n"
+                b"prototype_alignment,violations,0,0,True\r\n"
+                b"deviation_bound,violations,0,0,True\r\n")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_probe_groups_are_the_row_wise_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        for low, high in (([2, 2, 3, 0], [9, 6, 8, 2]), ([3, 3, 0], [7, 8, 2])):
+            rows = rng.integers(low, high, size=(500, len(high)))
+            shapes, counts = cli._unique_rows(rows, high)
+            expected_shapes, expected_counts = np.unique(rows, axis=0, return_counts=True)
+            np.testing.assert_array_equal(shapes, expected_shapes)
+            np.testing.assert_array_equal(counts, expected_counts)
+
     def test_probe_sums(self, monkeypatch):
         rows, calls = _record_probes(monkeypatch, seed=0, gradcheck_instances=2,
                                      prop_probes=200)
@@ -284,50 +313,156 @@ class TestVerifyOracle:
         assert sum(np.sum(p.grad_norm) for p in bound) == pytest.approx(33.768024514605244, rel=1e-12)
 
     def test_each_stack_entry_is_its_own_probe(self, monkeypatch):
-        # A stack holds unit rows of one shape and one scale, and each of
-        # its entries gives what an unstacked call on that entry gives.
+        # A claim's stack holds one scale; each of its entries is a probe
+        # zero-padded to the claim's largest shape, whose real rows are unit
+        # rows, and gives what an unstacked call on those rows gives.
         _, calls = _record_probes(monkeypatch, seed=0, gradcheck_instances=2, prop_probes=200)
-        groups = []
+        for key in ("alignment", "bound"):
+            assert sorted(args[-1].s for args, _ in calls[key]) == sorted(cli.SCALES), key
         for (units, class_ids, protos, deltas, cfg), probe in calls["alignment"]:
-            groups.append(("alignment", units.shape[1:], protos.shape[1], cfg.s))
-            for stack in (units, protos):
-                np.testing.assert_allclose(np.linalg.norm(stack, axis=-1), 1.0, rtol=0, atol=1e-12)
+            assert units.shape[1:] == (8, 7) and protos.shape[1:] == (5, 7)
             for i in range(len(units)):
-                one = alignment_probe(units[i], int(class_ids[i]), protos[i], deltas[i], cfg)
-                for name in ("mean_prob", "prob_std", "alpha", "residual", "bound"):
-                    assert getattr(probe, name)[i] == pytest.approx(getattr(one, name),
-                                                                    rel=0, abs=1e-12), name
-        for (units, label, tail, protos, deltas, cfg), probe in calls["bound"]:
-            groups.append(("bound", units.shape[1:], protos.shape[1], cfg.s))
-            for stack in (units, protos):
-                np.testing.assert_allclose(np.linalg.norm(stack, axis=-1), 1.0, rtol=0, atol=1e-12)
+                real_units, real_protos, real_deltas = _unpad(units[i], protos[i], deltas[i])
+                for stack in (real_units, real_protos):
+                    np.testing.assert_allclose(np.linalg.norm(stack, axis=-1), 1.0,
+                                               rtol=0, atol=1e-12)
+                one = alignment_probe(real_units, int(class_ids[i]), real_protos, real_deltas,
+                                      cfg)
+                _assert_same_alignment(probe, i, one)
+        for (units, label, tails, protos, deltas, cfg), probe in calls["bound"]:
+            assert units.shape[1:] == (7,) and protos.shape[1:] == (6, 7)
             for i in range(len(units)):
-                one = bound_probe(units[i], label, tail, protos[i], deltas[i], cfg)
-                assert one.condition_met == probe.condition_met[i]
-                for name in ("grad_norm", "bound"):
-                    assert getattr(probe, name)[i] == pytest.approx(getattr(one, name),
-                                                                    rel=0, abs=1e-12), name
-        assert len(set(groups)) == len(groups)  # one call per (shape, scale)
+                real_units, real_protos, real_deltas = _unpad(units[i][None], protos[i],
+                                                              deltas[i])
+                for stack in (real_units, real_protos):
+                    np.testing.assert_allclose(np.linalg.norm(stack, axis=-1), 1.0,
+                                               rtol=0, atol=1e-12)
+                one = bound_probe(real_units[0], label, int(tails[i]), real_protos,
+                                  real_deltas, cfg)
+                _assert_same_bound(probe, i, one)
 
     def test_probe_counts_and_ranges(self, monkeypatch):
         rows, calls = _record_probes(monkeypatch)
         # The gradient-check instances are drawn first, before any probe.
         assert rows[0][2] == 2.954041955494091e-09
+        assert [row[2:] for row in rows[1:]] == [(0, 0, True), (0, 0, True)]
         align = [args for args, _ in calls["alignment"]]
         bound = [args for args, _ in calls["bound"]]
+        assert (len(align), len(bound)) == (len(cli.SCALES), len(cli.SCALES))
         assert sum(len(args[0]) for args in align) == 2000
         assert sum(len(args[0]) for args in bound) == 2000
-        # At 2,000 probes every (shape, scale) group is drawn.
-        assert (len(align), len(bound)) == (7 * 4 * 5 * 2, 4 * 5 * 2)
+        # Shapes are read from each probe's non-zero rows and columns. At
+        # 2,000 probes every (shape, scale) group is drawn.
+        groups = {"alignment": set(), "bound": set()}
         for units, class_ids, protos, deltas, cfg in align:
-            (k, n, d), c = units.shape, protos.shape[1]
-            assert 2 <= n <= 8 and 2 <= c <= 5 and 3 <= d <= 7 and cfg.s in cli.SCALES
-            assert (protos.shape, deltas.shape, class_ids.shape) == ((k, c, d), (k, c), (k,))
-            assert ((class_ids >= 0) & (class_ids < c)).all()
-            assert ((deltas >= 0) & (deltas < cfg.m)).all()
-        for units, label, tail, protos, deltas, cfg in bound:
-            (k, d), c = units.shape, protos.shape[1]
-            assert 3 <= c <= 6 and 3 <= d <= 7 and cfg.s in cli.SCALES
-            assert (protos.shape, deltas.shape, label, tail) == ((k, c, d), (k, c), 0, c - 1)
-            assert ((deltas >= 0) & (deltas < cfg.m)).all()
-            assert (np.diff(deltas, axis=1) >= 0).all()  # increasing: tail last
+            assert cfg.s in cli.SCALES
+            for i in range(len(units)):
+                real_units, real_protos, real_deltas = _unpad(units[i], protos[i], deltas[i])
+                (n, d), c = real_units.shape, len(real_protos)
+                groups["alignment"].add((n, c, d, cfg.s))
+                assert 2 <= n <= 8 and 2 <= c <= 5 and 3 <= d <= 7
+                assert 0 <= class_ids[i] < c
+                assert ((real_deltas >= 0) & (real_deltas < cfg.m)).all()
+        for units, label, tails, protos, deltas, cfg in bound:
+            assert cfg.s in cli.SCALES
+            for i in range(len(units)):
+                real_units, real_protos, real_deltas = _unpad(units[i][None], protos[i],
+                                                              deltas[i])
+                d, c = real_units.shape[1], len(real_protos)
+                groups["bound"].add((c, d, cfg.s))
+                assert 3 <= c <= 6 and 3 <= d <= 7
+                assert (label, tails[i]) == (0, c - 1)
+                assert ((real_deltas >= 0) & (real_deltas < cfg.m)).all()
+                assert (np.diff(real_deltas) >= 0).all()  # increasing: tail last
+        assert (len(groups["alignment"]), len(groups["bound"])) == (7 * 4 * 5 * 2, 4 * 5 * 2)
+
+
+def _unpad(units, protos, deltas):
+    """The real rows and columns of one zero-padded probe, after checking
+    that the padding is all zero and trails the real rows and columns."""
+    n, c = int(units.any(axis=-1).sum()), int(protos.any(axis=-1).sum())
+    d = int(np.concatenate([units, protos]).any(axis=0).sum())
+    for stack, rows in ((units, n), (protos, c)):
+        assert not stack[rows:].any() and not stack[:, d:].any()
+    assert not deltas[c:].any()
+    return units[:n, :d], protos[:c, :d], deltas[:c]
+
+
+def _assert_same_alignment(stacked, i, one):
+    assert one.class_id == stacked.class_id[i]
+    d = len(one.class_mean)
+    np.testing.assert_allclose(stacked.class_mean[i][:d], one.class_mean, rtol=0, atol=1e-12)
+    assert not stacked.class_mean[i][d:].any()
+    for name in ("mean_prob", "prob_std", "alpha", "residual", "bound"):
+        assert getattr(stacked, name)[i] == pytest.approx(getattr(one, name),
+                                                          rel=0, abs=1e-12), name
+
+
+def _assert_same_bound(stacked, i, one):
+    assert one.condition_met == stacked.condition_met[i]
+    assert one.tail_class == stacked.tail_class[i]
+    for name in ("grad_norm", "bound"):
+        assert getattr(stacked, name)[i] == pytest.approx(getattr(one, name),
+                                                          rel=0, abs=1e-12), name
+
+
+def _padded(rng, shapes, rows, cols):
+    """Unit rows of ``shapes`` (count, dim) each, zero-padded into one
+    (len(shapes), rows, cols) stack; also the unpadded arrays."""
+    stack = np.zeros((len(shapes), rows, cols))
+    real = []
+    for i, (count, dim) in enumerate(shapes):
+        real.append(rows_normalize(rng.normal(size=(count, dim)))[0])
+        stack[i, :count, :dim] = real[-1]
+    return stack, real
+
+
+class TestPaddedProbes:
+    """Probes of different shapes in one zero-padded stack: each entry must
+    equal the unstacked call on its own unpadded arrays."""
+
+    # (n, c, d) per alignment probe and (c, d) per bound probe: the smallest
+    # and largest of each size that ``dualmargin verify`` draws, mixed.
+    ALIGN = [(2, 2, 3), (8, 5, 7), (2, 5, 7), (8, 2, 3), (2, 2, 7), (8, 5, 3)]
+    BOUND = [(3, 3), (6, 7), (3, 7), (6, 3)]
+
+    @pytest.mark.parametrize("s", [1.0, 32.0])
+    def test_alignment_entries_match_unpadded_calls(self, s):
+        rng = np.random.default_rng(13)
+        units, real_units = _padded(rng, [(n, d) for n, _, d in self.ALIGN], 8, 7)
+        protos, real_protos = _padded(rng, [(c, d) for _, c, d in self.ALIGN], 5, 7)
+        deltas = np.zeros((len(self.ALIGN), 5))
+        class_ids = np.empty(len(self.ALIGN), dtype=np.int64)
+        for i, (_, c, _) in enumerate(self.ALIGN):
+            deltas[i, :c] = rng.uniform(0, 0.15, size=c)
+            class_ids[i] = c - 1 - i % c
+        cfg = MarginConfig(s=s, gamma=0.3)
+        stacked = alignment_probe(units, class_ids, protos, deltas, cfg)
+        for i, (_, c, _) in enumerate(self.ALIGN):
+            one = alignment_probe(real_units[i], int(class_ids[i]), real_protos[i],
+                                  deltas[i, :c], cfg)
+            _assert_same_alignment(stacked, i, one)
+
+    @pytest.mark.parametrize("s", [1.0, 32.0])
+    def test_bound_entries_match_unpadded_calls(self, s):
+        rng = np.random.default_rng(14)
+        protos, real_protos = _padded(rng, self.BOUND, 6, 7)
+        deltas = np.zeros((len(self.BOUND), 6))
+        units = np.zeros((len(self.BOUND), 7))
+        for i, (c, d) in enumerate(self.BOUND):
+            deltas[i, :c] = np.sort(rng.uniform(0, 0.15, size=c))
+            units[i, :d] = rows_normalize(real_protos[i][0] + 0.3 * rng.normal(size=d))[0]
+        tails = np.array([c - 1 for c, _ in self.BOUND])
+        cfg = MarginConfig(s=s, gamma=-0.4)
+        stacked = bound_probe(units, 0, tails, protos, deltas, cfg)
+        for i, (c, d) in enumerate(self.BOUND):
+            one = bound_probe(units[i, :d], 0, c - 1, real_protos[i], deltas[i, :c], cfg)
+            _assert_same_bound(stacked, i, one)
+
+    def test_probe_with_one_real_row_still_raises(self):
+        # One entry of the stack has a single real sample: std needs N >= 2.
+        rng = np.random.default_rng(16)
+        units, _ = _padded(rng, [(8, 7), (1, 3)], 8, 7)
+        protos, _ = _padded(rng, [(5, 7), (2, 3)], 5, 7)
+        with pytest.raises(ValueError, match="at least 2"):
+            alignment_probe(units, 0, protos, np.zeros((2, 5)), MarginConfig())
