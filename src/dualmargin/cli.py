@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -150,15 +151,14 @@ def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
 
         def f(points):
             # A stacked forward shares one gamma, so the points go in one
-            # call per gamma value: the base, +h and -h. ``cfg`` is not read
-            # after the check, so its gamma is set in place.
+            # call per gamma value: the base, +h and -h.
             values = np.empty(len(points))
-            for gamma in np.unique(points[:, -1]):
+            for gamma in set(points[:, -1].tolist()):
                 rows = points[:, -1] == gamma
                 group = points[rows]
-                cfg.gamma = float(gamma)
                 o, _ = margin_loss_forward(group[:, :n * d].reshape(-1, n, d), labels,
-                                           group[:, n * d:-1].reshape(-1, c, d), deltas, cfg)
+                                           group[:, n * d:-1].reshape(-1, c, d), deltas,
+                                           replace(cfg, gamma=gamma))
                 values[rows] = o.total
             return values
 
@@ -171,28 +171,18 @@ def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
 
     rows = [("gradcheck", "max_rel_error", max_err, 1e-5, max_err < 1e-5)]
 
-    # The probes are drawn in bulk. One call draws every probe's shape and
-    # the index of its scale in SCALES, each column from [low, high). The
-    # probes are grouped by that row, in sorted order; each group draws each
-    # of its fields with one call, into its rows of a zero-padded stack. The
-    # probes read all-zero rows as padding, so each claim makes one probe
-    # call per scale.
+    # Each claim draws every probe's shape and the index of its scale in
+    # SCALES with one call, each column from [low, high). Each field is then
+    # drawn once at the claim's largest shape and zeroed outside each
+    # probe's own rows and columns. The probes read all-zero rows as
+    # padding, so each claim makes one probe call per scale.
     margin = MarginConfig().m
     configs = [MarginConfig(s=s) for s in SCALES]
-    high = [9, 6, 8, 2]
-    shapes, counts = _unique_rows(rng.integers([2, 2, 3, 0], high, size=(prop_probes, 4)), high)
-    units = np.zeros((prop_probes, 8, 7))
-    protos = np.zeros((prop_probes, 5, 7))
-    deltas = np.zeros((prop_probes, 5))
-    class_ids = np.empty(prop_probes, dtype=np.int64)
-    for (n, c, d, _), k, end in zip(shapes.tolist(), counts.tolist(), np.cumsum(counts).tolist()):
-        block = slice(end - k, end)
-        units[block, :n, :d] = rng.normal(size=(k, n, d))
-        protos[block, :c, :d] = rng.normal(size=(k, c, d))
-        deltas[block, :c] = rng.uniform(0, margin, size=(k, c))
-        class_ids[block] = rng.integers(0, c, size=k)
-    units, protos = _normalize_padded(units), _normalize_padded(protos)
-    scale_of = np.repeat(shapes[:, 3], counts)
+    n, c, d, scale_of = rng.integers([2, 2, 3, 0], [9, 6, 8, 2], size=(prop_probes, 4)).T
+    units = _unit_rows(rng.normal(size=(prop_probes, 8, 7)), n, d)
+    protos = _unit_rows(rng.normal(size=(prop_probes, 5, 7)), c, d)
+    deltas = rng.uniform(0, margin, size=(prop_probes, 5)) * _first_of(5, c)
+    class_ids = rng.integers(0, c)
     viol1 = 0
     for si, cfg in enumerate(configs):
         sel = scale_of == si
@@ -200,26 +190,22 @@ def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
         viol1 += int(np.count_nonzero(probe.residual > probe.bound + 1e-9))
     rows.append(("prototype_alignment", "violations", viol1, 0, viol1 == 0))
 
-    high = [7, 8, 2]
-    shapes, counts = _unique_rows(rng.integers([3, 3, 0], high, size=(prop_probes, 3)), high)
-    noise = np.zeros((prop_probes, 7))
-    protos = np.zeros((prop_probes, 6, 7))
-    deltas = np.zeros((prop_probes, 6))
-    tails = np.repeat(shapes[:, 0] - 1, counts)  # deltas increase, so the tail is the last class
-    for (c, d, _), k, end in zip(shapes.tolist(), counts.tolist(), np.cumsum(counts).tolist()):
-        block = slice(end - k, end)
-        protos[block, :c, :d] = rng.normal(size=(k, c, d))
-        deltas[block, :c] = np.sort(rng.uniform(0, margin, size=(k, c)), axis=1)
-        noise[block, :d] = rng.normal(size=(k, d))
-    protos = _normalize_padded(protos)
+    c, d, scale_of = rng.integers([3, 3, 0], [7, 8, 2], size=(prop_probes, 3)).T
+    protos = _unit_rows(rng.normal(size=(prop_probes, 6, 7)), c, d)
+    # Padded margins sort last, so each probe's tail is its last real class.
+    padded = ~_first_of(6, c)
+    deltas = rng.uniform(0, margin, size=(prop_probes, 6))
+    deltas[padded] = np.inf
+    deltas.sort(axis=1)
+    deltas[padded] = 0.0
+    noise = rng.normal(size=(prop_probes, 7)) * _first_of(7, d)
     # Each sample lies near its class-0 prototype.
     units = rows_normalize(protos[:, 0] + 0.3 * noise)[0]
-    scale_of = np.repeat(shapes[:, 2], counts)
     viol2 = 0
     checked = 0
     for si, cfg in enumerate(configs):
         sel = scale_of == si
-        probe = bound_probe(units[sel], 0, tails[sel], protos[sel], deltas[sel], cfg)
+        probe = bound_probe(units[sel], 0, c[sel] - 1, protos[sel], deltas[sel], cfg)
         checked += int(np.count_nonzero(probe.condition_met))
         viol2 += int(np.count_nonzero(probe.condition_met
                                       & (probe.grad_norm > probe.bound + 1e-9)))
@@ -228,20 +214,16 @@ def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
     return rows
 
 
-def _unique_rows(rows: np.ndarray, high: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0, return_counts=True)`` for rows whose column j
-    lies in [0, high[j]): each row's flat index in that grid sorts as the
-    row does, and a 1-D ``np.unique`` of it skips the row-wise sort."""
-    keys, counts = np.unique(np.ravel_multi_index(rows.T, high), return_counts=True)
-    return np.stack(np.unravel_index(keys, high), axis=1), counts
+def _first_of(size: int, counts: np.ndarray) -> np.ndarray:
+    """(P, size) mask of each row's first ``counts[p]`` entries."""
+    return np.arange(size) < counts[:, None]
 
 
-def _normalize_padded(stack: np.ndarray) -> np.ndarray:
-    """Unit rows of a zero-padded stack, with its all-zero padding rows kept
-    zero. Trailing zero columns leave a real row's norm bit-equal."""
-    units = rows_normalize(stack)[0]
-    units[~stack.any(axis=-1)] = 0.0
-    return units
+def _unit_rows(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Unit rows of a (P, r, k) stack cut to each probe's first ``rows[p]``
+    rows and ``cols[p]`` columns; every entry outside them is zero."""
+    cut = stack * _first_of(stack.shape[2], cols)[:, None, :]
+    return rows_normalize(cut)[0] * _first_of(stack.shape[1], rows)[:, :, None]
 
 
 def cmd_ablate(args) -> int:

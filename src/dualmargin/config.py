@@ -113,6 +113,11 @@ _REGISTRY: dict[str, tuple] = {
 }
 
 
+# Seeds, counts and epoch numbers, for which a negative value means nothing.
+_NON_NEGATIVE = ("data.head_count", "data.unknown_classes", "data.seed", "train.seed",
+                 "train.lr_decay_epochs")
+
+
 def _get(cfg: ExperimentConfig, key: str) -> object:
     _, section, name = _REGISTRY[key]
     if section == "fractions":
@@ -167,6 +172,9 @@ def assemble(overrides: dict[str, object]) -> ExperimentConfig:
         caster, section, name = _REGISTRY[key]
         if caster is float and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
+        if key in _NON_NEGATIVE and min(value if isinstance(value, tuple) else (value,),
+                                        default=0) < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}")
         if section == "fractions":
             fractions[name] = value
         else:

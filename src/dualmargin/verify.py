@@ -30,11 +30,9 @@ taken for padding. An unstacked call is the P = 1 case and returns
 Python scalars.
 
 ``dualmargin verify`` runs thousands of probes on arrays of at most
-8 x 7, where the cost is NumPy call overhead. So it draws every probe's
-shape and scale in one call, groups the probes by them, draws each
-group's fields with one call per field, copies the groups into one
-zero-padded stack per claim and scale, and makes one probe call per
-stack.
+8 x 7, where the cost is NumPy call overhead. So it makes one draw per
+field per claim, masked to each probe's shape, and one probe call per
+claim and scale.
 """
 
 from __future__ import annotations

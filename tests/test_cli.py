@@ -281,9 +281,16 @@ class TestCliCommands:
          ("data.head_count", "data.test_frac")),
         ("data.classes = 2\ndata.unknown_classes = 1\ntrain.epochs = 1",
          ("data.unknown_classes", "data.classes")),
+        ("data.unknown_classes = -1\ntrain.epochs = 1", ("data.unknown_classes",)),
+        ("train.lr_decay_epochs = -1\ntrain.epochs = 1", ("train.lr_decay_epochs",)),
+        ("data.head_count = -5\ntrain.epochs = 1", ("data.head_count",)),
+        ("data.seed = -1\ntrain.epochs = 1", ("data.seed",)),
+        ("train.seed = -1\ntrain.epochs = 1", ("train.seed",)),
     ], ids=["crossed_thresholds", "negative_perturb_strength", "non_finite_float",
             "batch_above_training_split", "non_positive_fraction", "fractions_above_one",
-            "empty_test_split", "one_known_class"])
+            "empty_test_split", "one_known_class", "negative_unknown_classes",
+            "negative_lr_decay_epoch", "negative_head_count", "negative_data_seed",
+            "negative_train_seed"])
     def test_bad_setting_stops_before_training(self, tmp_path, lines, keys):
         # Config validation, not a failure inside train(), must reject
         # these: exit 2, and nothing of a training run written.
@@ -298,6 +305,13 @@ class TestCliCommands:
         assert not os.path.exists(os.path.join(out, "history.jsonl"))
         assert not os.path.exists(os.path.join(out, "plans.jsonl"))
         assert not os.path.exists(os.path.join(out, "checkpoint.json"))
+
+    def test_negative_seed_override_is_config_error(self, tmp_path):
+        out = str(tmp_path / "err")
+        assert main(["verify", "--seed", "-1", "--out", out]) == EXIT_CONFIG
+        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        assert payload["error"] == "data.seed must be >= 0, got -1"
+        assert os.listdir(out) == ["error.json"]
 
     def test_infeasible_dataset_is_config_error(self, tmp_path):
         bad = tmp_path / "angle.ini"
@@ -332,6 +346,19 @@ class TestCliCommands:
         assert payload["exit_code"] == EXIT_NUMERICAL
         assert set(payload["snapshot"]) == {"epoch", "step", "loss", "lr", "gamma"}
         assert payload["snapshot"]["step"] == 0
+
+    def test_huge_finite_scale_diverges_at_step_zero(self, tmp_path):
+        # No static bound on s would also cover margin.lambda = 1e300 or
+        # train.base_lr = 1e300, so a huge finite setting is validated by
+        # the divergence check at step 0: exit 3, with its snapshot.
+        bad = tmp_path / "huge_s.ini"
+        bad.write_text(FAST_CONFIG + "margin.s = 1e200\n")
+        out = str(tmp_path / "err")
+        assert main(["train", "--config", str(bad), "--out", out]) == EXIT_NUMERICAL
+        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        assert payload["exit_code"] == EXIT_NUMERICAL
+        assert (payload["snapshot"]["epoch"], payload["snapshot"]["step"]) == (0, 0)
+        assert not os.path.exists(os.path.join(out, "checkpoint.json"))
 
     def test_inf_gamma_gradient_snapshot_names_gamma(self, tmp_path, monkeypatch):
         import dualmargin.trainer
