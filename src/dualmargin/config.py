@@ -11,21 +11,12 @@ import math
 from dataclasses import dataclass, field
 
 from .loss import MODES, SIGN_CHOICES, MarginConfig
-from .synthdata import DECAYS, SyntheticSpec
-from .trainer import OPTIMIZERS, SELECTIONS, TrainConfig
+from .synthdata import SyntheticSpec
+from .trainer import SELECTIONS, TrainConfig
 
 
 class ConfigError(ValueError):
     """Malformed or unknown configuration input."""
-
-
-def _bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -50,7 +41,7 @@ class EvalOptions:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_tpr <= 1.0:
-            raise ValueError(f"EvalOptions: target_tpr must be in (0, 1], got {self.target_tpr}")
+            raise ValueError(f"eval.target_tpr must be in (0, 1], got {self.target_tpr}")
 
 
 @dataclass
@@ -70,7 +61,6 @@ _REGISTRY: dict[str, tuple] = {
     "data.dim": (int, "data", "dim"),
     "data.imbalance_ratio": (float, "data", "imbalance_ratio"),
     "data.head_count": (int, "data", "head_count"),
-    "data.decay": (_choice(DECAYS), "data", "decay"),
     "data.cluster_spread": (float, "data", "cluster_spread"),
     "data.unknown_classes": (int, "data", "unknown_class_count"),
     "data.seed": (int, "data", "seed"),
@@ -87,7 +77,6 @@ _REGISTRY: dict[str, tuple] = {
     "margin.gamma": (float, "margin", "gamma"),
     "margin.mode": (_choice(MODES), "margin", "mode"),
     "margin.eq5_sign": (_choice(SIGN_CHOICES), "margin", "eq5_sign"),
-    "margin.use_effective_priors": (_bool, "margin", "use_effective_priors"),
 
     "train.epochs": (int, "train", "epochs"),
     "train.base_lr": (float, "train", "base_lr"),
@@ -98,13 +87,11 @@ _REGISTRY: dict[str, tuple] = {
     "train.oversample_size": (int, "train", "oversample_size"),
     "train.oversample_prob": (float, "train", "oversample_prob"),
     "train.seed": (int, "train", "seed"),
-    "train.optimizer": (_choice(OPTIMIZERS), "train", "optimizer"),
     "train.selection": (_choice(SELECTIONS), "train", "selection"),
     "train.hidden_dims": (_int_tuple, "train", "hidden_dims"),
     "train.embed_dim": (int, "train", "embed_dim"),
     "train.perturb_strength": (float, "train", "perturb_strength"),
     "train.perturb_prob": (float, "train", "perturb_prob"),
-    "train.gamma_shares_schedule": (_bool, "train", "gamma_shares_schedule"),
 
     "partition.head_threshold": (int, "train", "head_threshold"),
     "partition.tail_threshold": (int, "train", "tail_threshold"),

@@ -49,6 +49,7 @@ class EvalReport:
     macro_precision: float
     macro_f1: float
     group_recall: dict[str, float]
+    group_sizes: dict[str, int]  # classes each group recall averages over
     open_set: dict[str, float] | None = None
 
 
@@ -102,7 +103,8 @@ def closed_set_metrics(
 
     ``partition`` holds each class's group id. Classes absent from the
     test labels are excluded from macro and group averages; their
-    per-class entries are NaN.
+    per-class entries are NaN. ``group_sizes`` counts the classes each
+    group recall averages over, so an empty group reads 0.
     """
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -124,9 +126,11 @@ def closed_set_metrics(
 
     has_test = present > 0
     group_recall: dict[str, float] = {}
+    group_sizes: dict[str, int] = {}
     for gid, name in GROUP_NAMES.items():
         members = has_test & (partition == gid)
         group_recall[name] = float(np.mean(recall[members])) if members.any() else float("nan")
+        group_sizes[name] = int(np.count_nonzero(members))
     group_recall["overall"] = float(np.nanmean(recall))
 
     return EvalReport(
@@ -138,6 +142,7 @@ def closed_set_metrics(
         macro_precision=float(np.nanmean(precision)),
         macro_f1=float(np.nanmean(f1)),
         group_recall=group_recall,
+        group_sizes=group_sizes,
     )
 
 

@@ -84,23 +84,23 @@ class MarginConfig:
     gamma: float = 0.0
     mode: str = "dual_margin"
     eq5_sign: str = "literal"
-    use_effective_priors: bool = True
 
     def __post_init__(self) -> None:
+        # Each message names the margin.* config key at fault.
         if self.s <= 0:
-            raise ValueError(f"MarginConfig: s must be > 0, got {self.s}")
+            raise ValueError(f"margin.s must be > 0, got {self.s}")
         if not 0.0 < self.m < 1.0:
-            raise ValueError(f"MarginConfig: m must be in (0, 1), got {self.m}")
+            raise ValueError(f"margin.m must be in (0, 1), got {self.m}")
         if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"MarginConfig: beta must be in [0, 1), got {self.beta}")
+            raise ValueError(f"margin.beta must be in [0, 1), got {self.beta}")
         if self.epsilon <= 0:
-            raise ValueError(f"MarginConfig: epsilon must be > 0, got {self.epsilon}")
+            raise ValueError(f"margin.epsilon must be > 0, got {self.epsilon}")
         if self.lam < 0:
-            raise ValueError(f"MarginConfig: lambda must be >= 0, got {self.lam}")
+            raise ValueError(f"margin.lambda must be >= 0, got {self.lam}")
         if self.mode not in MODES:
-            raise ValueError(f"MarginConfig: mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"margin.mode must be one of {MODES}, got {self.mode!r}")
         if self.eq5_sign not in SIGN_CHOICES:
-            raise ValueError(f"MarginConfig: eq5_sign must be one of {SIGN_CHOICES}")
+            raise ValueError(f"margin.eq5_sign must be one of {SIGN_CHOICES}")
 
     @property
     def cosine(self) -> bool:

@@ -100,24 +100,21 @@ def compute_class_stats(
     base_margin: float,
     beta: float = 0.9,
     epsilon: float = 1e-6,
-    use_effective: bool = True,
 ) -> ClassStats:
     """Full per-class statistics pipeline from raw training labels.
 
-    Classes with zero training samples are maximally tail: they receive
-    the full base margin and are excluded from the min-max statistics.
-    ``use_effective=False`` evaluates the margin map on raw empirical
-    priors instead of effective priors (ablation switch).
+    The margin map is evaluated on the effective priors. Classes with zero
+    training samples are maximally tail: they receive the full base margin
+    and are excluded from the min-max statistics.
     """
     counts = class_counts(labels, num_classes)
     priors = empirical_priors(counts)
     eff = effective_numbers(counts, beta)
     eff_priors = effective_priors(priors, eff)
-    source = eff_priors if use_effective else priors
     deltas = np.full(num_classes, base_margin, dtype=np.float64)
     seen = counts > 0
     if seen.any():
-        deltas[seen] = margin_adjustments(source[seen], base_margin, epsilon)
+        deltas[seen] = margin_adjustments(eff_priors[seen], base_margin, epsilon)
     return ClassStats(
         counts=counts,
         priors=priors,

@@ -3,8 +3,8 @@
 Class means live on the unit sphere with a minimum pairwise angular
 separation (the loss operates on cosine logits, so directional clusters
 are the natural geometry). Within-class noise is added in raw space so
-embedding norms genuinely vary. Counts interpolate from the head count
-down to head_count / imbalance_ratio under a geometric or Zipf decay.
+embedding norms genuinely vary. Counts decay geometrically from the head
+count down to head_count / imbalance_ratio.
 A ``Dataset`` carries the ``SyntheticSpec`` that generated it, and ``split``
 draws from ``spec.seed + 1``, so the split follows from the spec alone.
 """
@@ -21,8 +21,6 @@ import numpy as np
 TRAIN, VAL, TEST, UNKNOWN = 0, 1, 2, 3
 SPLIT_NAMES = {TRAIN: "train", VAL: "val", TEST: "test", UNKNOWN: "unknown"}
 
-DECAYS = ("geometric", "zipf")
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -30,7 +28,6 @@ class SyntheticSpec:
     dim: int = 16
     imbalance_ratio: float = 100.0
     head_count: int = 1000
-    decay: str = "geometric"
     cluster_spread: float = 0.3
     unknown_class_count: int = 0
     seed: int = 0
@@ -54,20 +51,14 @@ class Dataset:
 
 
 def class_count_schedule(spec: SyntheticSpec) -> np.ndarray:
-    """Per-class sample counts following the configured decay law."""
+    """Per-class sample counts under a geometric decay."""
     c = spec.num_classes
     if spec.imbalance_ratio < 1:
-        raise ValueError("imbalance_ratio must be >= 1")
-    if spec.decay not in DECAYS:
-        raise ValueError(f"decay must be one of {DECAYS}")
+        raise ValueError(f"data.imbalance_ratio must be >= 1, got {spec.imbalance_ratio}")
     if spec.imbalance_ratio == 1 or c == 1:
         return np.full(c, spec.head_count, dtype=np.int64)
     j = np.arange(c, dtype=np.float64)
-    if spec.decay == "geometric":
-        counts = spec.head_count * np.power(spec.imbalance_ratio, -j / (c - 1))
-    else:
-        a = np.log(spec.imbalance_ratio) / np.log(c)
-        counts = spec.head_count / np.power(j + 1, a)
+    counts = spec.head_count * np.power(spec.imbalance_ratio, -j / (c - 1))
     counts = np.maximum(np.round(counts).astype(np.int64), 1)
     counts[0] = spec.head_count
     counts[-1] = max(1, int(round(spec.head_count / spec.imbalance_ratio)))
@@ -86,9 +77,9 @@ def _sphere_means(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
         attempts += 1
         if attempts > limit:
             raise ValueError(
-                f"generate: cannot place {spec.num_classes} class means with "
-                f"min angle {spec.min_angle} in dim {spec.dim}; increase dim or lower min_angle"
-            )
+                f"cannot place {spec.num_classes} class means with data.min_angle = "
+                f"{spec.min_angle} in data.dim = {spec.dim}; raise data.dim or lower "
+                f"data.min_angle")
         v = rng.normal(size=spec.dim)
         v /= np.linalg.norm(v)
         if (means[:kept] @ v <= max_cos).all():
@@ -100,13 +91,13 @@ def _sphere_means(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
 def generate(spec: SyntheticSpec) -> Dataset:
     """Generate features and labels; splits are unassigned (-1)."""
     if spec.num_classes < 2:
-        raise ValueError("generate: need at least 2 classes")
+        raise ValueError(f"data.classes must be >= 2, got {spec.num_classes}")
     if spec.dim < 2:
-        raise ValueError("generate: need dim >= 2")
+        raise ValueError(f"data.dim must be >= 2, got {spec.dim}")
     if spec.cluster_spread <= 0:
-        raise ValueError("generate: cluster_spread must be > 0")
+        raise ValueError(f"data.cluster_spread must be > 0, got {spec.cluster_spread}")
     if spec.min_angle < 0:
-        raise ValueError(f"generate: min_angle must be >= 0, got {spec.min_angle}")
+        raise ValueError(f"data.min_angle must be >= 0, got {spec.min_angle}")
     rng = np.random.default_rng(spec.seed)
     means = _sphere_means(spec, rng)
     counts = class_count_schedule(spec)

@@ -15,9 +15,8 @@ Computed once per run:
   uses are views into it), so the optimizer makes one update per step;
 * the matching views of the flat gradient buffer, which the encoder's
   backward pass and the loss write into, so no step gathers gradients;
-* the optimizer's moments;
-* the weight decay: with ``gamma_shares_schedule`` off, an array with a
-  zero for gamma's element;
+* the optimizer's moments; its one weight decay covers every element,
+  gamma included;
 * a copy of the margin config, whose gamma is set from the buffer each step;
 * the best-epoch buffer, shaped like the flat one, which an epoch that beats
   every earlier validation recall copies the flat buffer into; the state's
@@ -29,7 +28,7 @@ their gamma derivative and the regularizer), shared by its forward and
 backward pass. Finiteness is checked at the boundaries only: encoder input,
 the loss's adjusted logits, the batch loss and the gradients. The gradient
 check is made once per step, in ``train`` on the flat gradient buffer before
-the optimizer step; the optimizers check nothing. Only after it fails is the
+the optimizer step; the optimizer checks nothing. Only after it fails is the
 first bad element traced back to its parameter (gamma, an encoder weight or
 bias, or the prototypes) for the error and its snapshot.
 
@@ -65,7 +64,6 @@ from .priors import compute_class_stats, partition_classes
 from .sampler import lowest_norm_indices, perturb, plan_batch
 from .synthdata import TRAIN, VAL, Dataset, _class_pools
 
-OPTIMIZERS = ("adaptive_decoupled", "sgd")
 SELECTIONS = ("norm_guided", "random")
 
 
@@ -88,7 +86,6 @@ class TrainConfig:
     oversample_size: int = 8
     oversample_prob: float = 0.1
     seed: int = 42
-    optimizer: str = "adaptive_decoupled"
     selection: str = "norm_guided"
     hidden_dims: tuple[int, ...] = (64, 32)
     embed_dim: int = 16
@@ -98,46 +95,40 @@ class TrainConfig:
     # grouped evaluation metrics (through TrainState.partition).
     head_threshold: int = 2000
     tail_threshold: int = 100
-    gamma_shares_schedule: bool = True  # gamma uses the same lr/decay as weights
     margin: MarginConfig = field(default_factory=MarginConfig)
 
     def __post_init__(self) -> None:
+        # Each message names the config key (train.* or partition.*) at fault.
         if self.epochs < 1:
-            raise ValueError("TrainConfig: epochs must be >= 1")
+            raise ValueError(f"train.epochs must be >= 1, got {self.epochs}")
         if self.base_lr <= 0:
-            raise ValueError("TrainConfig: base_lr must be > 0")
+            raise ValueError(f"train.base_lr must be > 0, got {self.base_lr}")
         if self.batch_size < 1:
-            raise ValueError(f"TrainConfig: batch_size must be >= 1, got {self.batch_size}")
+            raise ValueError(f"train.batch_size must be >= 1, got {self.batch_size}")
         if self.oversample_size < 0:
-            raise ValueError(
-                f"TrainConfig: oversample_size must be >= 0, got {self.oversample_size}")
+            raise ValueError(f"train.oversample_size must be >= 0, got {self.oversample_size}")
         if self.embed_dim < 1:
-            raise ValueError(f"TrainConfig: embed_dim must be >= 1, got {self.embed_dim}")
+            raise ValueError(f"train.embed_dim must be >= 1, got {self.embed_dim}")
         if any(width < 1 for width in self.hidden_dims):
             raise ValueError(
-                f"TrainConfig: hidden_dims entries must be >= 1, got {self.hidden_dims}")
+                f"train.hidden_dims entries must be >= 1, got {self.hidden_dims}")
         for name in ("oversample_prob", "perturb_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(
-                    f"TrainConfig: {name} must be in [0, 1], got {getattr(self, name)}")
+                    f"train.{name} must be in [0, 1], got {getattr(self, name)}")
         if not 0 < self.tail_threshold < self.head_threshold:
             raise ValueError(
-                f"TrainConfig: partition thresholds need 0 < tail_threshold < head_threshold, "
-                f"got tail_threshold={self.tail_threshold}, head_threshold={self.head_threshold}")
+                f"partition thresholds need 0 < partition.tail_threshold < "
+                f"partition.head_threshold, got {self.tail_threshold} and {self.head_threshold}")
         if self.lr_decay_factor <= 0:
-            raise ValueError(
-                f"TrainConfig: lr_decay_factor must be > 0, got {self.lr_decay_factor}")
+            raise ValueError(f"train.lr_decay_factor must be > 0, got {self.lr_decay_factor}")
         if self.weight_decay < 0:
-            raise ValueError(
-                f"TrainConfig: weight_decay must be >= 0, got {self.weight_decay}")
+            raise ValueError(f"train.weight_decay must be >= 0, got {self.weight_decay}")
         if not (math.isfinite(self.perturb_strength) and self.perturb_strength >= 0):
             raise ValueError(
-                f"TrainConfig: perturb_strength must be finite and >= 0, "
-                f"got {self.perturb_strength}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"TrainConfig: optimizer must be one of {OPTIMIZERS}")
+                f"train.perturb_strength must be finite and >= 0, got {self.perturb_strength}")
         if self.selection not in SELECTIONS:
-            raise ValueError(f"TrainConfig: selection must be one of {SELECTIONS}")
+            raise ValueError(f"train.selection must be one of {SELECTIONS}")
 
 
 @dataclass
@@ -166,14 +157,12 @@ class AdamW:
 
     Decay multiplies parameters by (1 - lr * wd) before the moment-based
     update; it is never folded into the gradients. ``weight_decay`` is one
-    value for every element, or an array of per-element values that
-    broadcasts against each parameter (``train`` passes one with a zero for
-    gamma when ``gamma_shares_schedule`` is off).
+    value for every element (in training, gamma's included).
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, weight_decay: float | np.ndarray = 0.0):
+    def __init__(self, weight_decay: float = 0.0):
         self.weight_decay = weight_decay
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -196,19 +185,6 @@ class AdamW:
             v += (1 - self.BETA2) * g * g
             p *= 1.0 - lr * self.weight_decay
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
-
-
-class SGD:
-    """Plain gradient step with the same decoupled-decay convention."""
-
-    def __init__(self, weight_decay: float | np.ndarray = 0.0):
-        self.weight_decay = weight_decay
-
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr: float) -> None:
-        for name, p in params.items():
-            p *= 1.0 - lr * self.weight_decay
-            p -= lr * grads[name]
 
 
 def _first_non_finite_param(flat: np.ndarray, views: list[np.ndarray],
@@ -272,9 +248,7 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     mcfg = replace(cfg.margin)
     stats = compute_class_stats(
         dataset.labels[train_idx], dataset.num_classes,
-        base_margin=mcfg.m, beta=mcfg.beta, epsilon=mcfg.epsilon,
-        use_effective=mcfg.use_effective_priors,
-    )
+        base_margin=mcfg.m, beta=mcfg.beta, epsilon=mcfg.epsilon)
     partition = partition_classes(stats.counts, cfg.head_threshold, cfg.tail_threshold)
 
     by_class, pool_starts, pool_sizes = _class_pools(
@@ -301,14 +275,7 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     best = np.empty_like(flat)
     best_views = _views(best, views)
 
-    weight_decay = cfg.weight_decay
-    if not cfg.gamma_shares_schedule:
-        weight_decay = np.full(flat.size, cfg.weight_decay)
-        weight_decay[-1] = 0.0
-    if cfg.optimizer == "adaptive_decoupled":
-        opt = AdamW(weight_decay=weight_decay)
-    else:
-        opt = SGD(weight_decay=weight_decay)
+    opt = AdamW(weight_decay=cfg.weight_decay)
 
     # Norm-guided retention only applies to margin-based modes; plain CE
     # falls back to random retention of the candidate set.

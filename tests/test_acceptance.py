@@ -394,12 +394,12 @@ def test_criterion_10_determinism(tmp_path):
         out = str(tmp_path / name)
         assert cli_main(["train", "--config", str(cfg_path), "--out", out]) == 0
         outs.append(out)
-    import os
+    from pathlib import Path
 
-    csv_a = open(os.path.join(outs[0], "metrics.csv"), "rb").read()
-    csv_b = open(os.path.join(outs[1], "metrics.csv"), "rb").read()
-    manifest_a = open(os.path.join(outs[0], "manifest.json"), "rb").read()
-    manifest_b = open(os.path.join(outs[1], "manifest.json"), "rb").read()
+    csv_a = Path(outs[0], "metrics.csv").read_bytes()
+    csv_b = Path(outs[1], "metrics.csv").read_bytes()
+    manifest_a = Path(outs[0], "manifest.json").read_bytes()
+    manifest_b = Path(outs[1], "manifest.json").read_bytes()
     assert manifest_a == manifest_b
     assert csv_a == csv_b, "metrics CSV not byte-identical across identical re-runs"
     print(f"criterion 10 PASS: byte-identical metrics ({len(csv_a)} bytes)")

@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from dualmargin.config import (
     valid_keys,
 )
 from dualmargin.core import NumericalError
-from dualmargin.experiment import run_id_for
+from dualmargin.experiment import build_dataset, run_id_for
 
 FAST_CONFIG = """
 # Small, fast experiment for harness tests.
@@ -93,10 +94,10 @@ class TestConfigParsing:
     def test_run_id_pinned(self):
         # The run id hashes the flat config; moving a key's field must not
         # change it.
-        assert run_id_for(ExperimentConfig()) == "9a0261efa380"
+        assert run_id_for(ExperimentConfig()) == "e5c3c0e34116"
         cfg = parse_config_text(
             "partition.head_threshold = 500\npartition.tail_threshold = 50")
-        assert run_id_for(cfg) == "669faa1d25bf"
+        assert run_id_for(cfg) == "7c430af99718"
 
     def test_flat_dict_roundtrip(self):
         # ``with_seed`` and every ablation variant are built as
@@ -115,9 +116,24 @@ class TestConfigParsing:
 
     def test_valid_keys_cover_registry(self):
         keys = valid_keys()
+        assert len(keys) == 37
         assert "margin.lambda" in keys
         assert "data.classes" in keys
         assert "eval.target_tpr" in keys
+
+    def test_rejected_value_names_its_key(self):
+        # Every int and float key, with values out of most keys' range,
+        # through config assembly and dataset generation: a rejection names
+        # the key that was set.
+        for key, (caster, *_) in config._REGISTRY.items():
+            values = {int: ("0", "-1", "1"), float: ("0", "-1", "1.5", "1e5")}.get(caster, ())
+            for value in values:
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")  # split's small-class warning
+                        build_dataset(parse_config_text(f"{key} = {value}\n"))
+                except ConfigError as exc:
+                    assert key in str(exc), (key, value, str(exc))
 
     def test_non_finite_float_is_rejected_naming_its_key(self):
         float_keys = [key for key, (caster, *_) in config._REGISTRY.items() if caster is float]
@@ -199,7 +215,8 @@ class TestCliCommands:
 
         assert list(load("metrics.json")) == [
             "rank1", "per_class_recall", "per_class_precision", "per_class_f1",
-            "macro_recall", "macro_precision", "macro_f1", "group_recall", "open_set"]
+            "macro_recall", "macro_precision", "macro_f1", "group_recall", "group_sizes",
+            "open_set"]
         checkpoint = load("checkpoint.json")
         assert list(checkpoint) == ["encoder", "prototypes", "gamma", "epoch", "step",
                                     "best_val_recall", "class_stats"]
@@ -209,8 +226,33 @@ class TestCliCommands:
             "counts", "priors", "effective_numbers", "effective_priors", "deltas",
             "num_classes"]
         assert list(load("dataset.json")["spec"]) == [
-            "num_classes", "dim", "imbalance_ratio", "head_count", "decay",
+            "num_classes", "dim", "imbalance_ratio", "head_count",
             "cluster_spread", "unknown_class_count", "seed", "min_angle"]
+
+    def test_metrics_json_counts_classes_per_group(self, tmp_path):
+        # No class has more than 100 training samples, so the head group is
+        # empty: its recall is NaN and its size 0.
+        cfg = self._write_config(tmp_path, FAST_CONFIG.replace(
+            "partition.head_threshold = 40", "partition.head_threshold = 100"))
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", cfg, "--out", out]) == EXIT_OK
+        with open(os.path.join(out, "metrics.json")) as fh:
+            report = json.load(fh)
+        sizes = report["group_sizes"]
+        assert sizes["head"] == 0 and np.isnan(report["group_recall"]["head"])
+        assert sizes["between"] > 0 and sizes["tail"] > 0
+        assert sum(sizes.values()) == np.count_nonzero(~np.isnan(report["per_class_recall"]))
+
+    @pytest.mark.parametrize("key", ["train.optimizer", "train.gamma_shares_schedule",
+                                     "margin.use_effective_priors", "data.decay"])
+    def test_deleted_key_is_unknown(self, tmp_path, key):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(FAST_CONFIG + f"{key} = sgd\n")
+        out = tmp_path / "err"
+        assert main(["train", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        payload = json.loads((out / "error.json").read_text())
+        assert f"unknown key {key!r}" in payload["error"]
+        assert not (out / "history.jsonl").exists()
 
     def test_manifest_reproduces_run(self, tmp_path):
         cfg = self._write_config(tmp_path)
@@ -264,13 +306,15 @@ class TestCliCommands:
         assert main(["train", "--config", str(bad), "--out", out]) == EXIT_CONFIG
         payload = json.loads(open(os.path.join(out, "error.json")).read())
         assert payload["exit_code"] == EXIT_CONFIG
-        assert message in payload["error"]
+        # The message starts with the full key: its section, then its name.
+        section = line.split(".", 1)[0]
+        assert payload["error"].startswith(f"{section}.{message}")
         assert not os.path.exists(os.path.join(out, "history.jsonl"))
         assert not os.path.exists(os.path.join(out, "checkpoint.json"))
 
     @pytest.mark.parametrize("lines, keys", [
         ("partition.head_threshold = 50\npartition.tail_threshold = 100",
-         ("tail_threshold", "head_threshold")),
+         ("partition.tail_threshold", "partition.head_threshold")),
         ("train.perturb_strength = -0.5\ntrain.oversample_prob = 1.0",
          ("perturb_strength",)),
         ("margin.s = nan", ("margin.s",)),

@@ -205,6 +205,7 @@ class TestClosedSetMetrics:
         report = closed_set_metrics(preds, labels, self._partition([10, 10, 10]), 3)
         assert np.isnan(report.per_class_recall[2])
         assert report.macro_recall == pytest.approx((0.5 + 1.0) / 2)
+        assert report.group_sizes == {"head": 0, "between": 0, "tail": 2}
 
     def test_empty_test_set(self):
         with pytest.raises(ValueError, match="empty test set"):

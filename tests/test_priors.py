@@ -176,6 +176,9 @@ class TestComputeClassStats:
         assert stats.deltas[0] == 0.0
         assert stats.deltas[2] == pytest.approx(0.15)
         assert stats.deltas[1] > 0
+        # The margin map runs on the effective priors, not the raw ones.
+        np.testing.assert_array_equal(stats.deltas,
+                                      margin_adjustments(stats.effective_priors, 0.15))
 
     def test_zero_count_class_is_max_tail(self):
         labels = np.array([0] * 10 + [1] * 5)
@@ -184,15 +187,6 @@ class TestComputeClassStats:
         # Seen classes still span [0, m] among themselves.
         assert stats.deltas[0] == 0.0
         assert stats.deltas[1] == pytest.approx(0.15)
-
-    def test_raw_prior_switch(self):
-        labels = np.array([0] * 100 + [1] * 10 + [2] * 1)
-        eff = compute_class_stats(labels, 3, 0.15, use_effective=True)
-        raw = compute_class_stats(labels, 3, 0.15, use_effective=False)
-        assert not np.allclose(eff.deltas, raw.deltas)
-        for stats in (eff, raw):
-            assert stats.deltas[0] == 0.0
-            assert stats.deltas[2] == pytest.approx(0.15)
 
     def test_roundtrip_dict(self):
         labels = np.array([0, 0, 1])

@@ -13,7 +13,6 @@ from dualmargin.evaluation import prototype_scores
 from dualmargin.loss import MarginConfig, margin_loss, margin_loss_forward
 from dualmargin.synthdata import TRAIN, VAL, SyntheticSpec, generate, split
 from dualmargin.trainer import (
-    SGD,
     AdamW,
     TrainConfig,
     TrainingDiverged,
@@ -88,18 +87,18 @@ class TestAdamW:
 
     def test_decay_override(self):
         # The training layout: one flat buffer whose last element is gamma,
-        # with a per-element decay that exempts gamma.
-        opt = AdamW(weight_decay=np.array([0.5, 0.5, 0.0]))
+        # which decays with the weights.
+        opt = AdamW(weight_decay=0.5)
         p = {"flat": np.array([1.0, -2.0, 1.0])}
         opt.step(p, {"flat": np.zeros(3)}, lr=0.1)
-        np.testing.assert_array_equal(p["flat"], [0.95, -1.9, 1.0])
+        np.testing.assert_array_equal(p["flat"], [0.95, -1.9, 0.95])
 
     def test_matches_the_textbook_expression(self):
-        # Five steps with a per-element decay, against the update written
-        # out with fresh temporaries; equal bit for bit.
+        # Five steps, against the update written out with fresh
+        # temporaries; equal bit for bit.
         rng = np.random.default_rng(1)
         size = 1000  # enough elements that a reordered operation shows
-        wd = rng.uniform(0.0, 0.5, size=size)
+        wd = 0.3
         p0 = rng.normal(size=size)
         opt = AdamW(weight_decay=wd)
         p = {"flat": p0.copy()}
@@ -116,26 +115,6 @@ class TestAdamW:
             ref *= 1.0 - lr * wd
             ref -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
         assert np.array_equal(p["flat"], ref)
-
-
-class TestSGD:
-    def test_plain_step(self):
-        opt = SGD(weight_decay=0.0)
-        p = {"w": np.array([1.0])}
-        opt.step(p, {"w": np.array([2.0])}, lr=0.1)
-        assert p["w"][0] == pytest.approx(0.8)
-
-    def test_decoupled_decay(self):
-        opt = SGD(weight_decay=0.5)
-        p = {"w": np.array([1.0])}
-        opt.step(p, {"w": np.zeros(1)}, lr=0.1)
-        assert p["w"][0] == pytest.approx(0.95)
-
-    def test_per_element_decay(self):
-        opt = SGD(weight_decay=np.array([0.5, 0.0]))
-        p = {"flat": np.array([1.0, 1.0])}
-        opt.step(p, {"flat": np.zeros(2)}, lr=0.1)
-        np.testing.assert_array_equal(p["flat"], [0.95, 1.0])
 
 
 class TestTrainConfig:
@@ -155,8 +134,6 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(base_lr=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(optimizer="rmsprop")
         with pytest.raises(ValueError):
             TrainConfig(selection="highest_norm")
         with pytest.raises(ValueError, match="lr_decay_factor must be > 0"):
@@ -273,21 +250,6 @@ class TestTrainLoop:
         _, history = train(cfg, dataset)
         assert [rec["train_loss"] for rec in history] == [10.097163493582725,
                                                           10.727874049299244]
-
-    def test_unshared_schedule_exempts_gamma_from_decay(self):
-        # Frozen oracle: with gamma_shares_schedule off, a large weight
-        # decay shrinks every parameter but gamma. Decaying gamma as well
-        # (the shared schedule) gives gammas near 0.02 instead.
-        dataset = _small_dataset(seed=14)
-        cfg = _fast_config(seed=14, base_lr=0.01, weight_decay=20.0,
-                           gamma_shares_schedule=False)
-        _, history = train(cfg, dataset)
-        assert [rec["train_loss"] for rec in history] == [4.881109174023724,
-                                                          5.027445806236259,
-                                                          2.1974578084057987]
-        assert [rec["gamma"] for rec in history] == [0.05080894699616748,
-                                                     0.09045314919997438,
-                                                     0.09481122562474958]
 
     @pytest.mark.parametrize("seed, overrides, losses, gammas", [
         (16, dict(margin=MarginConfig(mode="am_softmax")),
