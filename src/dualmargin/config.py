@@ -37,7 +37,6 @@ def _choice(options: tuple[str, ...]):
 @dataclass
 class EvalOptions:
     target_tpr: float = 0.95
-    score: str = "cosine"  # or "softmax"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_tpr <= 1.0:
@@ -96,7 +95,6 @@ _REGISTRY: dict[str, tuple] = {
     "partition.head_threshold": (int, "train", "head_threshold"),
     "partition.tail_threshold": (int, "train", "tail_threshold"),
     "eval.target_tpr": (float, "eval", "target_tpr"),
-    "eval.score": (_choice(("cosine", "softmax")), "eval", "score"),
 }
 
 

@@ -3,7 +3,7 @@
 Macro metrics are unweighted means over classes that have at least one
 test sample; group aggregates are means over member classes. The
 open-set score of a sample is its maximum cosine similarity to any known
-prototype (max softmax probability is available as an alternative).
+prototype.
 
 Scoring runs in row blocks of ``SCORE_BLOCK_ROWS`` rows: each block goes
 through the encoder, the row normalization and the prototype matmul, and
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder
-from .core import rows_normalize, stable_softmax
+from .core import rows_normalize
 from .priors import GROUP_NAMES
 
 # Rows per scoring block (the last block also takes a shorter remainder).
@@ -77,20 +77,14 @@ def prototype_scores(
     return scores
 
 
-def novelty_scores(cosines: np.ndarray, kind: str, s: float) -> np.ndarray:
-    """Per-sample novelty score from cosine scores: max cosine or max softmax probability."""
-    if kind == "cosine":
-        return cosines.max(axis=1)
-    if kind == "softmax":
-        return stable_softmax(s * cosines, axis=1).max(axis=1)
-    raise ValueError(f"novelty_scores: unknown score kind {kind!r}")
-
-
 def open_set_scores(
-    units: np.ndarray, unit_prototypes: np.ndarray, kind: str = "cosine", s: float = 32.0
+    units: np.ndarray, unit_prototypes: np.ndarray, kind: str = "cosine"
 ) -> np.ndarray:
-    """Novelty scores of unit embeddings against unit prototypes."""
-    return novelty_scores(units @ unit_prototypes.T, kind, s)
+    """Novelty scores of unit embeddings against unit prototypes: each
+    row's max cosine. ``cosine`` is the only ``kind``."""
+    if kind != "cosine":
+        raise ValueError(f"open_set_scores: unknown score kind {kind!r}")
+    return (units @ unit_prototypes.T).max(axis=1)
 
 
 def closed_set_metrics(

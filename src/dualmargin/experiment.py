@@ -14,8 +14,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, assemble
 from .evaluation import (MIN_CALIBRATION_SCORES, EvalReport, calibrate_threshold,
-                         closed_set_metrics, novelty_scores, open_set_eval,
-                         prototype_scores)
+                         closed_set_metrics, open_set_eval, prototype_scores)
 from .synthdata import TEST, TRAIN, UNKNOWN, VAL, Dataset, generate, open_set_partition, split
 from .trainer import TrainState, train
 
@@ -74,18 +73,13 @@ def evaluate_state(
 
     unknown_idx = dataset.indices(UNKNOWN)
     if unknown_idx.size:
-        def cosines_of(idx):
-            return prototype_scores(enc, protos, dataset.features[idx], cosine=True)
+        def novelty(idx):  # each row's max cosine to a known prototype
+            return prototype_scores(enc, protos, dataset.features[idx], cosine=True).max(axis=1)
 
-        def novelty(cosines):
-            return novelty_scores(cosines, cfg.eval.score, cfg.train.margin.s)
-
-        tau, _ = calibrate_threshold(novelty(cosines_of(dataset.indices(VAL))),
-                                     cfg.eval.target_tpr)
+        tau, _ = calibrate_threshold(novelty(dataset.indices(VAL)), cfg.eval.target_tpr)
         # In a margin mode the closed-set logits are the test cosines already.
-        test_cosines = logits if cosine else cosines_of(test_idx)
-        report.open_set = open_set_eval(
-            novelty(test_cosines), novelty(cosines_of(unknown_idx)), tau)
+        test_scores = logits.max(axis=1) if cosine else novelty(test_idx)
+        report.open_set = open_set_eval(test_scores, novelty(unknown_idx), tau)
     return report
 
 

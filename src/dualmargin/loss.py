@@ -30,9 +30,9 @@ prototype rows as one stack, normalized in a cosine mode; the adjusted
 logits, formed as the stack's logits minus the margins by broadcast, with
 each target entry rewritten as ``logits[i, y] - (margin[y] + m)``; and one
 max-shifted exp whose row sums give both the log-sum-exp and the softmax.
-The fused ``margin_loss`` then turns the softmax into its gradient in
-place, and chains it back through the stack (and its normalization, in a
-cosine mode).
+The forward pass leaves the softmax in its ``LossContext``; the fused
+``margin_loss`` turns it into its gradient in place, and chains it back
+through the stack (and its normalization, in a cosine mode).
 
 ``train`` builds the plan once and passes it to ``margin_loss`` in place of
 the adjustments; its training labels were range-checked once, by the class
@@ -112,8 +112,8 @@ class MarginConfig:
 class LossOutput:
     total: float | np.ndarray  # an array (P,) from a stacked forward
     per_sample: np.ndarray
-    probs: np.ndarray | None  # None from margin_loss, which turns them into the gradient
     reg_value: float
+    # Set by margin_loss; a forward-only call leaves them None.
     grad_embeddings: np.ndarray | None = None
     grad_prototypes: np.ndarray | None = None
     grad_gamma: float | None = None
@@ -157,6 +157,9 @@ class LossContext:
     # The embedding rows, then the prototype rows, as one stack: unit rows
     # in a cosine mode (with their norms and zero-norm mask), raw rows in ce.
     units: np.ndarray
+    # The softmax of the adjusted logits; ``margin_loss``'s backward pass
+    # turns it into the logit gradient in place.
+    probs: np.ndarray
     norms: np.ndarray | None = None
     degenerate: np.ndarray | None = None
     # Gamma terms (dual_margin mode only): d(scaled_delta)/d(gamma) and the
@@ -278,8 +281,6 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     adjusted = logits - scaled
     adjusted.reshape(-1)[targets] = logits.reshape(-1)[targets] - (scaled[labels] + plan.m)
     adjusted *= plan.s
-    ctx = LossContext(cfg=cfg, labels=labels, plan=plan, units=units, norms=norms,
-                      degenerate=degenerate, dscaled_dgamma=dscaled, dreg_dgamma=dreg)
 
     # The one finiteness check of the loss: a NaN or inf embedding or
     # prototype row shows up here as a non-finite logit row.
@@ -296,14 +297,17 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     probs /= sums
     total = per_sample.sum(axis=-1) / n + cfg.lam * reg_value  # (P,) for a stack
     out = LossOutput(total=float(total) if total.ndim == 0 else total,
-                     per_sample=per_sample, probs=probs, reg_value=reg_value)
+                     per_sample=per_sample, reg_value=reg_value)
+    ctx = LossContext(cfg=cfg, labels=labels, plan=plan, units=units, probs=probs,
+                      norms=norms, degenerate=degenerate, dscaled_dgamma=dscaled,
+                      dreg_dgamma=dreg)
     return out, ctx
 
 
-def _backward(ctx: LossContext, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _backward(ctx: LossContext) -> tuple[np.ndarray, np.ndarray, float]:
     """The backward half of the step kernel: the gradients wrt the raw
-    embeddings, the raw prototypes and gamma. ``g`` starts as the softmax
-    and is turned into the logit gradient in place.
+    embeddings, the raw prototypes and gamma. The context's softmax is
+    turned into the logit gradient in place.
 
     The softmax gradient p - onehot is chained through the scale factor,
     the logits, and (in a cosine mode) the L2 normalization of both
@@ -313,9 +317,9 @@ def _backward(ctx: LossContext, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     their raw vector, so their gradient is zero. The prototype gradient is
     written into the plan's ``grad_prototypes``.
     """
+    cfg, plan, g = ctx.cfg, ctx.plan, ctx.probs
     if g.ndim != 2:
         raise ValueError("margin_loss: a stacked forward has no backward pass")
-    cfg, plan = ctx.cfg, ctx.plan
     g.reshape(-1)[plan.row_starts + ctx.labels] -= 1.0
     g /= g.shape[0]  # batch-mean reduction
 
@@ -384,14 +388,12 @@ def margin_loss(
     ``deltas`` is either the per-class adjustments, or the run's
     ``LossPlan`` built by ``loss_plan`` from the same config (gamma aside).
     With a plan, the inputs are taken as checked: float64 arrays, and int
-    labels in range with one per plan row. The softmax becomes the
-    gradient in place, so the output's ``probs`` is None.
+    labels in range with one per plan row.
     """
     if isinstance(deltas, LossPlan):
         args = (embeddings, labels, prototypes, deltas)
     else:
         args = _checked("margin_loss", embeddings, labels, prototypes, deltas, cfg)
     out, ctx = _forward(*args, cfg)
-    out.grad_embeddings, out.grad_prototypes, out.grad_gamma = _backward(ctx, out.probs)
-    out.probs = None
+    out.grad_embeddings, out.grad_prototypes, out.grad_gamma = _backward(ctx)
     return out

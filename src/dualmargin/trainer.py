@@ -23,12 +23,14 @@ Computed once per run:
   ``best_*`` parameters are views of it. With no validation rows no epoch
   could be chosen, so ``train`` rejects such a dataset before the first step.
 
-Computed once per step: the gamma terms of the loss (the scaled margins,
-their gamma derivative and the regularizer), shared by its forward and
-backward pass. Finiteness is checked at the boundaries only: encoder input,
-the loss's adjusted logits, the batch loss and the gradients. The gradient
-check is made once per step, in ``train`` on the flat gradient buffer before
-the optimizer step; the optimizer checks nothing. Only after it fails is the
+Computed once per step: one gather of the batch's features and labels,
+base and extra rows together, into which the perturbed extra rows are
+written; the gamma terms of the loss (the scaled margins, their gamma
+derivative and the regularizer), shared by its forward and backward pass.
+Finiteness is checked at the boundaries only: encoder input, the loss's
+adjusted logits, the batch loss and the gradients. The gradient check is
+made once per step, in ``train`` on the flat gradient buffer before the
+optimizer step; the optimizer checks nothing. Only after it fails is the
 first bad element traced back to its parameter (gamma, an encoder weight or
 bias, or the prototypes) for the error and its snapshot.
 
@@ -299,18 +301,16 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                                   cfg.oversample_prob, rng, cfg.perturb_prob)
                 if plan_fh:
                     plan_fh.write(plan.json_line())
-                feats = dataset.features[plan.base_indices]
-                labels = dataset.labels[plan.base_indices]
+                rows = np.concatenate([plan.base_indices, plan.extra_indices])
+                feats, labels = dataset.features[rows], dataset.labels[rows]
                 if plan.oversample_fired:
-                    extra_feats = dataset.features[plan.extra_indices]
-                    extra_labels = dataset.labels[plan.extra_indices]
+                    # Views of the gathered copy: the dataset is never written.
+                    extra, extra_labels = feats[cfg.batch_size:], labels[cfg.batch_size:]
                     # One uniform same-class training sample per extra row.
                     draw = rng.integers(0, pool_sizes[extra_labels])
                     partners = dataset.features[by_class[pool_starts[extra_labels] + draw]]
-                    mixed = perturb(extra_feats, partners, cfg.perturb_strength, rng)
-                    extra_feats = np.where(plan.perturbation_mask[:, None], mixed, extra_feats)
-                    feats = np.concatenate([feats, extra_feats])
-                    labels = np.concatenate([labels, extra_labels])
+                    mixed = perturb(extra, partners, cfg.perturb_strength, rng)
+                    np.copyto(extra, mixed, where=plan.perturbation_mask[:, None])
 
                 emb, cache = encoder.forward(enc, feats)
                 if len(labels) > cfg.batch_size:

@@ -94,10 +94,10 @@ class TestConfigParsing:
     def test_run_id_pinned(self):
         # The run id hashes the flat config; moving a key's field must not
         # change it.
-        assert run_id_for(ExperimentConfig()) == "e5c3c0e34116"
+        assert run_id_for(ExperimentConfig()) == "e97f5e926723"
         cfg = parse_config_text(
             "partition.head_threshold = 500\npartition.tail_threshold = 50")
-        assert run_id_for(cfg) == "7c430af99718"
+        assert run_id_for(cfg) == "c8b67570b68f"
 
     def test_flat_dict_roundtrip(self):
         # ``with_seed`` and every ablation variant are built as
@@ -116,7 +116,7 @@ class TestConfigParsing:
 
     def test_valid_keys_cover_registry(self):
         keys = valid_keys()
-        assert len(keys) == 37
+        assert len(keys) == 36
         assert "margin.lambda" in keys
         assert "data.classes" in keys
         assert "eval.target_tpr" in keys
@@ -197,7 +197,7 @@ class TestCliCommands:
         assert sorted(os.listdir(out)) == ["checkpoint.json", "history.jsonl",
                                            "manifest.json", "metrics.csv",
                                            "metrics.json", "plans.jsonl"]
-        header = open(os.path.join(out, "metrics.csv")).readline().strip()
+        header = pathlib.Path(out, "metrics.csv").read_text().splitlines()[0]
         assert header == ("run_id,mode,seed,rank1,macro_recall,macro_precision,"
                           "macro_f1,recall_head,recall_between,recall_tail,tpr,tnr,acc")
 
@@ -244,7 +244,8 @@ class TestCliCommands:
         assert sum(sizes.values()) == np.count_nonzero(~np.isnan(report["per_class_recall"]))
 
     @pytest.mark.parametrize("key", ["train.optimizer", "train.gamma_shares_schedule",
-                                     "margin.use_effective_priors", "data.decay"])
+                                     "margin.use_effective_priors", "data.decay",
+                                     "eval.score"])
     def test_deleted_key_is_unknown(self, tmp_path, key):
         bad = tmp_path / "bad.ini"
         bad.write_text(FAST_CONFIG + f"{key} = sgd\n")
@@ -260,8 +261,8 @@ class TestCliCommands:
         out_b = str(tmp_path / "b")
         main(["train", "--config", cfg, "--out", out_a])
         main(["train", "--config", cfg, "--out", out_b])
-        bytes_a = open(os.path.join(out_a, "metrics.csv"), "rb").read()
-        bytes_b = open(os.path.join(out_b, "metrics.csv"), "rb").read()
+        bytes_a = pathlib.Path(out_a, "metrics.csv").read_bytes()
+        bytes_b = pathlib.Path(out_b, "metrics.csv").read_bytes()
         assert bytes_a == bytes_b
 
     def test_seed_override_changes_run(self, tmp_path):
@@ -270,8 +271,8 @@ class TestCliCommands:
         out_b = str(tmp_path / "b")
         main(["train", "--config", cfg, "--out", out_a, "--seed", "1"])
         main(["train", "--config", cfg, "--out", out_b, "--seed", "2"])
-        row_a = open(os.path.join(out_a, "metrics.csv")).readlines()[1]
-        row_b = open(os.path.join(out_b, "metrics.csv")).readlines()[1]
+        row_a = pathlib.Path(out_a, "metrics.csv").read_text().splitlines()[1]
+        row_b = pathlib.Path(out_b, "metrics.csv").read_text().splitlines()[1]
         assert row_a != row_b
 
     def test_config_error_exit_code(self, tmp_path, capsys):
@@ -280,7 +281,7 @@ class TestCliCommands:
         out = str(tmp_path / "err")
         assert main(["train", "--config", str(bad), "--out", out]) == EXIT_CONFIG
         assert os.listdir(out) == ["error.json"]
-        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        payload = json.loads(pathlib.Path(out, "error.json").read_text())
         assert payload["exit_code"] == EXIT_CONFIG
         stderr = capsys.readouterr().err
         assert json.loads(stderr.strip())["exit_code"] == EXIT_CONFIG
@@ -304,7 +305,7 @@ class TestCliCommands:
         bad.write_text(FAST_CONFIG + line + "\n")
         out = str(tmp_path / "err")
         assert main(["train", "--config", str(bad), "--out", out]) == EXIT_CONFIG
-        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        payload = json.loads(pathlib.Path(out, "error.json").read_text())
         assert payload["exit_code"] == EXIT_CONFIG
         # The message starts with the full key: its section, then its name.
         section = line.split(".", 1)[0]
@@ -342,7 +343,7 @@ class TestCliCommands:
         bad.write_text(FAST_CONFIG + lines + "\n")
         out = str(tmp_path / "err")
         assert main(["train", "--config", str(bad), "--out", out]) == EXIT_CONFIG
-        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        payload = json.loads(pathlib.Path(out, "error.json").read_text())
         assert payload["exit_code"] == EXIT_CONFIG
         for key in keys:
             assert key in payload["error"]
@@ -353,7 +354,7 @@ class TestCliCommands:
     def test_negative_seed_override_is_config_error(self, tmp_path):
         out = str(tmp_path / "err")
         assert main(["verify", "--seed", "-1", "--out", out]) == EXIT_CONFIG
-        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        payload = json.loads(pathlib.Path(out, "error.json").read_text())
         assert payload["error"] == "data.seed must be >= 0, got -1"
         assert os.listdir(out) == ["error.json"]
 
@@ -362,7 +363,7 @@ class TestCliCommands:
         bad.write_text("data.min_angle = 80\ndata.dim = 2\n")
         out = str(tmp_path / "err")
         assert main(["train", "--config", str(bad), "--out", out]) == EXIT_CONFIG
-        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        payload = json.loads(pathlib.Path(out, "error.json").read_text())
         assert payload["exit_code"] == EXIT_CONFIG
         assert "cannot place" in payload["error"]
 
@@ -373,7 +374,7 @@ class TestCliCommands:
         bad.write_text("data.head_count = 30\ndata.unknown_classes = 1\n")
         out = str(tmp_path / "err")
         assert main(["train", "--config", str(bad), "--out", out]) == EXIT_CONFIG
-        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        payload = json.loads(pathlib.Path(out, "error.json").read_text())
         assert payload["exit_code"] == EXIT_CONFIG
         assert "data.val_frac" in payload["error"]
         assert "data.head_count" in payload["error"]
@@ -386,7 +387,7 @@ class TestCliCommands:
         assert main(["train", "--config", str(bad), "--out", out]) == EXIT_NUMERICAL
         # The run stopped inside training: no model, no metrics.
         assert sorted(os.listdir(out)) == ["error.json", "history.jsonl", "plans.jsonl"]
-        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        payload = json.loads(pathlib.Path(out, "error.json").read_text())
         assert payload["exit_code"] == EXIT_NUMERICAL
         assert set(payload["snapshot"]) == {"epoch", "step", "loss", "lr", "gamma"}
         assert payload["snapshot"]["step"] == 0
@@ -399,7 +400,7 @@ class TestCliCommands:
         bad.write_text(FAST_CONFIG + "margin.s = 1e200\n")
         out = str(tmp_path / "err")
         assert main(["train", "--config", str(bad), "--out", out]) == EXIT_NUMERICAL
-        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        payload = json.loads(pathlib.Path(out, "error.json").read_text())
         assert payload["exit_code"] == EXIT_NUMERICAL
         assert (payload["snapshot"]["epoch"], payload["snapshot"]["step"]) == (0, 0)
         assert not os.path.exists(os.path.join(out, "checkpoint.json"))
@@ -418,7 +419,7 @@ class TestCliCommands:
         out = str(tmp_path / "err")
         cfg = self._write_config(tmp_path)
         assert main(["train", "--config", cfg, "--out", out]) == EXIT_NUMERICAL
-        payload = json.loads(open(os.path.join(out, "error.json")).read())
+        payload = json.loads(pathlib.Path(out, "error.json").read_text())
         assert "parameter 'gamma' at epoch 0 step 0" in payload["error"]
         assert payload["snapshot"] == {"param": "gamma", "epoch": 0, "step": 0,
                                        "lr": 0.001, "gamma": 0.0}
@@ -464,7 +465,7 @@ class TestCliCommands:
         out = str(tmp_path / "verify")
         assert main(["verify", "--out", out]) == EXIT_OK
         assert sorted(os.listdir(out)) == ["manifest.json", "verify.csv"]
-        lines = open(os.path.join(out, "verify.csv")).read().splitlines()
+        lines = pathlib.Path(out, "verify.csv").read_text().splitlines()
         assert lines[0] == "check,statistic,value,threshold,passed"
         checks = {line.split(",")[0] for line in lines[1:]}
         assert checks == {"gradcheck", "prototype_alignment", "deviation_bound"}
@@ -480,7 +481,7 @@ class TestCliCommands:
         out = str(tmp_path / "verify")
         assert main(["verify", "--out", out]) == EXIT_VERIFY
         assert sorted(os.listdir(out)) == ["manifest.json", "verify.csv"]
-        lines = open(os.path.join(out, "verify.csv")).read().splitlines()
+        lines = pathlib.Path(out, "verify.csv").read_text().splitlines()
         assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["False", "True", "True"]
         assert capsys.readouterr().out.count("-> FAIL") == 1
 
@@ -488,7 +489,7 @@ class TestCliCommands:
         cfg = self._write_config(tmp_path)
         out = str(tmp_path / "ablate")
         assert main(["ablate", "seeds", "--config", cfg, "--out", out]) == EXIT_OK
-        lines = open(os.path.join(out, "ablate.csv")).read().splitlines()
+        lines = pathlib.Path(out, "ablate.csv").read_text().splitlines()
         assert len(lines) == 5  # header + 4 seeds
         assert lines[0] == ("variant,run_id,mode,seed,rank1,macro_recall,macro_precision,"
                             "macro_f1,recall_head,recall_between,recall_tail,tpr,tnr,acc")

@@ -144,14 +144,6 @@ class TestOpenSetScores:
         scores = open_set_scores(units, protos, kind="cosine")
         np.testing.assert_allclose(scores, (units @ protos.T).max(axis=1))
 
-    def test_softmax_alternative(self):
-        rng = np.random.default_rng(2)
-        units, _, _ = rows_normalize(rng.normal(size=(10, 4)))
-        protos, _, _ = rows_normalize(rng.normal(size=(3, 4)))
-        scores = open_set_scores(units, protos, kind="softmax", s=32.0)
-        assert np.all(scores > 1 / 3 - 1e-12)
-        assert np.all(scores <= 1.0)
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="score kind"):
             open_set_scores(np.ones((1, 2)), np.ones((1, 2)), kind="banana")

@@ -211,8 +211,8 @@ class TestForward:
         w = rng.normal(size=(4, 5))
         labels = rng.integers(0, 4, size=8)
         deltas = np.array([0.0, 0.05, 0.1, 0.15])
-        out, _ = margin_loss_forward(x, labels, w, deltas, MarginConfig())
-        np.testing.assert_allclose(out.probs.sum(axis=1), np.ones(8), atol=1e-10)
+        out, ctx = margin_loss_forward(x, labels, w, deltas, MarginConfig())
+        np.testing.assert_allclose(ctx.probs.sum(axis=1), np.ones(8), atol=1e-10)
         assert np.all(out.per_sample >= 0)
         assert out.total == pytest.approx(
             out.per_sample.mean() + 5.0 * out.reg_value
@@ -324,15 +324,15 @@ class TestStackedForward:
         labels = rng.integers(0, c, size=n)
         deltas = np.array([0.0, 0.05, 0.1, 0.15])
         cfg = MarginConfig(mode=mode, eq5_sign=sign, gamma=-0.4, lam=1.0)
-        stacked, _ = margin_loss_forward(x, labels, w, deltas, cfg)
+        stacked, stacked_ctx = margin_loss_forward(x, labels, w, deltas, cfg)
         assert stacked.total.shape == (points,)
         assert stacked.per_sample.shape == (points, n)
         for i in range(points):
-            one, _ = margin_loss_forward(x[i], labels, w[i], deltas, cfg)
+            one, one_ctx = margin_loss_forward(x[i], labels, w[i], deltas, cfg)
             assert isinstance(one.total, float)
             assert np.array_equal(stacked.total[i], one.total)
             assert np.array_equal(stacked.per_sample[i], one.per_sample)
-            assert np.array_equal(stacked.probs[i], one.probs)
+            assert np.array_equal(stacked_ctx.probs[i], one_ctx.probs)
 
     def test_stacked_context_has_no_backward(self):
         rng = np.random.default_rng(13)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -178,9 +179,9 @@ class TestTrainLoop:
         hist_path = str(tmp_path / "history.jsonl")
         plan_path = str(tmp_path / "plans.jsonl")
         _, history = train(cfg, dataset, history_path=hist_path, plan_log_path=plan_path)
-        lines = [json.loads(line) for line in open(hist_path)]
+        lines = [json.loads(line) for line in pathlib.Path(hist_path).read_text().splitlines()]
         assert lines == history
-        plans = [json.loads(line) for line in open(plan_path)]
+        plans = [json.loads(line) for line in pathlib.Path(plan_path).read_text().splitlines()]
         assert all(len(p["base_indices"]) == cfg.batch_size for p in plans)
 
     def test_unit_view_invariance_of_prototype_scale(self):
@@ -250,6 +251,22 @@ class TestTrainLoop:
         _, history = train(cfg, dataset)
         assert [rec["train_loss"] for rec in history] == [10.097163493582725,
                                                           10.727874049299244]
+
+    def test_random_retention_matches_frozen_oracle(self):
+        # Frozen oracle: every step oversamples, perturbs about half of the
+        # extra rows and keeps a random subset, so the perturbation mask, the
+        # partner and mixing draws and the retention draw all show in every
+        # epoch's loss and gamma. The perturbed rows are written into the
+        # step's gathered copy, never into the dataset.
+        dataset = _small_dataset(seed=13, ratio=80.0)
+        features = dataset.features.copy()
+        cfg = _fast_config(seed=13, oversample_prob=1.0, selection="random", perturb_prob=0.5)
+        _, history = train(cfg, dataset)
+        assert [rec["train_loss"] for rec in history] == [
+            18.917439698778733, 15.72760483647697, 14.57114336311846]
+        assert [rec["gamma"] for rec in history] == [
+            -0.003621119002743715, -0.0015293070207061164, -0.0011830491104973557]
+        assert np.array_equal(dataset.features, features)
 
     @pytest.mark.parametrize("seed, overrides, losses, gammas", [
         (16, dict(margin=MarginConfig(mode="am_softmax")),
