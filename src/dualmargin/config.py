@@ -2,7 +2,10 @@
 
 The file format is a diff-friendly list of ``section.key = value`` lines
 with ``#`` comments. Unknown keys and malformed lines are rejected with
-their line number so manifests stay trustworthy.
+their line number so manifests stay trustworthy. Each key's range is
+checked in one place, the ``__post_init__`` of the dataclass that holds
+it (``SyntheticSpec``, ``MarginConfig``, ``TrainConfig``, ``EvalOptions``);
+only the finiteness of float keys is checked here.
 """
 
 from __future__ import annotations
@@ -10,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .loss import MODES, SIGN_CHOICES, MarginConfig
+from .loss import MarginConfig
 from .synthdata import SyntheticSpec
-from .trainer import SELECTIONS, TrainConfig
+from .trainer import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -24,14 +27,6 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     return tuple(int(part.strip()) for part in text.split(","))
-
-
-def _choice(options: tuple[str, ...]):
-    def cast(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"expected one of {options}, got {text!r}")
-        return text
-    return cast
 
 
 @dataclass
@@ -48,13 +43,12 @@ class ExperimentConfig:
     data: SyntheticSpec = field(default_factory=SyntheticSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalOptions = field(default_factory=EvalOptions)
-    split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
     def to_flat_dict(self) -> dict[str, object]:
         return {key: _get(self, key) for key in _REGISTRY}
 
 
-# key -> (caster, section, field); a "fractions" field indexes split_fractions.
+# key -> (caster, section, field)
 _REGISTRY: dict[str, tuple] = {
     "data.classes": (int, "data", "num_classes"),
     "data.dim": (int, "data", "dim"),
@@ -64,9 +58,9 @@ _REGISTRY: dict[str, tuple] = {
     "data.unknown_classes": (int, "data", "unknown_class_count"),
     "data.seed": (int, "data", "seed"),
     "data.min_angle": (float, "data", "min_angle"),
-    "data.train_frac": (float, "fractions", 0),
-    "data.val_frac": (float, "fractions", 1),
-    "data.test_frac": (float, "fractions", 2),
+    "data.train_frac": (float, "data", "train_frac"),
+    "data.val_frac": (float, "data", "val_frac"),
+    "data.test_frac": (float, "data", "test_frac"),
 
     "margin.s": (float, "margin", "s"),
     "margin.m": (float, "margin", "m"),
@@ -74,8 +68,8 @@ _REGISTRY: dict[str, tuple] = {
     "margin.epsilon": (float, "margin", "epsilon"),
     "margin.lambda": (float, "margin", "lam"),
     "margin.gamma": (float, "margin", "gamma"),
-    "margin.mode": (_choice(MODES), "margin", "mode"),
-    "margin.eq5_sign": (_choice(SIGN_CHOICES), "margin", "eq5_sign"),
+    "margin.mode": (str, "margin", "mode"),
+    "margin.eq5_sign": (str, "margin", "eq5_sign"),
 
     "train.epochs": (int, "train", "epochs"),
     "train.base_lr": (float, "train", "base_lr"),
@@ -86,7 +80,7 @@ _REGISTRY: dict[str, tuple] = {
     "train.oversample_size": (int, "train", "oversample_size"),
     "train.oversample_prob": (float, "train", "oversample_prob"),
     "train.seed": (int, "train", "seed"),
-    "train.selection": (_choice(SELECTIONS), "train", "selection"),
+    "train.selection": (str, "train", "selection"),
     "train.hidden_dims": (_int_tuple, "train", "hidden_dims"),
     "train.embed_dim": (int, "train", "embed_dim"),
     "train.perturb_strength": (float, "train", "perturb_strength"),
@@ -98,15 +92,8 @@ _REGISTRY: dict[str, tuple] = {
 }
 
 
-# Seeds, counts and epoch numbers, for which a negative value means nothing.
-_NON_NEGATIVE = ("data.head_count", "data.unknown_classes", "data.seed", "train.seed",
-                 "train.lr_decay_epochs")
-
-
 def _get(cfg: ExperimentConfig, key: str) -> object:
     _, section, name = _REGISTRY[key]
-    if section == "fractions":
-        return cfg.split_fractions[name]
     obj = {"data": cfg.data, "train": cfg.train, "margin": cfg.train.margin,
            "eval": cfg.eval}[section]
     return getattr(obj, name)
@@ -152,24 +139,11 @@ def parse_config(path: str) -> ExperimentConfig:
 def assemble(overrides: dict[str, object]) -> ExperimentConfig:
     """Build an ExperimentConfig from flat key overrides over defaults."""
     sections: dict[str, dict] = {"data": {}, "train": {}, "margin": {}, "eval": {}}
-    fractions = list(ExperimentConfig().split_fractions)
     for key, value in overrides.items():
         caster, section, name = _REGISTRY[key]
         if caster is float and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
-        if key in _NON_NEGATIVE and min(value if isinstance(value, tuple) else (value,),
-                                        default=0) < 0:
-            raise ConfigError(f"{key} must be >= 0, got {value}")
-        if section == "fractions":
-            fractions[name] = value
-        else:
-            sections[section][name] = value
-    frac_keys = [key for key, entry in _REGISTRY.items() if entry[1] == "fractions"]
-    for key, value in zip(frac_keys, fractions):
-        if value <= 0:
-            raise ConfigError(f"{key} must be > 0, got {value}")
-    if sum(fractions) > 1 + 1e-9:
-        raise ConfigError(f"{' + '.join(frac_keys)} must be <= 1, got {sum(fractions)}")
+        sections[section][name] = value
     try:
         data = SyntheticSpec(**sections["data"])
         margin = MarginConfig(**sections["margin"])
@@ -177,13 +151,7 @@ def assemble(overrides: dict[str, object]) -> ExperimentConfig:
         train = TrainConfig(margin=margin, **sections["train"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    known = data.num_classes - data.unknown_class_count
-    if known < 2:
-        raise ConfigError(f"data.unknown_classes = {data.unknown_class_count} leaves {known} of "
-                          f"data.classes = {data.num_classes} known; training needs at least 2 "
-                          f"known classes")
-    return ExperimentConfig(data=data, train=train, eval=ev,
-                            split_fractions=tuple(fractions))
+    return ExperimentConfig(data=data, train=train, eval=ev)
 
 
 def describe_defaults() -> str:

@@ -20,18 +20,17 @@ from .trainer import TrainState, train
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
-    """Generate, split and (optionally) open-set-partition the dataset.
+    """Generate, split and open-set-partition the dataset ``cfg.data`` specifies.
 
-    The dataset depends on the config alone, so a failure here is a
-    config error. That includes an empty test split (an empty validation
-    split too) and a validation split too small to calibrate the open-set
-    threshold on, both of which would fail after training, and a training
-    split smaller than one batch.
+    The spec checked every data.* value when it was built. The dataset
+    depends on the config alone, so a failure here is a config error too:
+    class means that cannot be placed, an empty test split (an empty
+    validation split too) and a validation split too small to calibrate
+    the open-set threshold on, both of which would fail after training,
+    and a training split smaller than one batch.
     """
     try:
-        ds = generate(cfg.data)
-        ds = split(ds, cfg.split_fractions)
-        ds = open_set_partition(ds, cfg.data.unknown_class_count, seed=cfg.data.seed + 2)
+        ds = open_set_partition(split(generate(cfg.data)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if ds.indices(TEST).size == 0:

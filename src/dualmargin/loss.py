@@ -100,7 +100,8 @@ class MarginConfig:
         if self.mode not in MODES:
             raise ValueError(f"margin.mode must be one of {MODES}, got {self.mode!r}")
         if self.eq5_sign not in SIGN_CHOICES:
-            raise ValueError(f"margin.eq5_sign must be one of {SIGN_CHOICES}")
+            raise ValueError(f"margin.eq5_sign must be one of {SIGN_CHOICES}, "
+                             f"got {self.eq5_sign!r}")
 
     @property
     def cosine(self) -> bool:
@@ -112,7 +113,6 @@ class MarginConfig:
 class LossOutput:
     total: float | np.ndarray  # an array (P,) from a stacked forward
     per_sample: np.ndarray
-    reg_value: float
     # Set by margin_loss; a forward-only call leaves them None.
     grad_embeddings: np.ndarray | None = None
     grad_prototypes: np.ndarray | None = None
@@ -296,8 +296,7 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     per_sample = (np.log(sums) + peak)[..., 0] - adjusted.reshape(-1)[targets]
     probs /= sums
     total = per_sample.sum(axis=-1) / n + cfg.lam * reg_value  # (P,) for a stack
-    out = LossOutput(total=float(total) if total.ndim == 0 else total,
-                     per_sample=per_sample, reg_value=reg_value)
+    out = LossOutput(total=float(total) if total.ndim == 0 else total, per_sample=per_sample)
     ctx = LossContext(cfg=cfg, labels=labels, plan=plan, units=units, probs=probs,
                       norms=norms, degenerate=degenerate, dscaled_dgamma=dscaled,
                       dreg_dgamma=dreg)

@@ -5,8 +5,12 @@ separation (the loss operates on cosine logits, so directional clusters
 are the natural geometry). Within-class noise is added in raw space so
 embedding norms genuinely vary. Counts decay geometrically from the head
 count down to head_count / imbalance_ratio.
-A ``Dataset`` carries the ``SyntheticSpec`` that generated it, and ``split``
-draws from ``spec.seed + 1``, so the split follows from the spec alone.
+``SyntheticSpec`` owns the whole dataset: the generator's settings, the
+split fractions and the count of held-out unknown classes, each checked
+when the spec is built. A ``Dataset`` carries the spec that generated it;
+``split`` draws from ``spec.seed + 1`` and ``open_set_partition`` from
+``spec.seed + 2``, so the split and the unknown pool follow from the spec
+alone, and ``dataset.json`` records all of it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,42 @@ class SyntheticSpec:
     unknown_class_count: int = 0
     seed: int = 0
     min_angle: float = 0.15  # radians, minimum pairwise mean separation
+    train_frac: float = 0.8
+    val_frac: float = 0.1
+    test_frac: float = 0.1
+
+    def __post_init__(self) -> None:
+        # Each message names the data.* config key at fault.
+        if self.num_classes < 2:
+            raise ValueError(f"data.classes must be >= 2, got {self.num_classes}")
+        if self.dim < 2:
+            raise ValueError(f"data.dim must be >= 2, got {self.dim}")
+        if self.imbalance_ratio < 1:
+            raise ValueError(f"data.imbalance_ratio must be >= 1, got {self.imbalance_ratio}")
+        if self.cluster_spread <= 0:
+            raise ValueError(f"data.cluster_spread must be > 0, got {self.cluster_spread}")
+        # cos is even, so a negative angle would silently act as its magnitude.
+        if self.min_angle < 0:
+            raise ValueError(f"data.min_angle must be >= 0, got {self.min_angle}")
+        for key, value in (("data.head_count", self.head_count),
+                           ("data.unknown_classes", self.unknown_class_count),
+                           ("data.seed", self.seed)):
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
+        fractions = {"data.train_frac": self.train_frac, "data.val_frac": self.val_frac,
+                     "data.test_frac": self.test_frac}
+        for key, value in fractions.items():
+            if value <= 0:
+                raise ValueError(f"{key} must be > 0, got {value}")
+        total = sum(fractions.values())
+        if total > 1 + 1e-9:
+            raise ValueError(f"{' + '.join(fractions)} must be <= 1, got {total}")
+        known = self.num_classes - self.unknown_class_count
+        if known < 2:
+            raise ValueError(
+                f"data.unknown_classes = {self.unknown_class_count} leaves {known} of "
+                f"data.classes = {self.num_classes} known; training needs at least 2 "
+                f"known classes")
 
 
 @dataclass
@@ -41,7 +81,7 @@ class Dataset:
     split: np.ndarray  # per-sample TRAIN/VAL/TEST/UNKNOWN, -1 when unassigned
     known_mask: np.ndarray  # per-class boolean
     num_classes: int
-    spec: SyntheticSpec  # what generated it; seeds the split
+    spec: SyntheticSpec  # what generated, splits and partitions it
 
     def indices(self, which: int) -> np.ndarray:
         return np.flatnonzero(self.split == which)
@@ -53,9 +93,7 @@ class Dataset:
 def class_count_schedule(spec: SyntheticSpec) -> np.ndarray:
     """Per-class sample counts under a geometric decay."""
     c = spec.num_classes
-    if spec.imbalance_ratio < 1:
-        raise ValueError(f"data.imbalance_ratio must be >= 1, got {spec.imbalance_ratio}")
-    if spec.imbalance_ratio == 1 or c == 1:
+    if spec.imbalance_ratio == 1:
         return np.full(c, spec.head_count, dtype=np.int64)
     j = np.arange(c, dtype=np.float64)
     counts = spec.head_count * np.power(spec.imbalance_ratio, -j / (c - 1))
@@ -90,14 +128,6 @@ def _sphere_means(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
 
 def generate(spec: SyntheticSpec) -> Dataset:
     """Generate features and labels; splits are unassigned (-1)."""
-    if spec.num_classes < 2:
-        raise ValueError(f"data.classes must be >= 2, got {spec.num_classes}")
-    if spec.dim < 2:
-        raise ValueError(f"data.dim must be >= 2, got {spec.dim}")
-    if spec.cluster_spread <= 0:
-        raise ValueError(f"data.cluster_spread must be > 0, got {spec.cluster_spread}")
-    if spec.min_angle < 0:
-        raise ValueError(f"data.min_angle must be >= 0, got {spec.min_angle}")
     rng = np.random.default_rng(spec.seed)
     means = _sphere_means(spec, rng)
     counts = class_count_schedule(spec)
@@ -126,18 +156,14 @@ def _class_pools(ids: np.ndarray, labels: np.ndarray,
     return ids[np.argsort(labels, kind="stable")], np.cumsum(sizes) - sizes, sizes
 
 
-def split(
-    dataset: Dataset,
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-) -> Dataset:
-    """Stratified train/val/test assignment, drawn from ``spec.seed + 1``.
+def split(dataset: Dataset) -> Dataset:
+    """Stratified train/val/test assignment by the spec's fractions, drawn
+    from ``spec.seed + 1``.
 
     Every class with at least 3 samples gets at least one sample in each
     split; classes with fewer go entirely to train, named in one warning.
     """
-    f_train, f_val, f_test = fractions
-    if min(fractions) <= 0 or sum(fractions) > 1 + 1e-9:
-        raise ValueError("split: fractions must be positive and sum to <= 1")
+    f_val, f_test = dataset.spec.val_frac, dataset.spec.test_frac
     rng = np.random.default_rng(dataset.spec.seed + 1)
     assignment = np.full(len(dataset), TRAIN, dtype=np.int64)
     by_class, starts, sizes = _class_pools(
@@ -161,15 +187,15 @@ def split(
     return replace(dataset, split=assignment)
 
 
-def open_set_partition(dataset: Dataset, unknown_class_count: int, seed: int) -> Dataset:
-    """Move all samples of uniformly chosen unknown classes to a held-out pool."""
-    if unknown_class_count >= dataset.num_classes:
-        raise ValueError("open_set_partition: unknown_class_count must be < num_classes")
+def open_set_partition(dataset: Dataset) -> Dataset:
+    """Move all samples of ``spec.unknown_class_count`` uniformly chosen
+    classes, drawn from ``spec.seed + 2``, to a held-out pool."""
+    count = dataset.spec.unknown_class_count
     known_mask = np.ones(dataset.num_classes, dtype=bool)
     assignment = dataset.split.copy()
-    if unknown_class_count > 0:
-        rng = np.random.default_rng(seed)
-        unknown = rng.choice(dataset.num_classes, size=unknown_class_count, replace=False)
+    if count > 0:
+        rng = np.random.default_rng(dataset.spec.seed + 2)
+        unknown = rng.choice(dataset.num_classes, size=count, replace=False)
         known_mask[unknown] = False
         assignment[np.isin(dataset.labels, unknown)] = UNKNOWN
     return replace(dataset, split=assignment, known_mask=known_mask)

@@ -130,7 +130,12 @@ class TrainConfig:
             raise ValueError(
                 f"train.perturb_strength must be finite and >= 0, got {self.perturb_strength}")
         if self.selection not in SELECTIONS:
-            raise ValueError(f"train.selection must be one of {SELECTIONS}")
+            raise ValueError(f"train.selection must be one of {SELECTIONS}, "
+                             f"got {self.selection!r}")
+        if self.seed < 0:
+            raise ValueError(f"train.seed must be >= 0, got {self.seed}")
+        if min(self.lr_decay_epochs, default=0) < 0:
+            raise ValueError(f"train.lr_decay_epochs must be >= 0, got {self.lr_decay_epochs}")
 
 
 @dataclass

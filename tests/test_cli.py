@@ -1,5 +1,6 @@
 """Unit tests for config parsing and the command-line harness."""
 
+import csv
 import json
 import os
 import pathlib
@@ -31,6 +32,7 @@ from dualmargin.config import (
 )
 from dualmargin.core import NumericalError
 from dualmargin.experiment import build_dataset, run_id_for
+from dualmargin.synthdata import SPLIT_NAMES, SyntheticSpec, generate, open_set_partition, split
 
 FAST_CONFIG = """
 # Small, fast experiment for harness tests.
@@ -150,7 +152,7 @@ class TestConfigParsing:
     def test_default_config_assembles(self):
         cfg = assemble({})
         assert cfg == ExperimentConfig()
-        assert cfg.split_fractions == (0.8, 0.1, 0.1)
+        assert (cfg.data.train_frac, cfg.data.val_frac, cfg.data.test_frac) == (0.8, 0.1, 0.1)
 
 
 class TestCliCommands:
@@ -227,7 +229,26 @@ class TestCliCommands:
             "num_classes"]
         assert list(load("dataset.json")["spec"]) == [
             "num_classes", "dim", "imbalance_ratio", "head_count",
-            "cluster_spread", "unknown_class_count", "seed", "min_angle"]
+            "cluster_spread", "unknown_class_count", "seed", "min_angle",
+            "train_frac", "val_frac", "test_frac"]
+
+    def test_dataset_json_reproduces_the_split(self, tmp_path):
+        # The sidecar's spec alone gives back the csv's split column and the
+        # unknown pool, fractions and held-out classes included.
+        cfg = self._write_config(tmp_path, (
+            "data.classes = 5\ndata.dim = 6\ndata.head_count = 200\n"
+            "data.imbalance_ratio = 10\ndata.unknown_classes = 2\ndata.seed = 3\n"
+            "data.train_frac = 0.6\ndata.val_frac = 0.25\ndata.test_frac = 0.15\n"))
+        out = tmp_path / "gen"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        sidecar = json.loads((out / "dataset.json").read_text())
+        with open(out / "dataset.csv", newline="") as fh:
+            column = [row["split"] for row in csv.DictReader(fh)]
+        ds = open_set_partition(split(generate(SyntheticSpec(**sidecar["spec"]))))
+        assert column == [SPLIT_NAMES[int(sp)] for sp in ds.split]
+        assert sidecar["known_mask"] == ds.known_mask.tolist()
+        assert {"val", "unknown"} <= set(column)
+        assert sidecar["spec"]["val_frac"] == 0.25
 
     def test_metrics_json_counts_classes_per_group(self, tmp_path):
         # No class has more than 100 training samples, so the head group is
@@ -299,19 +320,32 @@ class TestCliCommands:
         ("train.lr_decay_factor = 0", "lr_decay_factor must be > 0, got 0.0"),
         ("train.weight_decay = -1", "weight_decay must be >= 0, got -1.0"),
         ("data.min_angle = -1", "min_angle must be >= 0, got -1.0"),
+        ("data.classes = 1", "classes must be >= 2, got 1"),
+        ("data.dim = 1", "dim must be >= 2, got 1"),
+        ("data.imbalance_ratio = 0.5", "imbalance_ratio must be >= 1, got 0.5"),
+        ("data.cluster_spread = 0", "cluster_spread must be > 0, got 0.0"),
+        ("data.test_frac = 0", "test_frac must be > 0, got 0.0"),
+        ("data.unknown_classes = 3", "unknown_classes = 3 leaves 1 of data.classes = 4 "
+                                     "known; training needs at least 2 known classes"),
+        ("margin.mode = x", "mode must be one of ('dual_margin', 'am_softmax', 'ce'), got 'x'"),
+        ("margin.eq5_sign = x", "eq5_sign must be one of ('literal', 'magnitude'), got 'x'"),
+        ("train.selection = x", "selection must be one of ('norm_guided', 'random'), got 'x'"),
     ])
     def test_unusable_setting_is_config_error(self, tmp_path, line, message):
+        # Every command checks the config before it runs anything: exit 2,
+        # and error.json is the only file written.
         bad = tmp_path / "bad.ini"
         bad.write_text(FAST_CONFIG + line + "\n")
-        out = str(tmp_path / "err")
-        assert main(["train", "--config", str(bad), "--out", out]) == EXIT_CONFIG
-        payload = json.loads(pathlib.Path(out, "error.json").read_text())
-        assert payload["exit_code"] == EXIT_CONFIG
-        # The message starts with the full key: its section, then its name.
+        # The message is the full key, its section then its name, and what
+        # is wrong with the value.
         section = line.split(".", 1)[0]
-        assert payload["error"].startswith(f"{section}.{message}")
-        assert not os.path.exists(os.path.join(out, "history.jsonl"))
-        assert not os.path.exists(os.path.join(out, "checkpoint.json"))
+        for command in ("train", "verify", "generate"):
+            out = str(tmp_path / command)
+            assert main([command, "--config", str(bad), "--out", out]) == EXIT_CONFIG
+            assert os.listdir(out) == ["error.json"]
+            payload = json.loads(pathlib.Path(out, "error.json").read_text())
+            assert payload["exit_code"] == EXIT_CONFIG
+            assert payload["error"] == f"{section}.{message}", command
 
     @pytest.mark.parametrize("lines, keys", [
         ("partition.head_threshold = 50\npartition.tail_threshold = 100",

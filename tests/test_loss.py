@@ -106,12 +106,13 @@ class TestPowerScaledMargins:
 
 
 def _reg_value(deltas, gamma=0.0, sign="literal"):
-    """The regularizer value of a forward pass with these adjustments (m = 0.15)."""
+    """The regularizer value of a forward pass with these adjustments
+    (m = 0.15): at lam = 1 it is the total less the mean data term."""
     c = len(deltas)
     x, w = np.eye(c)[:1], np.eye(c)
-    cfg = MarginConfig(m=0.15, gamma=gamma, eq5_sign=sign)
+    cfg = MarginConfig(m=0.15, gamma=gamma, eq5_sign=sign, lam=1.0)
     out, _ = margin_loss_forward(x, np.array([0]), w, np.asarray(deltas, dtype=float), cfg)
-    return out.reg_value
+    return out.total - out.per_sample.mean()
 
 
 class TestMarginRegularizer:
@@ -214,9 +215,6 @@ class TestForward:
         out, ctx = margin_loss_forward(x, labels, w, deltas, MarginConfig())
         np.testing.assert_allclose(ctx.probs.sum(axis=1), np.ones(8), atol=1e-10)
         assert np.all(out.per_sample >= 0)
-        assert out.total == pytest.approx(
-            out.per_sample.mean() + 5.0 * out.reg_value
-        )
 
     def test_total_combination(self):
         # lam switch-off and linear combination.
@@ -226,10 +224,12 @@ class TestForward:
         labels = np.array([0, 1, 2, 0])
         deltas = np.array([0.0, 0.075, 0.15])
         off, _ = margin_loss_forward(x, labels, w, deltas, MarginConfig(lam=0.0))
+        one, _ = margin_loss_forward(x, labels, w, deltas, MarginConfig(lam=1.0))
         on, _ = margin_loss_forward(x, labels, w, deltas, MarginConfig(lam=5.0))
         assert off.total == pytest.approx(off.per_sample.mean())
-        assert on.total == pytest.approx(on.per_sample.mean() + 5.0 * on.reg_value)
-        assert on.reg_value > 0
+        reg_value = one.total - one.per_sample.mean()
+        assert on.total == pytest.approx(on.per_sample.mean() + 5.0 * reg_value)
+        assert reg_value > 0
 
     def test_scale_invariance_of_normalization(self):
         rng = np.random.default_rng(6)

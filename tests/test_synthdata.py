@@ -39,9 +39,9 @@ def _loop_sphere_means(spec, rng):
     return np.stack(means)
 
 
-def _loop_split(dataset, fractions, seed):
+def _loop_split(dataset, seed):
     """Stratified assignment with one ``labels == j`` scan per class."""
-    _, f_val, f_test = fractions
+    f_val, f_test = dataset.spec.val_frac, dataset.spec.test_frac
     rng = np.random.default_rng(seed)
     assignment = np.full(len(dataset), TRAIN, dtype=np.int64)
     for j in range(dataset.num_classes):
@@ -89,7 +89,7 @@ class TestCountSchedule:
 
     def test_invalid_ratio(self):
         with pytest.raises(ValueError, match=r"data\.imbalance_ratio must be >= 1"):
-            class_count_schedule(SyntheticSpec(imbalance_ratio=0.5))
+            SyntheticSpec(imbalance_ratio=0.5)
 
 
 class TestGenerate:
@@ -121,15 +121,21 @@ class TestGenerate:
             generate(spec)
 
     def test_validation(self):
+        # The spec rejects these when it is built, before anything is drawn.
         with pytest.raises(ValueError, match=r"data\.classes must be >= 2, got 1"):
-            generate(SyntheticSpec(num_classes=1))
+            SyntheticSpec(num_classes=1)
         with pytest.raises(ValueError, match=r"data\.dim must be >= 2, got 1"):
-            generate(SyntheticSpec(dim=1))
+            SyntheticSpec(dim=1)
         with pytest.raises(ValueError, match=r"data\.cluster_spread must be > 0"):
-            generate(SyntheticSpec(cluster_spread=0.0))
+            SyntheticSpec(cluster_spread=0.0)
         # cos is even, so a negative angle would silently act as its magnitude.
         with pytest.raises(ValueError, match=r"data\.min_angle must be >= 0, got -1"):
-            generate(SyntheticSpec(min_angle=-1.0))
+            SyntheticSpec(min_angle=-1.0)
+        for kwargs, key in (({"head_count": -1}, "head_count"),
+                            ({"unknown_class_count": -1}, "unknown_classes"),
+                            ({"seed": -1}, "seed")):
+            with pytest.raises(ValueError, match=rf"^data\.{key} must be >= 0, got -1$"):
+                SyntheticSpec(**kwargs)
 
 
 class TestSplit:
@@ -187,25 +193,35 @@ class TestSplit:
         np.testing.assert_array_equal(a.split, b.split)
 
     def test_bad_fractions(self):
-        ds = generate(SyntheticSpec(num_classes=2, head_count=20,
-                                    imbalance_ratio=1.0, dim=4))
-        with pytest.raises(ValueError, match="fractions"):
-            split(ds, (0.8, 0.3, 0.3))
+        with pytest.raises(ValueError, match=r"^data\.train_frac \+ data\.val_frac \+ "
+                                             r"data\.test_frac must be <= 1, got 1\.4"):
+            SyntheticSpec(val_frac=0.3, test_frac=0.3)
+        with pytest.raises(ValueError, match=r"^data\.test_frac must be > 0, got 0$"):
+            SyntheticSpec(test_frac=0)
+
+    def test_fractions_come_from_the_spec(self):
+        spec = SyntheticSpec(num_classes=3, head_count=100, imbalance_ratio=1.0, dim=4,
+                             train_frac=0.5, val_frac=0.2, test_frac=0.3)
+        ds = split(generate(spec))
+        for j in range(3):
+            mask = ds.labels == j
+            assert np.sum(ds.split[mask] == VAL) == 20
+            assert np.sum(ds.split[mask] == TEST) == 30
 
 
 class TestOpenSetPartition:
-    def _dataset(self):
+    def _dataset(self, unknown_class_count, seed=7):
         spec = SyntheticSpec(num_classes=10, head_count=40, imbalance_ratio=4.0,
-                             dim=6, seed=7)
+                             dim=6, seed=seed, unknown_class_count=unknown_class_count)
         return split(generate(spec))
 
     def test_zero_unknown(self):
-        ds = open_set_partition(self._dataset(), 0, seed=1)
+        ds = open_set_partition(self._dataset(0))
         assert np.all(ds.known_mask)
         assert ds.indices(UNKNOWN).size == 0
 
     def test_three_unknown_classes(self):
-        ds = open_set_partition(self._dataset(), 3, seed=1)
+        ds = open_set_partition(self._dataset(3))
         assert np.sum(~ds.known_mask) == 3
         unknown_classes = np.flatnonzero(~ds.known_mask)
         train_labels = ds.labels[ds.indices(TRAIN)]
@@ -213,20 +229,29 @@ class TestOpenSetPartition:
         assert np.all(np.isin(ds.labels[ds.indices(UNKNOWN)], unknown_classes))
 
     def test_deterministic(self):
-        a = open_set_partition(self._dataset(), 3, seed=9)
-        b = open_set_partition(self._dataset(), 3, seed=9)
+        a = open_set_partition(self._dataset(3))
+        b = open_set_partition(self._dataset(3))
         np.testing.assert_array_equal(a.known_mask, b.known_mask)
 
+    def test_draws_from_spec_seed_plus_two(self):
+        for seed in range(5):
+            ds = open_set_partition(self._dataset(3, seed=seed))
+            expected = np.random.default_rng(seed + 2).choice(10, size=3, replace=False)
+            np.testing.assert_array_equal(np.flatnonzero(~ds.known_mask), np.sort(expected))
+
     def test_too_many_unknown(self):
-        with pytest.raises(ValueError, match="unknown_class_count"):
-            open_set_partition(self._dataset(), 10, seed=0)
+        # A spec that leaves fewer than 2 known classes cannot be built.
+        for count in (9, 10):
+            with pytest.raises(ValueError, match=rf"^data\.unknown_classes = {count} leaves "
+                                                 rf"{10 - count} of data\.classes = 10 known"):
+                SyntheticSpec(num_classes=10, unknown_class_count=count)
 
 
 class TestCsvRoundtrip:
     def test_exact_roundtrip(self, tmp_path):
         spec = SyntheticSpec(num_classes=3, head_count=20, imbalance_ratio=2.0,
-                             dim=4, seed=8)
-        ds = open_set_partition(split(generate(spec)), 1, seed=2)
+                             dim=4, seed=8, unknown_class_count=1)
+        ds = open_set_partition(split(generate(spec)))
         csv_path = str(tmp_path / "data.csv")
         sidecar_path = str(tmp_path / "data.json")
         export_csv(ds, csv_path, sidecar_path)
@@ -267,12 +292,11 @@ class TestMatchesPerClassLoops:
         assert rng_a.random() == rng_b.random()
 
     def test_split(self):
-        fractions = (0.8, 0.1, 0.1)
         for seed in range(40):
             spec = SyntheticSpec(num_classes=25, head_count=60, imbalance_ratio=30.0,
                                  dim=4, seed=seed)
             ds = generate(spec)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                got = split(ds, fractions)
-            np.testing.assert_array_equal(got.split, _loop_split(ds, fractions, seed + 1))
+                got = split(ds)
+            np.testing.assert_array_equal(got.split, _loop_split(ds, seed + 1))
