@@ -4,6 +4,10 @@ Every run writes a manifest sufficient to reproduce it exactly; metrics
 go to CSV/JSON with a fixed column layout. Exit codes: 0 success,
 2 config error (``ConfigError``), 3 numerical failure (``NumericalError``),
 4 verification failure. Any other exception propagates: it is a bug.
+
+BLAS runs on one thread unless the environment sets a count: some BLAS
+kernels give other bits for the same product on two threads, so one
+thread keeps runs byte-identical.
 """
 
 from __future__ import annotations
@@ -14,6 +18,10 @@ import json
 import os
 import sys
 from dataclasses import replace
+
+# Set before NumPy is imported: BLAS reads its thread count when it loads.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 

@@ -1,7 +1,7 @@
 """Numerically stable primitives shared across the package: the error type
-of a numerical failure, row normalization, label range checks, the
-softmax, and the scalar softplus and logistic functions of the loss's
-margin exponent.
+of a numerical failure, row norms and row normalization, label range
+checks, the softmax, and the scalar softplus and logistic functions of
+the loss's margin exponent.
 
 All routines work in double precision and are pure functions of their
 inputs, so they can be called from anywhere without synchronization.
@@ -19,6 +19,12 @@ class NumericalError(ValueError):
     """A non-finite value where a finite one is needed; the CLI's exit 3."""
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norms along the last axis; bit-equal to ``np.linalg.norm(x, axis=-1)``
+    for real input, which evaluates the same expression."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def rows_normalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise L2 normalization with a zero-guard.
 
@@ -32,13 +38,13 @@ def rows_normalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     NaN units there.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    norms = np.sqrt((mat * mat).sum(axis=-1))
+    norms = row_norms(mat)
     degenerate = norms <= NORM_EPS
-    safe = np.where(degenerate, 1.0, norms)
-    units = mat / safe[..., None]
-    if degenerate.any():
-        units[degenerate] = 0.0
-        units[degenerate, 0] = 1.0
+    if not degenerate.any():
+        return mat / norms[..., None], norms, degenerate
+    units = mat / np.where(degenerate, 1.0, norms)[..., None]
+    units[degenerate] = 0.0
+    units[degenerate, 0] = 1.0
     return units, norms, degenerate
 
 

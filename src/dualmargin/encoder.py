@@ -92,7 +92,7 @@ def backward(
     for l in range(len(params.weights) - 1, -1, -1):
         dw, db = out[l]
         np.matmul(delta.T, activations[l], out=dw)
-        delta.sum(axis=0, out=db)
+        np.add.reduce(delta, axis=0, out=db)
         if l:
             delta = delta @ params.weights[l]
             a = activations[l]

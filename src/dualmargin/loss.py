@@ -199,7 +199,8 @@ def _gamma_terms(ratio: np.ndarray, log_ratio: np.ndarray, m: float, gamma: floa
 def _regularizer(deltas: np.ndarray, scaled_deltas: np.ndarray,
                  dscaled_dgamma: np.ndarray) -> tuple[float, float]:
     gap = deltas - scaled_deltas
-    return float((gap * gap).sum()), float((-2.0 * gap * dscaled_dgamma).sum())
+    return (float(np.add.reduce(gap * gap)),
+            float(np.add.reduce(-2.0 * gap * dscaled_dgamma)))
 
 
 def power_scaled_margins(
@@ -290,12 +291,13 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
                              + (f" of stack entry {int(entry[0])}" if entry else ""))
 
     # Max-shifted exp and its row sums, shared by log-sum-exp and softmax.
-    peak = adjusted.max(axis=-1, keepdims=True)
-    probs = np.exp(adjusted - peak)
-    sums = probs.sum(axis=-1, keepdims=True)
+    peak = np.maximum.reduce(adjusted, axis=-1, keepdims=True)
+    probs = adjusted - peak
+    np.exp(probs, out=probs)
+    sums = np.add.reduce(probs, axis=-1, keepdims=True)
     per_sample = (np.log(sums) + peak)[..., 0] - adjusted.reshape(-1)[targets]
     probs /= sums
-    total = per_sample.sum(axis=-1) / n + cfg.lam * reg_value  # (P,) for a stack
+    total = np.add.reduce(per_sample, axis=-1) / n + cfg.lam * reg_value  # (P,) for a stack
     out = LossOutput(total=float(total) if total.ndim == 0 else total, per_sample=per_sample)
     ctx = LossContext(cfg=cfg, labels=labels, plan=plan, units=units, probs=probs,
                       norms=norms, degenerate=degenerate, dscaled_dgamma=dscaled,
@@ -326,8 +328,9 @@ def _backward(ctx: LossContext) -> tuple[np.ndarray, np.ndarray, float]:
     if plan.ratio is not None:
         # Data term: every margin-matrix column j is scaled_delta[j] (+m on
         # the target), so dL/d(scaled_delta[j]) = -s * column-sum of g.
-        dscaled_data = -plan.s * g.sum(axis=0)
-        grad_gamma = float((dscaled_data * ctx.dscaled_dgamma).sum() + cfg.lam * ctx.dreg_dgamma)
+        dscaled_data = -plan.s * np.add.reduce(g, axis=0)
+        grad_gamma = float(np.add.reduce(dscaled_data * ctx.dscaled_dgamma)
+                           + cfg.lam * ctx.dreg_dgamma)
 
     g *= plan.s  # now the gradient wrt the unscaled logits
     units, n = ctx.units, g.shape[0]
@@ -347,11 +350,13 @@ def _chain_through_normalization(
     degenerate: np.ndarray,
 ) -> None:
     """Pull gradients wrt unit rows back to raw rows through x/||x||, in place."""
-    radial = (grad_units * units).sum(axis=1, keepdims=True)
+    radial = np.add.reduce(grad_units * units, axis=1, keepdims=True)
     grad_units -= radial * units
+    if not degenerate.any():
+        grad_units /= norms[:, None]
+        return
     grad_units /= np.where(degenerate, 1.0, norms)[:, None]
-    if degenerate.any():
-        grad_units[degenerate] = 0.0
+    grad_units[degenerate] = 0.0
 
 
 def margin_loss_forward(

@@ -6,10 +6,15 @@ replacement; an extra sample may duplicate one of the base batch. After
 embedding all candidates, only the batch-size lowest-norm samples are
 kept; ties break by ascending candidate index so selection is a
 deterministic function of (dataset, seed, step).
+
+Computed once per run: the tail pool (``tail_pool``), the training samples
+of tail classes that extra rows are drawn from. ``train`` passes it to
+every ``plan_batch`` call; a call without it computes the pool itself.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +40,17 @@ class BatchPlan:
                 f'"perturbation_mask": [{mask}]}}\n')
 
 
+def tail_pool(train_indices: np.ndarray, labels: np.ndarray,
+              partition: np.ndarray) -> np.ndarray:
+    """The ids in ``train_indices`` whose class is in the tail group: the
+    population that oversampling draws extra rows from."""
+    train_indices = np.asarray(train_indices, dtype=np.int64)
+    return train_indices[partition[labels[train_indices]] == TAIL]
+
+
+_tail_pool = tail_pool  # plan_batch's keyword of the same name shadows it
+
+
 def plan_batch(
     train_indices: np.ndarray,
     labels: np.ndarray,
@@ -44,12 +60,15 @@ def plan_batch(
     oversample_prob: float,
     rng: np.random.Generator,
     perturb_prob: float = 0.9,
+    tail_pool: np.ndarray | None = None,
 ) -> BatchPlan:
     """Plan one batch: base draw plus optional tail-class oversampling.
 
     ``train_indices`` are dataset-level sample ids eligible for training;
     ``labels`` are the full per-sample label array indexed by those ids;
     ``partition`` holds each class's group id (``priors.partition_classes``).
+    ``tail_pool`` is ``tail_pool(train_indices, labels, partition)``, which
+    a fired call computes when it is not given.
     """
     train_indices = np.asarray(train_indices, dtype=np.int64)
     if train_indices.size < batch_size:
@@ -61,12 +80,15 @@ def plan_batch(
     extra = np.empty(0, dtype=np.int64)
     mask = np.empty(0, dtype=bool)
     if fired:
-        pool = train_indices[partition[labels[train_indices]] == TAIL]
+        pool = (_tail_pool(train_indices, labels, partition) if tail_pool is None
+                else tail_pool)
         if pool.size == 0:
             warnings.warn("plan_batch: oversample fired but no tail-class samples; skipping")
             fired = False
         else:
-            extra = rng.choice(pool, size=oversample_size, replace=True)
+            # The draw Generator.choice(pool, oversample_size, replace=True)
+            # makes, without its argument handling: same values, same stream.
+            extra = pool[rng.integers(0, pool.size, size=oversample_size)]
             mask = rng.random(oversample_size) < perturb_prob
     return BatchPlan(base_indices=base, extra_indices=extra, oversample_fired=fired,
                      perturbation_mask=mask)
@@ -86,7 +108,7 @@ def perturb(
     """
     features = np.asarray(features, dtype=np.float64)
     partners = np.asarray(partners, dtype=np.float64)
-    if not np.isfinite(strength) or strength < 0:
+    if not math.isfinite(strength) or strength < 0:
         raise ValueError(f"perturb: strength must be finite and >= 0, got {strength}")
     if features.shape != partners.shape:
         raise ValueError("perturb: features/partners shape mismatch")
@@ -94,7 +116,12 @@ def perturb(
         return features.copy()
     w = rng.uniform(0.0, min(strength, 1.0), size=(features.shape[0], 1))
     noise = rng.normal(0.0, strength, size=features.shape)
-    return features + w * (partners - features) + noise
+    # features + w * (partners - features) + noise, in one buffer.
+    out = partners - features
+    out *= w
+    out += features
+    out += noise
+    return out
 
 
 def lowest_norm_indices(norms: np.ndarray, keep: int) -> np.ndarray:
@@ -102,6 +129,7 @@ def lowest_norm_indices(norms: np.ndarray, keep: int) -> np.ndarray:
     norms = np.asarray(norms, dtype=np.float64)
     if norms.size < keep:
         raise ValueError(f"lowest_norm_indices: need >= {keep} candidates, have {norms.size}")
-    order = np.argsort(norms, kind="stable")
-    return np.sort(order[:keep])
+    kept = norms.argsort(kind="stable")[:keep]
+    kept.sort()
+    return kept
 

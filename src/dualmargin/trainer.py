@@ -5,8 +5,9 @@ schedule.
 Computed once per run:
 
 * the class statistics, whose tally rejects a training label outside
-  [0, num_classes), their margin adjustments (deltas), and the per-class
-  index pools partners are drawn from;
+  [0, num_classes), their margin adjustments (deltas), the per-class
+  index pools partners are drawn from, and the tail pool
+  (``sampler.tail_pool``) that extra rows are drawn from;
 * the loss plan (``loss.loss_plan``): the mode as data, the deltas,
   |delta|/m and its log, and where each batch row's logits start in a
   flat view;
@@ -59,11 +60,11 @@ from typing import Iterator
 import numpy as np
 
 from . import encoder
-from .core import NumericalError
+from .core import NumericalError, row_norms
 from .evaluation import prototype_scores
 from .loss import DIVERGENCE_LIMIT, MarginConfig, loss_plan, margin_loss
 from .priors import compute_class_stats, partition_classes
-from .sampler import lowest_norm_indices, perturb, plan_batch
+from .sampler import lowest_norm_indices, perturb, plan_batch, tail_pool
 from .synthdata import TRAIN, VAL, Dataset, _class_pools
 
 SELECTIONS = ("norm_guided", "random")
@@ -240,7 +241,7 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     """Run the full training loop; returns the final state and epoch history.
 
     ``history_path`` (JSONL) receives one record per epoch;
-    ``plan_log_path`` (JSONL) records every batch plan for replay.
+    ``plan_log_path`` (JSONL) records every batch plan, one line a step.
     """
     train_idx = dataset.indices(TRAIN)
     if dataset.num_classes < 2:
@@ -257,6 +258,7 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
         dataset.labels[train_idx], dataset.num_classes,
         base_margin=mcfg.m, beta=mcfg.beta, epsilon=mcfg.epsilon)
     partition = partition_classes(stats.counts, cfg.head_threshold, cfg.tail_threshold)
+    pool = tail_pool(train_idx, dataset.labels, partition)
 
     by_class, pool_starts, pool_sizes = _class_pools(
         train_idx, dataset.labels[train_idx], dataset.num_classes)
@@ -303,7 +305,8 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
             for _ in range(steps_per_epoch):
                 plan = plan_batch(train_idx, dataset.labels, partition,
                                   cfg.batch_size, cfg.oversample_size,
-                                  cfg.oversample_prob, rng, cfg.perturb_prob)
+                                  cfg.oversample_prob, rng, cfg.perturb_prob,
+                                  tail_pool=pool)
                 if plan_fh:
                     plan_fh.write(plan.json_line())
                 rows = np.concatenate([plan.base_indices, plan.extra_indices])
@@ -320,7 +323,7 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                 emb, cache = encoder.forward(enc, feats)
                 if len(labels) > cfg.batch_size:
                     if norm_guided:
-                        keep = lowest_norm_indices(np.linalg.norm(emb, axis=1), cfg.batch_size)
+                        keep = lowest_norm_indices(row_norms(emb), cfg.batch_size)
                     else:
                         keep = np.sort(rng.choice(len(labels), size=cfg.batch_size, replace=False))
                     cache = [a[keep] for a in cache]

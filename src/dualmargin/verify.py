@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NumericalError, stable_softmax
+from .core import NumericalError, row_norms, stable_softmax
 from .loss import MarginConfig, power_scaled_margins
 
 
@@ -167,7 +167,7 @@ def alignment_probe(
     probe = AlignmentProbe(
         class_id=class_ids, class_mean=mu, mean_prob=p_bar,
         prob_std=np.sqrt((spread * spread).sum(axis=1) / (n - 1)), alpha=alpha,
-        residual=np.linalg.norm(partial_sum - alpha[:, None] * mu, axis=1),
+        residual=row_norms(partial_sum - alpha[:, None] * mu),
         bound=n * spread.max(axis=1),
     )
     return probe if stacked else _first(probe)

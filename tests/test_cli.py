@@ -192,6 +192,29 @@ class TestCliCommands:
         assert code == str(EXIT_OK)
         assert after_train == "False"
 
+    @pytest.mark.parametrize("user_value", [None, "2"])
+    def test_blas_threads_default_to_one_before_numpy_loads(self, user_value):
+        # The count NumPy's import sees is the one BLAS keeps; a user's wins.
+        code = ("import os, sys\n"
+                "seen = []\n"
+                "class Hook:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        if name == 'numpy' and not seen:\n"
+                "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+                "sys.meta_path.insert(0, Hook())\n"
+                "import dualmargin.cli\n"
+                "print(seen[0], os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])\n")
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        if user_value:
+            env["OPENBLAS_NUM_THREADS"] = user_value
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [user_value or "1", "1", "1"]
+
     def test_train_writes_artifacts(self, tmp_path):
         cfg = self._write_config(tmp_path)
         out = str(tmp_path / "run")

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from dualmargin.core import (
+    NORM_EPS,
+    row_norms,
     rows_normalize,
     sigmoid,
     softplus,
@@ -82,6 +84,27 @@ class TestRowsNormalize:
         np.testing.assert_array_equal(norms, flat[1].reshape(3, 4))
         np.testing.assert_array_equal(mask, flat[2].reshape(3, 4))
         assert mask[1, 2] and mask.sum() == 1
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("shape", [(7, 16), (1, 3), (4, 6, 5), (3, 1)])
+    def test_bit_equal_to_linalg_norm(self, shape):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape[:-1] + (1,))
+        x[(0,) * (x.ndim - 1)] = 0.0  # one zero row
+        np.testing.assert_array_equal(row_norms(x), np.linalg.norm(x, axis=-1))
+
+    def test_normalize_without_degenerate_rows_is_the_guarded_expression(self):
+        # The unguarded division equals the np.where-guarded one bit for bit.
+        rng = np.random.default_rng(4)
+        for shape in [(32, 16), (52, 16), (5, 8, 7)]:
+            mat = rng.normal(size=shape)
+            units, norms, mask = rows_normalize(mat)
+            assert not mask.any()
+            norms_ref = np.sqrt((mat * mat).sum(axis=-1))
+            np.testing.assert_array_equal(norms, norms_ref)
+            np.testing.assert_array_equal(
+                units, mat / np.where(norms_ref <= NORM_EPS, 1.0, norms_ref)[..., None])
 
 
 class TestStableSoftmax:

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from dualmargin.priors import partition_classes
-from dualmargin.sampler import BatchPlan, lowest_norm_indices, perturb, plan_batch
+from dualmargin.priors import BETWEEN, TAIL, partition_classes
+from dualmargin.sampler import BatchPlan, lowest_norm_indices, perturb, plan_batch, tail_pool
 
 
 def _toy_population(seed=0):
@@ -71,6 +71,64 @@ class TestPlanBatch:
         np.testing.assert_array_equal(a.base_indices, b.base_indices)
         np.testing.assert_array_equal(a.extra_indices, b.extra_indices)
         assert a.oversample_fired == b.oversample_fired
+
+
+class TestTailPool:
+    def test_pool_is_the_tail_training_ids(self):
+        indices, labels, partition, _ = _toy_population()
+        pool = tail_pool(indices[::2], labels, partition)
+        np.testing.assert_array_equal(pool, [56, 58])
+        assert pool.dtype == np.int64
+
+    @pytest.mark.parametrize("prob, size", [(0.0, 4), (0.5, 4), (1.0, 4), (1.0, 0)])
+    def test_given_pool_plans_as_computed_pool(self, prob, size):
+        # Same plans and the same generator state after, with and without it.
+        indices, labels, partition, _ = _toy_population()
+        pool = tail_pool(indices, labels, partition)
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(40):
+            a = plan_batch(indices, labels, partition, 8, size, prob, rng_a, 0.5)
+            b = plan_batch(indices, labels, partition, 8, size, prob, rng_b, 0.5,
+                           tail_pool=pool)
+            assert a.json_line() == b.json_line()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_given_empty_pool_warns_as_computed_pool(self):
+        labels = np.array([0] * 30 + [1] * 30)
+        partition = partition_classes([30, 30], head_threshold=100, tail_threshold=10)
+        pool = tail_pool(np.arange(60), labels, partition)
+        assert pool.size == 0
+        rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
+        with pytest.warns(UserWarning, match="no tail-class samples"):
+            a = plan_batch(np.arange(60), labels, partition, 8, 4, 1.0, rng_a)
+        with pytest.warns(UserWarning, match="no tail-class samples"):
+            b = plan_batch(np.arange(60), labels, partition, 8, 4, 1.0, rng_b,
+                           tail_pool=pool)
+        assert a.json_line() == b.json_line()
+        assert not b.oversample_fired
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("tail_count", [1, 2, 7, 64, 500])
+    def test_extra_rows_are_generator_choice_draws(self, tail_count):
+        # The extra rows equal Generator.choice(pool, k, replace=True) drawn
+        # at the same point of the stream, which leaves the same state.
+        labels = np.array([0] * 40 + [1] * tail_count)
+        partition = np.array([BETWEEN, TAIL])
+        indices = np.arange(labels.size)
+        pool = indices[40:]
+        for seed in range(6):
+            for size in (1, 8, 33):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                plan = plan_batch(indices, labels, partition, 8, size, 1.0, rng, 0.5)
+                np.testing.assert_array_equal(
+                    plan.base_indices, ref.choice(indices, size=8, replace=False))
+                ref.random()
+                expected = ref.choice(pool, size=size, replace=True)
+                np.testing.assert_array_equal(plan.extra_indices, expected)
+                assert plan.extra_indices.dtype == expected.dtype
+                np.testing.assert_array_equal(plan.perturbation_mask,
+                                              ref.random(size) < 0.5)
+                assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestPlanJsonLine:

@@ -1,5 +1,6 @@
 """Unit tests for the optimizer, LR schedule and training loop."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -183,6 +184,18 @@ class TestTrainLoop:
         assert lines == history
         plans = [json.loads(line) for line in pathlib.Path(plan_path).read_text().splitlines()]
         assert all(len(p["base_indices"]) == cfg.batch_size for p in plans)
+
+    def test_oversampled_plan_stream_is_pinned(self, tmp_path):
+        # Frozen oracle of plans.jsonl: every step fires, so the base,
+        # extra-row and perturbation-mask draws all show in its bytes,
+        # which the frozen-loss oracles below do not read.
+        plan_path = tmp_path / "plans.jsonl"
+        train(_fast_config(epochs=2, oversample_prob=1.0), _small_dataset(),
+              plan_log_path=str(plan_path))
+        data = plan_path.read_bytes()
+        assert data.count(b'"oversample_fired": true') == data.count(b"\n") == 18
+        assert hashlib.sha256(data).hexdigest() == (
+            "4f2b0077bd0833a94b28bf1fb0623c3441984779f8cd667825066fb6c7758ef4")
 
     def test_unit_view_invariance_of_prototype_scale(self):
         # Rescaling raw prototypes leaves margin-mode losses unchanged.
