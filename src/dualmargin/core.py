@@ -40,7 +40,7 @@ def rows_normalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     mat = np.asarray(mat, dtype=np.float64)
     norms = row_norms(mat)
     degenerate = norms <= NORM_EPS
-    if not degenerate.any():
+    if not np.logical_or.reduce(degenerate, axis=None):
         return mat / norms[..., None], norms, degenerate
     units = mat / np.where(degenerate, 1.0, norms)[..., None]
     units[degenerate] = 0.0

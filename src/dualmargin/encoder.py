@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError
+from .parallel import SPLIT_WORK, Helper
 
 
 @dataclass
@@ -52,10 +53,28 @@ def init_params(dims: list[int], seed: int) -> EncoderParams:
     return EncoderParams(weights=weights, biases=biases)
 
 
-def forward(params: EncoderParams, features: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Map (n, input_dim) features to (n, d) raw embeddings and the activations."""
+def _layers(params: EncoderParams, x: np.ndarray, outs: list) -> None:
+    """Every layer of the rows ``x``: layer l's output, ``a @ w.T + b`` and
+    then tanh in all but the last layer, is computed in ``outs[l]``, or in a
+    new array put there where it is None."""
+    last = len(outs) - 1
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        x = outs[l] = np.matmul(x, w.T, out=outs[l])
+        x += b
+        if l < last:
+            np.tanh(x, out=x)
+
+
+def forward(params: EncoderParams, features: np.ndarray,
+            helper: Helper | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Map (n, input_dim) features to (n, d) raw embeddings and the activations.
+
+    With a ``helper``, an encoder of at least ``SPLIT_WORK`` multiply-adds
+    is computed in two row halves at once (``Helper.split``), with the bits
+    of the whole.
+    """
     features = np.asarray(features, dtype=np.float64)
-    if not np.isfinite(features).all():
+    if not np.logical_and.reduce(np.isfinite(features), axis=None):
         bad = ~np.isfinite(features).all(axis=1)
         raise NumericalError(
             f"encoder.forward: non-finite input at sample {int(np.flatnonzero(bad)[0])}")
@@ -63,15 +82,27 @@ def forward(params: EncoderParams, features: np.ndarray) -> tuple[np.ndarray, li
         raise ValueError(
             f"encoder.forward: feature width {features.shape[1]} != input dim {params.weights[0].shape[1]}"
         )
-    num_layers = len(params.weights)
-    activations = [features]
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = activations[-1] @ w.T
-        z += b
-        if l < num_layers - 1:
-            np.tanh(z, out=z)
-        activations.append(z)
-    return activations[-1], activations
+    rows, work = features.shape[0], 0
+    if helper is not None:
+        for w in params.weights:
+            work += rows * w.size
+    if work >= SPLIT_WORK:
+        outs, half = [np.empty((rows, w.shape[0])) for w in params.weights], rows // 2
+        helper.split(("encoder.forward", rows, *params.dims), _layers,
+                     (params, features[:half], [z[:half] for z in outs]),
+                     (params, features[half:], [z[half:] for z in outs]),
+                     (params, features, outs), outs)
+    else:
+        outs = [None] * len(params.weights)
+        _layers(params, features, outs)
+    return outs[-1], [features, *outs]
+
+
+def _param_grads(delta: np.ndarray, a: np.ndarray, dw: np.ndarray, db: np.ndarray) -> None:
+    """A layer's weight and bias gradients from its output gradient ``delta``
+    and its input ``a``, written into ``dw`` and ``db``."""
+    np.matmul(delta.T, a, out=dw)
+    np.add.reduce(delta, axis=0, out=db)
 
 
 def backward(
@@ -79,23 +110,34 @@ def backward(
     activations: list[np.ndarray],
     grad_embeddings: np.ndarray,
     out: list[tuple[np.ndarray, np.ndarray]],
+    helper: Helper | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact gradients wrt the parameters, written into ``out`` and returned.
 
     ``out[l]`` is the ``(dW, db)`` pair of layer l: C-contiguous float64
     arrays shaped like ``params.weights[l]`` and ``params.biases[l]``.
+    With a ``helper``, a ``dW`` of at least ``SPLIT_WORK`` multiply-adds is
+    computed on the helper thread while the gradient propagates to the
+    layer below; the first layer's, with nothing to propagate, is not.
     """
     grad_embeddings = np.asarray(grad_embeddings, dtype=np.float64)
     if grad_embeddings.shape != activations[-1].shape:
         raise ValueError("encoder.backward: upstream gradient shape mismatch")
     delta = grad_embeddings
-    for l in range(len(params.weights) - 1, -1, -1):
+    for l in range(len(params.weights) - 1, 0, -1):
         dw, db = out[l]
-        np.matmul(delta.T, activations[l], out=dw)
-        np.add.reduce(delta, axis=0, out=db)
-        if l:
-            delta = delta @ params.weights[l]
-            a = activations[l]
-            grad = a * a  # tanh' is 1 - a^2, from the layer's output a
-            delta *= np.subtract(1.0, grad, out=grad)
+        a = activations[l]
+        # Layer l's parameter gradients read delta and propagating it makes a
+        # new array, so with a helper the two run at once.
+        split = helper is not None and delta.shape[0] * dw.size >= SPLIT_WORK
+        if split:
+            helper.run(_param_grads, delta, a, dw, db)
+        else:
+            _param_grads(delta, a, dw, db)
+        delta = delta @ params.weights[l]
+        grad = a * a  # tanh' is 1 - a^2, from the layer's output a
+        delta *= np.subtract(1.0, grad, out=grad)
+        if split:
+            helper.wait()
+    _param_grads(delta, activations[0], *out[0])  # nothing to propagate beside it
     return out

@@ -27,12 +27,16 @@ that receives the prototype gradient
 the gamma terms (the scaled margins ``m * ratio**zeta``, their gamma
 derivative, the regularizer and its gamma gradient); the embedding and
 prototype rows as one stack, normalized in a cosine mode; the adjusted
-logits, formed as the stack's logits minus the margins by broadcast, with
-each target entry rewritten as ``logits[i, y] - (margin[y] + m)``; and one
-max-shifted exp whose row sums give both the log-sum-exp and the softmax.
-The forward pass leaves the softmax in its ``LossContext``; the fused
-``margin_loss`` turns it into its gradient in place, and chains it back
-through the stack (and its normalization, in a cosine mode).
+logits, formed in the logits' buffer as the logits minus the margins by
+broadcast, with each target entry rewritten as
+``logits[i, y] - (margin[y] + m)``; and one max-shifted exp whose row sums
+give both the log-sum-exp and the softmax. The forward pass leaves the
+softmax in its ``LossContext``; the fused ``margin_loss`` turns it into its
+gradient in place, and chains it back through the stack (and its
+normalization, in a cosine mode). Given the training run's helper thread
+(``parallel.Helper``), ``margin_loss`` computes a large enough batch's
+adjusted logits and softmax in two row halves at once, and its two
+gradient matmuls at once, with the bits of the serial kernel.
 
 ``train`` builds the plan once and passes it to ``margin_loss`` in place of
 the adjustments; its training labels were range-checked once, by the class
@@ -60,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError, check_labels, rows_normalize, sigmoid, softplus
+from .parallel import SPLIT_WORK, Helper
 
 MODES = ("dual_margin", "am_softmax", "ce")
 SIGN_CHOICES = ("literal", "magnitude")
@@ -261,42 +266,91 @@ def _checked(caller: str, embeddings, labels, prototypes, deltas,
     return embeddings, labels, prototypes, plan
 
 
+def _adjusted_rows(emb_units: np.ndarray, proto_units: np.ndarray, scaled: np.ndarray,
+                   target_margins: np.ndarray, targets: np.ndarray, s: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The adjusted logits of a block of embedding rows, in ``out`` (a new
+    array where None): entry (i, j) is s * (logits[i, j] - scaled[j]), and
+    the target entry s * (logits[i, y] - target_margins[i]); ``targets``
+    index the target entries of ``out`` viewed flat."""
+    out = np.matmul(emb_units, proto_units.swapaxes(-1, -2), out=out)
+    at_targets = out.reshape(-1)[targets]
+    out -= scaled
+    out.reshape(-1)[targets] = at_targets - target_margins
+    out *= s
+    return out
+
+
+def _softmax_rows(adjusted: np.ndarray, targets: np.ndarray, probs: np.ndarray | None = None,
+                  per_sample: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's softmax of the adjusted logits, and its loss: log-sum-exp
+    minus the target entry. One max-shifted exp and its row sums serve
+    both. They are computed in ``probs`` and ``per_sample``, or in new
+    arrays where those are None."""
+    peak = np.maximum.reduce(adjusted, axis=-1, keepdims=True)
+    probs = np.subtract(adjusted, peak, out=probs)
+    np.exp(probs, out=probs)
+    sums = np.add.reduce(probs, axis=-1, keepdims=True)
+    per_sample = np.subtract((np.log(sums) + peak)[..., 0], adjusted.reshape(-1)[targets],
+                             out=per_sample)
+    probs /= sums
+    return probs, per_sample
+
+
 def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
-             plan: LossPlan, cfg: MarginConfig) -> tuple[LossOutput, LossContext]:
+             plan: LossPlan, cfg: MarginConfig,
+             helper: Helper | None = None) -> tuple[LossOutput, LossContext]:
     """The forward half of the step kernel, on checked inputs: (n, d) and
-    (c, d), or stacks (P, n, d) and (P, c, d) sharing the labels and gamma."""
+    (c, d), or stacks (P, n, d) and (P, c, d) sharing the labels and gamma.
+
+    With a ``helper``, an unstacked batch whose logits take at least
+    ``SPLIT_WORK`` multiply-adds is computed in two row halves at once: the
+    adjusted logits (``Helper.split``, as a BLAS product), then the softmax.
+    """
     targets = plan.row_starts + labels  # flat indices of the target logits
     n = embeddings.shape[-2]
     units, norms, degenerate = np.concatenate([embeddings, prototypes], axis=-2), None, None
     if plan.cosine:
         units, norms, degenerate = rows_normalize(units)
-    logits = units[..., :n, :] @ units[..., n:, :].swapaxes(-1, -2)
     if plan.ratio is None:
         scaled, dscaled, reg_value, dreg = plan.margins, None, 0.0, None
     else:
         scaled, dscaled = _gamma_terms(plan.ratio, plan.log_ratio, plan.m, cfg.gamma,
                                        cfg.eq5_sign)
         reg_value, dreg = _regularizer(plan.deltas, scaled, dscaled)
-    # Entry (i, j) is logits[i, j] - scaled[j], and the target entry
-    # logits[i, y] - (scaled[y] + m).
-    adjusted = logits - scaled
-    adjusted.reshape(-1)[targets] = logits.reshape(-1)[targets] - (scaled[labels] + plan.m)
-    adjusted *= plan.s
+    emb_units, proto_units = units[..., :n, :], units[..., n:, :]
+    target_margins = scaled[labels] + plan.m
+    c, d = proto_units.shape[-2:]
+    split = helper is not None and units.ndim == 2 and n * c * d >= SPLIT_WORK
+    if split:
+        # Row halves; the second half's targets index its own flat view.
+        h = n // 2
+        first, second = targets[:h], targets[h:] - h * c
+        adjusted, probs, per_sample = np.empty((n, c)), np.empty((n, c)), np.empty(n)
+        helper.split(("loss.forward", n, c, d), _adjusted_rows,
+                     (emb_units[:h], proto_units, scaled, target_margins[:h], first, plan.s,
+                      adjusted[:h]),
+                     (emb_units[h:], proto_units, scaled, target_margins[h:], second, plan.s,
+                      adjusted[h:]),
+                     (emb_units, proto_units, scaled, target_margins, targets, plan.s,
+                      adjusted), [adjusted])
+    else:
+        adjusted = _adjusted_rows(emb_units, proto_units, scaled, target_margins, targets,
+                                  plan.s)
 
     # The one finiteness check of the loss: a NaN or inf embedding or
     # prototype row shows up here as a non-finite logit row.
-    if not np.isfinite(adjusted).all():
+    if not np.logical_and.reduce(np.isfinite(adjusted), axis=None):
         *entry, sample = np.argwhere(~np.isfinite(adjusted).all(axis=-1))[0]
         raise NumericalError(f"margin_loss: non-finite logits at sample {int(sample)}"
                              + (f" of stack entry {int(entry[0])}" if entry else ""))
 
-    # Max-shifted exp and its row sums, shared by log-sum-exp and softmax.
-    peak = np.maximum.reduce(adjusted, axis=-1, keepdims=True)
-    probs = adjusted - peak
-    np.exp(probs, out=probs)
-    sums = np.add.reduce(probs, axis=-1, keepdims=True)
-    per_sample = (np.log(sums) + peak)[..., 0] - adjusted.reshape(-1)[targets]
-    probs /= sums
+    if split:
+        helper.run(_softmax_rows, adjusted[:h], first, probs[:h], per_sample[:h])
+        _softmax_rows(adjusted[h:], second, probs[h:], per_sample[h:])
+        helper.wait()
+    else:
+        probs, per_sample = _softmax_rows(adjusted, targets)
     total = np.add.reduce(per_sample, axis=-1) / n + cfg.lam * reg_value  # (P,) for a stack
     out = LossOutput(total=float(total) if total.ndim == 0 else total, per_sample=per_sample)
     ctx = LossContext(cfg=cfg, labels=labels, plan=plan, units=units, probs=probs,
@@ -305,7 +359,8 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     return out, ctx
 
 
-def _backward(ctx: LossContext) -> tuple[np.ndarray, np.ndarray, float]:
+def _backward(ctx: LossContext,
+              helper: Helper | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """The backward half of the step kernel: the gradients wrt the raw
     embeddings, the raw prototypes and gamma. The context's softmax is
     turned into the logit gradient in place.
@@ -316,7 +371,9 @@ def _backward(ctx: LossContext) -> tuple[np.ndarray, np.ndarray, float]:
     adjustments in both the data term and the regularizer; it is 0.0
     without them. Rows that hit the zero-norm guard have no dependence on
     their raw vector, so their gradient is zero. The prototype gradient is
-    written into the plan's ``grad_prototypes``.
+    written into the plan's ``grad_prototypes``. With a ``helper``, its two
+    matmuls run at once when each takes at least ``SPLIT_WORK``
+    multiply-adds.
     """
     cfg, plan, g = ctx.cfg, ctx.plan, ctx.probs
     if g.ndim != 2:
@@ -335,8 +392,14 @@ def _backward(ctx: LossContext) -> tuple[np.ndarray, np.ndarray, float]:
     g *= plan.s  # now the gradient wrt the unscaled logits
     units, n = ctx.units, g.shape[0]
     grad = np.empty_like(units)
+    split = helper is not None and g.size * units.shape[1] >= SPLIT_WORK
+    if split:
+        helper.run(np.matmul, g.T, units[:n], grad[n:])
+    else:
+        np.matmul(g.T, units[:n], out=grad[n:])
     np.matmul(g, units[n:], out=grad[:n])
-    np.matmul(g.T, units[:n], out=grad[n:])
+    if split:
+        helper.wait()
     if plan.cosine:
         _chain_through_normalization(grad, units, ctx.norms, ctx.degenerate)
     plan.grad_prototypes[...] = grad[n:]
@@ -352,7 +415,7 @@ def _chain_through_normalization(
     """Pull gradients wrt unit rows back to raw rows through x/||x||, in place."""
     radial = np.add.reduce(grad_units * units, axis=1, keepdims=True)
     grad_units -= radial * units
-    if not degenerate.any():
+    if not np.logical_or.reduce(degenerate, axis=None):
         grad_units /= norms[:, None]
         return
     grad_units /= np.where(degenerate, 1.0, norms)[:, None]
@@ -386,18 +449,20 @@ def margin_loss(
     prototypes: np.ndarray,
     deltas: np.ndarray | LossPlan | None,
     cfg: MarginConfig,
+    helper: Helper | None = None,
 ) -> LossOutput:
     """Forward and backward in one call; grads filled in the output.
 
     ``deltas`` is either the per-class adjustments, or the run's
     ``LossPlan`` built by ``loss_plan`` from the same config (gamma aside).
     With a plan, the inputs are taken as checked: float64 arrays, and int
-    labels in range with one per plan row.
+    labels in range with one per plan row. A ``helper`` splits the work of
+    a large unstacked batch (``_forward``, ``_backward``).
     """
     if isinstance(deltas, LossPlan):
         args = (embeddings, labels, prototypes, deltas)
     else:
         args = _checked("margin_loss", embeddings, labels, prototypes, deltas, cfg)
-    out, ctx = _forward(*args, cfg)
-    out.grad_embeddings, out.grad_prototypes, out.grad_gamma = _backward(ctx)
+    out, ctx = _forward(*args, cfg, helper)
+    out.grad_embeddings, out.grad_prototypes, out.grad_gamma = _backward(ctx, helper)
     return out

@@ -22,12 +22,18 @@ Computed once per run:
 * the best-epoch buffer, shaped like the flat one, which an epoch that beats
   every earlier validation recall copies the flat buffer into; the state's
   ``best_*`` parameters are views of it. With no validation rows no epoch
-  could be chosen, so ``train`` rejects such a dataset before the first step.
+  could be chosen, so ``train`` rejects such a dataset before the first step;
+* on a host with two or more usable CPUs, one helper thread
+  (``parallel.Helper``), started at the first split and stopped and joined
+  before ``train`` returns or raises. The encoder, the loss and the optimizer give it part of each
+  kernel of at least ``SPLIT_WORK`` multiply-adds, to run beside their own
+  part; every output is bit-equal to the serial run's.
 
 Computed once per step: one gather of the batch's features and labels,
-base and extra rows together, into which the perturbed extra rows are
-written; the gamma terms of the loss (the scaled margins, their gamma
-derivative and the regularizer), shared by its forward and backward pass.
+base and extra rows together (the base rows alone when oversampling did not
+fire), into which the perturbed extra rows are written; the gamma terms of
+the loss (the scaled margins, their gamma derivative and the regularizer),
+shared by its forward and backward pass.
 Finiteness is checked at the boundaries only: encoder input, the loss's
 adjusted logits, the batch loss and the gradients. The gradient check is
 made once per step, in ``train`` on the flat gradient buffer before the
@@ -63,6 +69,7 @@ from . import encoder
 from .core import NumericalError, row_norms
 from .evaluation import prototype_scores
 from .loss import DIVERGENCE_LIMIT, MarginConfig, loss_plan, margin_loss
+from .parallel import SPLIT_WORK, Helper, start_helper
 from .priors import compute_class_stats, partition_classes
 from .sampler import lowest_norm_indices, perturb, plan_batch, tail_pool
 from .synthdata import TRAIN, VAL, Dataset, _class_pools
@@ -166,33 +173,73 @@ class AdamW:
     Decay multiplies parameters by (1 - lr * wd) before the moment-based
     update; it is never folded into the gradients. ``weight_decay`` is one
     value for every element (in training, gamma's included).
+
+    Each parameter's moments and two scratch buffers are made at its first
+    step; the update writes every temporary into the scratch buffers, in
+    the order of the textbook expression, so it allocates nothing. With a
+    ``helper``, a parameter of at least ``SPLIT_WORK / ADAMW_COST`` elements
+    is updated in two halves at once, one on the helper thread; the update
+    is elementwise, so the halves' bits are the whole update's.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, weight_decay: float = 0.0):
+    def __init__(self, weight_decay: float = 0.0, helper: Helper | None = None):
         self.weight_decay = weight_decay
+        self.helper = helper
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self.scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.BETA1 ** self.t
-        bc2 = 1.0 - self.BETA2 ** self.t
+        coeffs = (lr, 1.0 - lr * self.weight_decay,
+                  1.0 - self.BETA1 ** self.t, 1.0 - self.BETA2 ** self.t)
+        helper = self.helper
         for name, p in params.items():
-            g = grads[name]
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
-            m, v = self.m[name], self.v[name]
-            m *= self.BETA1
-            m += (1 - self.BETA1) * g
-            v *= self.BETA2
-            v += (1 - self.BETA2) * g * g
-            p *= 1.0 - lr * self.weight_decay
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+                self.scratch[name] = (np.empty_like(p), np.empty_like(p))
+            arrays = (p, grads[name], self.m[name], self.v[name], *self.scratch[name])
+            if helper is not None and p.size * ADAMW_COST >= SPLIT_WORK:
+                half = p.size // 2
+                helper.run(_adamw_update, *[a.reshape(-1)[:half] for a in arrays], *coeffs)
+                _adamw_update(*[a.reshape(-1)[half:] for a in arrays], *coeffs)
+                helper.wait()
+            else:
+                _adamw_update(*arrays, *coeffs)
+
+
+# The work of updating one element, in the units of ``SPLIT_WORK``: it takes
+# about as long as 25 multiply-adds of a BLAS layer (8.4 ns against 0.32 ns
+# on the 2-CPU host of CHANGES.md).
+ADAMW_COST = 25
+
+
+def _adamw_update(p, g, m, v, s1, s2, lr: float, decay: float, bc1: float,
+                  bc2: float) -> None:
+    """One AdamW update of ``p`` and its moments ``m`` and ``v`` in place, with
+    scratch ``s1`` and ``s2``: bit for bit ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g g``, then ``p = decay p - lr (m / bc1) /
+    (sqrt(v / bc2) + eps)``, each operation in the textbook order."""
+    b1, b2 = AdamW.BETA1, AdamW.BETA2
+    m *= b1
+    m += np.multiply(1 - b1, g, out=s1)
+    v *= b2
+    np.multiply(1 - b2, g, out=s1)
+    s1 *= g
+    v += s1
+    p *= decay
+    np.divide(m, bc1, out=s1)
+    s1 *= lr  # lr * x is x * lr exactly
+    np.divide(v, bc2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += AdamW.EPS
+    s1 /= s2
+    p -= s1
 
 
 def _first_non_finite_param(flat: np.ndarray, views: list[np.ndarray],
@@ -284,8 +331,6 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     best = np.empty_like(flat)
     best_views = _views(best, views)
 
-    opt = AdamW(weight_decay=cfg.weight_decay)
-
     # Norm-guided retention only applies to margin-based modes; plain CE
     # falls back to random retention of the candidate set.
     norm_guided = cfg.selection == "norm_guided" and mcfg.cosine
@@ -298,7 +343,10 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     history: list[dict] = []
     hist_fh = open(history_path, "w") if history_path else None
     plan_fh = open(plan_log_path, "w") if plan_log_path else None
+    helper = None
     try:
+        helper = start_helper()
+        opt = AdamW(weight_decay=cfg.weight_decay, helper=helper)
         for epoch in range(cfg.epochs):
             lr = lr_at(epoch, cfg)
             epoch_losses = []
@@ -309,7 +357,9 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                                   tail_pool=pool)
                 if plan_fh:
                     plan_fh.write(plan.json_line())
-                rows = np.concatenate([plan.base_indices, plan.extra_indices])
+                # Extra rows exist only when oversampling fired.
+                rows = (np.concatenate([plan.base_indices, plan.extra_indices])
+                        if plan.oversample_fired else plan.base_indices)
                 feats, labels = dataset.features[rows], dataset.labels[rows]
                 if plan.oversample_fired:
                     # Views of the gathered copy: the dataset is never written.
@@ -320,7 +370,7 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                     mixed = perturb(extra, partners, cfg.perturb_strength, rng)
                     np.copyto(extra, mixed, where=plan.perturbation_mask[:, None])
 
-                emb, cache = encoder.forward(enc, feats)
+                emb, cache = encoder.forward(enc, feats, helper=helper)
                 if len(labels) > cfg.batch_size:
                     if norm_guided:
                         keep = lowest_norm_indices(row_norms(emb), cfg.batch_size)
@@ -330,16 +380,16 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                     emb, labels = cache[-1], labels[keep]
 
                 mcfg.gamma = float(flat[-1])
-                out = margin_loss(emb, labels, prototypes, margin_plan, mcfg)
+                out = margin_loss(emb, labels, prototypes, margin_plan, mcfg, helper=helper)
                 if not math.isfinite(out.total) or out.total > DIVERGENCE_LIMIT:
                     raise TrainingDiverged(
                         f"loss diverged at epoch {epoch} step {state.step}: {out.total}",
                         {"epoch": epoch, "step": state.step, "loss": out.total,
                          "lr": lr, "gamma": mcfg.gamma},
                     )
-                encoder.backward(enc, cache, out.grad_embeddings, enc_grads)
+                encoder.backward(enc, cache, out.grad_embeddings, enc_grads, helper=helper)
                 grad_flat[-1] = out.grad_gamma
-                if not np.isfinite(grad_flat).all():
+                if not np.logical_and.reduce(np.isfinite(grad_flat), axis=None):
                     name = _first_non_finite_param(grad_flat, views, num_layers)
                     raise TrainingDiverged(
                         f"non-finite gradient for parameter {name!r} at epoch {epoch} "
@@ -366,6 +416,8 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                 best[...] = flat
                 state.best_gamma = float(best[-1])
     finally:
+        if helper is not None:
+            helper.close()
         if hist_fh:
             hist_fh.close()
         if plan_fh:

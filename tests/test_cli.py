@@ -467,8 +467,8 @@ class TestCliCommands:
 
         margin_loss = dualmargin.trainer.margin_loss
 
-        def inf_gamma_grad(*args):
-            out = margin_loss(*args)
+        def inf_gamma_grad(*args, **kwargs):
+            out = margin_loss(*args, **kwargs)
             out.grad_gamma = float("inf")
             return out
 

@@ -303,8 +303,8 @@ class TestTrainLoop:
         # step; the error names that matrix, not the flat buffer.
         backward, calls = encoder_module.backward, []
 
-        def nan_at_fifth_step(params, cache, grad_embeddings, out):
-            param_grads = backward(params, cache, grad_embeddings, out)
+        def nan_at_fifth_step(params, cache, grad_embeddings, out, **kwargs):
+            param_grads = backward(params, cache, grad_embeddings, out, **kwargs)
             calls.append(1)
             if len(calls) == 5:
                 # The trainer reads this through its flat gradient buffer.
