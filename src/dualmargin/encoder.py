@@ -16,6 +16,10 @@ buffers the caller provides: the trainer makes them once per run, as views
 of its flat gradient buffer, so a step allocates no gradient arrays and
 gathers none. Only parameter gradients are computed; nothing needs the
 gradient wrt the input features.
+
+Given the training run's helper (``parallel.Helper``), a large enough
+batch's forward pass runs in two row halves on any CPU count, and a
+layer's weight gradient is computed beside the propagation below it.
 """
 
 from __future__ import annotations
@@ -70,8 +74,8 @@ def forward(params: EncoderParams, features: np.ndarray,
     """Map (n, input_dim) features to (n, d) raw embeddings and the activations.
 
     With a ``helper``, an encoder of at least ``SPLIT_WORK`` multiply-adds
-    is computed in two row halves at once (``Helper.split``), with the bits
-    of the whole.
+    is computed in two row halves at once (``Helper.both``); its bits are
+    the halves', which a BLAS may make differ from the whole's.
     """
     features = np.asarray(features, dtype=np.float64)
     if not np.logical_and.reduce(np.isfinite(features), axis=None):
@@ -88,10 +92,8 @@ def forward(params: EncoderParams, features: np.ndarray,
             work += rows * w.size
     if work >= SPLIT_WORK:
         outs, half = [np.empty((rows, w.shape[0])) for w in params.weights], rows // 2
-        helper.split(("encoder.forward", rows, *params.dims), _layers,
-                     (params, features[:half], [z[:half] for z in outs]),
-                     (params, features[half:], [z[half:] for z in outs]),
-                     (params, features, outs), outs)
+        helper.both(_layers, (params, features[:half], [z[:half] for z in outs]),
+                    (params, features[half:], [z[half:] for z in outs]))
     else:
         outs = [None] * len(params.weights)
         _layers(params, features, outs)

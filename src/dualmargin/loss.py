@@ -36,7 +36,7 @@ gradient in place, and chains it back through the stack (and its
 normalization, in a cosine mode). Given the training run's helper thread
 (``parallel.Helper``), ``margin_loss`` computes a large enough batch's
 adjusted logits and softmax in two row halves at once, and its two
-gradient matmuls at once, with the bits of the serial kernel.
+gradient matmuls at once, with the same bits on every CPU count.
 
 ``train`` builds the plan once and passes it to ``margin_loss`` in place of
 the adjustments; its training labels were range-checked once, by the class
@@ -304,8 +304,9 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     (c, d), or stacks (P, n, d) and (P, c, d) sharing the labels and gamma.
 
     With a ``helper``, an unstacked batch whose logits take at least
-    ``SPLIT_WORK`` multiply-adds is computed in two row halves at once: the
-    adjusted logits (``Helper.split``, as a BLAS product), then the softmax.
+    ``SPLIT_WORK`` multiply-adds is computed in two row halves at once
+    (``Helper.both``): the adjusted logits, whose bits are the halves' BLAS
+    products', then the softmax.
     """
     targets = plan.row_starts + labels  # flat indices of the target logits
     n = embeddings.shape[-2]
@@ -327,13 +328,11 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
         h = n // 2
         first, second = targets[:h], targets[h:] - h * c
         adjusted, probs, per_sample = np.empty((n, c)), np.empty((n, c)), np.empty(n)
-        helper.split(("loss.forward", n, c, d), _adjusted_rows,
-                     (emb_units[:h], proto_units, scaled, target_margins[:h], first, plan.s,
-                      adjusted[:h]),
-                     (emb_units[h:], proto_units, scaled, target_margins[h:], second, plan.s,
-                      adjusted[h:]),
-                     (emb_units, proto_units, scaled, target_margins, targets, plan.s,
-                      adjusted), [adjusted])
+        helper.both(_adjusted_rows,
+                    (emb_units[:h], proto_units, scaled, target_margins[:h], first, plan.s,
+                     adjusted[:h]),
+                    (emb_units[h:], proto_units, scaled, target_margins[h:], second, plan.s,
+                     adjusted[h:]))
     else:
         adjusted = _adjusted_rows(emb_units, proto_units, scaled, target_margins, targets,
                                   plan.s)
@@ -346,9 +345,8 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
                              + (f" of stack entry {int(entry[0])}" if entry else ""))
 
     if split:
-        helper.run(_softmax_rows, adjusted[:h], first, probs[:h], per_sample[:h])
-        _softmax_rows(adjusted[h:], second, probs[h:], per_sample[h:])
-        helper.wait()
+        helper.both(_softmax_rows, (adjusted[:h], first, probs[:h], per_sample[:h]),
+                    (adjusted[h:], second, probs[h:], per_sample[h:]))
     else:
         probs, per_sample = _softmax_rows(adjusted, targets)
     total = np.add.reduce(per_sample, axis=-1) / n + cfg.lam * reg_value  # (P,) for a stack
@@ -392,14 +390,11 @@ def _backward(ctx: LossContext,
     g *= plan.s  # now the gradient wrt the unscaled logits
     units, n = ctx.units, g.shape[0]
     grad = np.empty_like(units)
-    split = helper is not None and g.size * units.shape[1] >= SPLIT_WORK
-    if split:
-        helper.run(np.matmul, g.T, units[:n], grad[n:])
+    if helper is not None and g.size * units.shape[1] >= SPLIT_WORK:
+        helper.both(np.matmul, (g.T, units[:n], grad[n:]), (g, units[n:], grad[:n]))
     else:
         np.matmul(g.T, units[:n], out=grad[n:])
-    np.matmul(g, units[n:], out=grad[:n])
-    if split:
-        helper.wait()
+        np.matmul(g, units[n:], out=grad[:n])
     if plan.cosine:
         _chain_through_normalization(grad, units, ctx.norms, ctx.degenerate)
     plan.grad_prototypes[...] = grad[n:]

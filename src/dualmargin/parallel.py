@@ -1,21 +1,24 @@
 """One helper thread that runs a NumPy kernel beside the calling thread.
 
-On a host with two or more usable CPUs, ``train`` makes one ``Helper``
-and passes it to the step's kernels: the encoder's forward and backward
-passes, the loss's forward and backward passes and ``AdamW.step``. Each
-hands the helper one call (``run``), makes an independent call itself,
-then waits for the helper, or makes the handed-off call too if the helper
-has not started it (``wait``). NumPy releases the interpreter lock
-inside its kernels, so the two calls run at once, on disjoint outputs.
-BLAS stays on one thread in each. A run's bits do not depend on the
-helper: each output element is computed by the same calls as in the
-serial form, or, for a BLAS product split by rows, checked against it
-(``Helper.split``).
+``train`` makes one ``Helper`` and passes it to the step's kernels: the
+encoder's forward and backward passes, the loss's forward and backward
+passes and ``AdamW.step``. A large kernel is computed as two parts, row
+halves or two independent calls: it hands the helper one part (``run``),
+makes the other itself, then waits for the helper, or makes the handed-off
+part too if the helper has not started it (``wait``). NumPy releases the
+interpreter lock inside its kernels, so on two CPUs the parts run at once,
+on disjoint outputs. BLAS stays on one thread in each.
 
-A kernel is split only when its work is at least ``SPLIT_WORK``
+On a host with fewer than two usable CPUs the helper starts no thread and
+``wait`` makes each handed-off part in the calling thread, so a run
+computes the same parts, with the same bits, on any CPU count. Row halves
+of a BLAS product may have other bits than the whole product; a halved
+kernel's bits are its halves'.
+
+A kernel is shared only when its work is at least ``SPLIT_WORK``
 multiply-adds. Below that the hand-off, about 22 µs of lock ping-pong on
 a 2-CPU host, and the second core's cache misses cost more than half the
-kernel saves; the default 32-row step is far below it and never splits.
+kernel saves; the default 32-row step is far below it and shares none.
 
 The helper runs only NumPy functions and its callers' private kernels,
 never a public function of the package, which a profiler may wrap with
@@ -24,11 +27,10 @@ state that is not thread-safe.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 
-# A 16-to-64 tanh layer split in row halves broke even at about 2^18.3
+# A 16-to-64 tanh layer computed in row halves broke even at about 2^18.3
 # multiply-adds (320 rows) and ran 1.6x as fast at 2^20; AdamW broke even at
 # about 45,000 elements, about 2^20 in these units (CHANGES.md).
 SPLIT_WORK = 1 << 20
@@ -51,8 +53,10 @@ class Helper:
     time ``wait`` is called (on a busy host its CPU may not run for
     milliseconds), ``wait`` takes it back and makes the call itself, so the
     caller never waits for a thread that has not started. The thread starts
-    at the first ``run``, so a run whose kernels never split stays a
-    single-threaded process. ``close`` stops and joins the thread.
+    at the first ``run``, so a run that shares no kernel stays a
+    single-threaded process, and only where two or more CPUs are usable;
+    with fewer, ``wait`` makes every call. ``close`` stops and joins the
+    thread.
     """
 
     def __init__(self) -> None:
@@ -63,8 +67,7 @@ class Helper:
         self._task: tuple | None = None
         self._error: Exception | None = None
         self._pending = False
-        # split()'s verdicts, by key: whether the halves' bits equal the whole's.
-        self.exact: dict[tuple, bool] = {}
+        self._threaded = usable_cpus() >= 2
         self._thread: threading.Thread | None = None
 
     def _loop(self) -> None:
@@ -82,7 +85,7 @@ class Helper:
 
     def run(self, fn, *args) -> None:
         """Hand ``fn(*args)`` to the helper thread; ``wait`` must follow."""
-        if self._thread is None:
+        if self._thread is None and self._threaded:
             self._thread = threading.Thread(target=self._loop, name="dualmargin-helper",
                                             daemon=True)
             self._thread.start()
@@ -103,31 +106,11 @@ class Helper:
         if error is not None:
             raise error
 
-    def split(self, key: tuple, fn, first: tuple, second: tuple, whole: tuple,
-              outs: list) -> None:
-        """``fn(*first)`` on the helper thread and ``fn(*second)`` here, at
-        once: the two halves of ``fn(*whole)``, which writes the C-contiguous
-        arrays ``outs``.
-
-        A BLAS may compute a product of fewer rows with another kernel, and
-        so other bits: OpenBLAS 0.3.31 on an AVX-512 host does for most
-        output widths over 192 that are not multiples of 8. The kernel
-        follows from the shapes, not the values, so the first split of each
-        ``key`` (the shapes) is compared with ``fn(*whole)``, whose result is
-        kept; a key whose halves' bits differ runs whole from then on.
-        """
-        exact = self.exact.get(key)
-        if exact is not False:
-            self.run(fn, *first)
-            fn(*second)
-            self.wait()
-            if exact:
-                return
-            # Digests, not copies: the check adds no memory to the step.
-            halves = [hashlib.sha256(out).digest() for out in outs]
-        fn(*whole)
-        if exact is None:
-            self.exact[key] = halves == [hashlib.sha256(out).digest() for out in outs]
+    def both(self, fn, first: tuple, second: tuple) -> None:
+        """``fn(*first)`` on the helper thread and ``fn(*second)`` here, at once."""
+        self.run(fn, *first)
+        fn(*second)
+        self.wait()
 
     def close(self) -> None:
         """Let a call still running finish, then stop and join the thread."""
@@ -139,8 +122,3 @@ class Helper:
         self._task = None
         self._go.release()
         self._thread.join()
-
-
-def start_helper() -> Helper | None:
-    """A ``Helper`` when two or more CPUs are usable, else None."""
-    return Helper() if usable_cpus() >= 2 else None

@@ -48,9 +48,6 @@ def tail_pool(train_indices: np.ndarray, labels: np.ndarray,
     return train_indices[partition[labels[train_indices]] == TAIL]
 
 
-_tail_pool = tail_pool  # plan_batch's keyword of the same name shadows it
-
-
 def plan_batch(
     train_indices: np.ndarray,
     labels: np.ndarray,
@@ -60,15 +57,15 @@ def plan_batch(
     oversample_prob: float,
     rng: np.random.Generator,
     perturb_prob: float = 0.9,
-    tail_pool: np.ndarray | None = None,
+    pool: np.ndarray | None = None,
 ) -> BatchPlan:
     """Plan one batch: base draw plus optional tail-class oversampling.
 
     ``train_indices`` are dataset-level sample ids eligible for training;
     ``labels`` are the full per-sample label array indexed by those ids;
     ``partition`` holds each class's group id (``priors.partition_classes``).
-    ``tail_pool`` is ``tail_pool(train_indices, labels, partition)``, which
-    a fired call computes when it is not given.
+    ``pool`` is ``tail_pool(train_indices, labels, partition)``, which a
+    fired call computes when it is not given.
     """
     train_indices = np.asarray(train_indices, dtype=np.int64)
     if train_indices.size < batch_size:
@@ -80,8 +77,8 @@ def plan_batch(
     extra = np.empty(0, dtype=np.int64)
     mask = np.empty(0, dtype=bool)
     if fired:
-        pool = (_tail_pool(train_indices, labels, partition) if tail_pool is None
-                else tail_pool)
+        if pool is None:
+            pool = tail_pool(train_indices, labels, partition)
         if pool.size == 0:
             warnings.warn("plan_batch: oversample fired but no tail-class samples; skipping")
             fired = False

@@ -23,11 +23,11 @@ Computed once per run:
   every earlier validation recall copies the flat buffer into; the state's
   ``best_*`` parameters are views of it. With no validation rows no epoch
   could be chosen, so ``train`` rejects such a dataset before the first step;
-* on a host with two or more usable CPUs, one helper thread
-  (``parallel.Helper``), started at the first split and stopped and joined
-  before ``train`` returns or raises. The encoder, the loss and the optimizer give it part of each
-  kernel of at least ``SPLIT_WORK`` multiply-adds, to run beside their own
-  part; every output is bit-equal to the serial run's.
+* one helper (``parallel.Helper``), to which the encoder, the loss and the
+  optimizer hand one of the two parts of each kernel of at least
+  ``SPLIT_WORK`` multiply-adds. Its thread, where two or more CPUs are
+  usable, starts at the first split and is joined before ``train`` returns
+  or raises; the parts, and so the run's bits, do not depend on it.
 
 Computed once per step: one gather of the batch's features and labels,
 base and extra rows together (the base rows alone when oversampling did not
@@ -69,7 +69,7 @@ from . import encoder
 from .core import NumericalError, row_norms
 from .evaluation import prototype_scores
 from .loss import DIVERGENCE_LIMIT, MarginConfig, loss_plan, margin_loss
-from .parallel import SPLIT_WORK, Helper, start_helper
+from .parallel import SPLIT_WORK, Helper
 from .priors import compute_class_stats, partition_classes
 from .sampler import lowest_norm_indices, perturb, plan_batch, tail_pool
 from .synthdata import TRAIN, VAL, Dataset, _class_pools
@@ -206,9 +206,8 @@ class AdamW:
             arrays = (p, grads[name], self.m[name], self.v[name], *self.scratch[name])
             if helper is not None and p.size * ADAMW_COST >= SPLIT_WORK:
                 half = p.size // 2
-                helper.run(_adamw_update, *[a.reshape(-1)[:half] for a in arrays], *coeffs)
-                _adamw_update(*[a.reshape(-1)[half:] for a in arrays], *coeffs)
-                helper.wait()
+                helper.both(_adamw_update, (*[a.reshape(-1)[:half] for a in arrays], *coeffs),
+                            (*[a.reshape(-1)[half:] for a in arrays], *coeffs))
             else:
                 _adamw_update(*arrays, *coeffs)
 
@@ -343,9 +342,8 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     history: list[dict] = []
     hist_fh = open(history_path, "w") if history_path else None
     plan_fh = open(plan_log_path, "w") if plan_log_path else None
-    helper = None
+    helper = Helper()
     try:
-        helper = start_helper()
         opt = AdamW(weight_decay=cfg.weight_decay, helper=helper)
         for epoch in range(cfg.epochs):
             lr = lr_at(epoch, cfg)
@@ -353,8 +351,7 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
             for _ in range(steps_per_epoch):
                 plan = plan_batch(train_idx, dataset.labels, partition,
                                   cfg.batch_size, cfg.oversample_size,
-                                  cfg.oversample_prob, rng, cfg.perturb_prob,
-                                  tail_pool=pool)
+                                  cfg.oversample_prob, rng, cfg.perturb_prob, pool=pool)
                 if plan_fh:
                     plan_fh.write(plan.json_line())
                 # Extra rows exist only when oversampling fired.
@@ -416,8 +413,7 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                 best[...] = flat
                 state.best_gamma = float(best[-1])
     finally:
-        if helper is not None:
-            helper.close()
+        helper.close()
         if hist_fh:
             hist_fh.close()
         if plan_fh:

@@ -89,7 +89,7 @@ class TestTailPool:
         for _ in range(40):
             a = plan_batch(indices, labels, partition, 8, size, prob, rng_a, 0.5)
             b = plan_batch(indices, labels, partition, 8, size, prob, rng_b, 0.5,
-                           tail_pool=pool)
+                           pool=pool)
             assert a.json_line() == b.json_line()
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
@@ -103,7 +103,7 @@ class TestTailPool:
             a = plan_batch(np.arange(60), labels, partition, 8, 4, 1.0, rng_a)
         with pytest.warns(UserWarning, match="no tail-class samples"):
             b = plan_batch(np.arange(60), labels, partition, 8, 4, 1.0, rng_b,
-                           tail_pool=pool)
+                           pool=pool)
         assert a.json_line() == b.json_line()
         assert not b.oversample_fired
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
