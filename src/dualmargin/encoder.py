@@ -17,9 +17,9 @@ of its flat gradient buffer, so a step allocates no gradient arrays and
 gathers none. Only parameter gradients are computed; nothing needs the
 gradient wrt the input features.
 
-Given the training run's helper (``parallel.Helper``), a large enough
-batch's forward pass runs in two row halves on any CPU count, and a
-layer's weight gradient is computed beside the propagation below it.
+Given the training run's helper (``parallel.Helper``), a pass that
+``parallel.shares`` runs as two parts: the forward pass in row halves, and
+a layer's weight gradient beside the propagation below it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError
-from .parallel import SPLIT_WORK, Helper
+from .parallel import Helper, halves, shares
 
 
 @dataclass
@@ -57,7 +57,7 @@ def init_params(dims: list[int], seed: int) -> EncoderParams:
     return EncoderParams(weights=weights, biases=biases)
 
 
-def _layers(params: EncoderParams, x: np.ndarray, outs: list) -> None:
+def _layers(x: np.ndarray, outs: list, params: EncoderParams) -> None:
     """Every layer of the rows ``x``: layer l's output, ``a @ w.T + b`` and
     then tanh in all but the last layer, is computed in ``outs[l]``, or in a
     new array put there where it is None."""
@@ -73,9 +73,9 @@ def forward(params: EncoderParams, features: np.ndarray,
             helper: Helper | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Map (n, input_dim) features to (n, d) raw embeddings and the activations.
 
-    With a ``helper``, an encoder of at least ``SPLIT_WORK`` multiply-adds
-    is computed in two row halves at once (``Helper.both``); its bits are
-    the halves', which a BLAS may make differ from the whole's.
+    An encoder that ``parallel.shares`` with the ``helper`` is computed in
+    two row halves at once (``parallel.halves``); its bits are the halves',
+    which a BLAS may make differ from the whole's.
     """
     features = np.asarray(features, dtype=np.float64)
     if not np.logical_and.reduce(np.isfinite(features), axis=None):
@@ -86,17 +86,13 @@ def forward(params: EncoderParams, features: np.ndarray,
         raise ValueError(
             f"encoder.forward: feature width {features.shape[1]} != input dim {params.weights[0].shape[1]}"
         )
-    rows, work = features.shape[0], 0
-    if helper is not None:
-        for w in params.weights:
-            work += rows * w.size
-    if work >= SPLIT_WORK:
-        outs, half = [np.empty((rows, w.shape[0])) for w in params.weights], rows // 2
-        helper.both(_layers, (params, features[:half], [z[:half] for z in outs]),
-                    (params, features[half:], [z[half:] for z in outs]))
+    rows = features.shape[0]
+    if shares(helper, rows * sum(w.size for w in params.weights)):
+        outs = [np.empty((rows, w.shape[0])) for w in params.weights]
+        halves(helper, _layers, (features, outs), params)
     else:
         outs = [None] * len(params.weights)
-        _layers(params, features, outs)
+        _layers(features, outs, params)
     return outs[-1], [features, *outs]
 
 
@@ -105,6 +101,15 @@ def _param_grads(delta: np.ndarray, a: np.ndarray, dw: np.ndarray, db: np.ndarra
     and its input ``a``, written into ``dw`` and ``db``."""
     np.matmul(delta.T, a, out=dw)
     np.add.reduce(delta, axis=0, out=db)
+
+
+def _propagate(delta: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The output gradient of the layer below the one with output gradient
+    ``delta``, weights ``w`` and input ``a``, a tanh output."""
+    delta = delta @ w
+    grad = a * a  # tanh' is 1 - a^2, from the layer's output a
+    delta *= np.subtract(1.0, grad, out=grad)
+    return delta
 
 
 def backward(
@@ -118,9 +123,9 @@ def backward(
 
     ``out[l]`` is the ``(dW, db)`` pair of layer l: C-contiguous float64
     arrays shaped like ``params.weights[l]`` and ``params.biases[l]``.
-    With a ``helper``, a ``dW`` of at least ``SPLIT_WORK`` multiply-adds is
-    computed on the helper thread while the gradient propagates to the
-    layer below; the first layer's, with nothing to propagate, is not.
+    A ``dW`` that ``parallel.shares`` with the ``helper`` is computed on the
+    helper thread while the gradient propagates to the layer below
+    (``Helper.both``); the first layer's, with nothing to propagate, is not.
     """
     grad_embeddings = np.asarray(grad_embeddings, dtype=np.float64)
     if grad_embeddings.shape != activations[-1].shape:
@@ -129,17 +134,12 @@ def backward(
     for l in range(len(params.weights) - 1, 0, -1):
         dw, db = out[l]
         a = activations[l]
-        # Layer l's parameter gradients read delta and propagating it makes a
-        # new array, so with a helper the two run at once.
-        split = helper is not None and delta.shape[0] * dw.size >= SPLIT_WORK
-        if split:
-            helper.run(_param_grads, delta, a, dw, db)
+        # dW and db read delta, and propagating it makes a new array.
+        if shares(helper, delta.shape[0] * dw.size):
+            delta = helper.both(_param_grads, (delta, a, dw, db),
+                                _propagate, (delta, a, params.weights[l]))
         else:
             _param_grads(delta, a, dw, db)
-        delta = delta @ params.weights[l]
-        grad = a * a  # tanh' is 1 - a^2, from the layer's output a
-        delta *= np.subtract(1.0, grad, out=grad)
-        if split:
-            helper.wait()
+            delta = _propagate(delta, a, params.weights[l])
     _param_grads(delta, activations[0], *out[0])  # nothing to propagate beside it
     return out

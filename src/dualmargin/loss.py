@@ -34,9 +34,9 @@ give both the log-sum-exp and the softmax. The forward pass leaves the
 softmax in its ``LossContext``; the fused ``margin_loss`` turns it into its
 gradient in place, and chains it back through the stack (and its
 normalization, in a cosine mode). Given the training run's helper thread
-(``parallel.Helper``), ``margin_loss`` computes a large enough batch's
-adjusted logits and softmax in two row halves at once, and its two
-gradient matmuls at once, with the same bits on every CPU count.
+(``parallel.Helper``), ``margin_loss`` computes a batch that
+``parallel.shares`` as two parts at once (its logits and softmax in row
+halves, its two gradient matmuls), with the same bits on any CPU count.
 
 ``train`` builds the plan once and passes it to ``margin_loss`` in place of
 the adjustments; its training labels were range-checked once, by the class
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError, check_labels, rows_normalize, sigmoid, softplus
-from .parallel import SPLIT_WORK, Helper
+from .parallel import Helper, halves, shares
 
 MODES = ("dual_margin", "am_softmax", "ce")
 SIGN_CHOICES = ("literal", "magnitude")
@@ -266,33 +266,37 @@ def _checked(caller: str, embeddings, labels, prototypes, deltas,
     return embeddings, labels, prototypes, plan
 
 
-def _adjusted_rows(emb_units: np.ndarray, proto_units: np.ndarray, scaled: np.ndarray,
-                   target_margins: np.ndarray, targets: np.ndarray, s: float,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def _adjusted_rows(emb_units: np.ndarray, target_margins: np.ndarray, targets: np.ndarray,
+                   out: np.ndarray | None, proto_units: np.ndarray, scaled: np.ndarray,
+                   s: float, whole: np.ndarray | None = None) -> np.ndarray:
     """The adjusted logits of a block of embedding rows, in ``out`` (a new
     array where None): entry (i, j) is s * (logits[i, j] - scaled[j]), and
-    the target entry s * (logits[i, y] - target_margins[i]); ``targets``
-    index the target entries of ``out`` viewed flat."""
+    the target entry s * (logits[i, y] - target_margins[i]). ``targets``
+    index the target entries of ``whole`` viewed flat, the logit array that
+    ``out`` is a row block of, or ``out`` itself where None."""
     out = np.matmul(emb_units, proto_units.swapaxes(-1, -2), out=out)
-    at_targets = out.reshape(-1)[targets]
+    flat = (out if whole is None else whole).reshape(-1)
+    at_targets = flat[targets]
     out -= scaled
-    out.reshape(-1)[targets] = at_targets - target_margins
+    flat[targets] = at_targets - target_margins
     out *= s
     return out
 
 
 def _softmax_rows(adjusted: np.ndarray, targets: np.ndarray, probs: np.ndarray | None = None,
-                  per_sample: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  per_sample: np.ndarray | None = None,
+                  whole: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each row's softmax of the adjusted logits, and its loss: log-sum-exp
     minus the target entry. One max-shifted exp and its row sums serve
     both. They are computed in ``probs`` and ``per_sample``, or in new
-    arrays where those are None."""
+    arrays where those are None. ``targets`` index the target entries as in
+    ``_adjusted_rows``."""
     peak = np.maximum.reduce(adjusted, axis=-1, keepdims=True)
     probs = np.subtract(adjusted, peak, out=probs)
     np.exp(probs, out=probs)
     sums = np.add.reduce(probs, axis=-1, keepdims=True)
-    per_sample = np.subtract((np.log(sums) + peak)[..., 0], adjusted.reshape(-1)[targets],
-                             out=per_sample)
+    at_targets = (adjusted if whole is None else whole).reshape(-1)[targets]
+    per_sample = np.subtract((np.log(sums) + peak)[..., 0], at_targets, out=per_sample)
     probs /= sums
     return probs, per_sample
 
@@ -303,10 +307,10 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     """The forward half of the step kernel, on checked inputs: (n, d) and
     (c, d), or stacks (P, n, d) and (P, c, d) sharing the labels and gamma.
 
-    With a ``helper``, an unstacked batch whose logits take at least
-    ``SPLIT_WORK`` multiply-adds is computed in two row halves at once
-    (``Helper.both``): the adjusted logits, whose bits are the halves' BLAS
-    products', then the softmax.
+    A batch whose logits ``parallel.shares`` with the ``helper`` (only
+    ``margin_loss``, whose batch is unstacked, passes one) is computed in
+    two row halves at once (``parallel.halves``): the adjusted logits, whose
+    bits are the halves' BLAS products', then the softmax.
     """
     targets = plan.row_starts + labels  # flat indices of the target logits
     n = embeddings.shape[-2]
@@ -322,20 +326,14 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     emb_units, proto_units = units[..., :n, :], units[..., n:, :]
     target_margins = scaled[labels] + plan.m
     c, d = proto_units.shape[-2:]
-    split = helper is not None and units.ndim == 2 and n * c * d >= SPLIT_WORK
+    split = shares(helper, n * c * d)
     if split:
-        # Row halves; the second half's targets index its own flat view.
-        h = n // 2
-        first, second = targets[:h], targets[h:] - h * c
         adjusted, probs, per_sample = np.empty((n, c)), np.empty((n, c)), np.empty(n)
-        helper.both(_adjusted_rows,
-                    (emb_units[:h], proto_units, scaled, target_margins[:h], first, plan.s,
-                     adjusted[:h]),
-                    (emb_units[h:], proto_units, scaled, target_margins[h:], second, plan.s,
-                     adjusted[h:]))
+        halves(helper, _adjusted_rows, (emb_units, target_margins, targets, adjusted),
+               proto_units, scaled, plan.s, adjusted)
     else:
-        adjusted = _adjusted_rows(emb_units, proto_units, scaled, target_margins, targets,
-                                  plan.s)
+        adjusted = _adjusted_rows(emb_units, target_margins, targets, None, proto_units,
+                                  scaled, plan.s)
 
     # The one finiteness check of the loss: a NaN or inf embedding or
     # prototype row shows up here as a non-finite logit row.
@@ -345,8 +343,7 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
                              + (f" of stack entry {int(entry[0])}" if entry else ""))
 
     if split:
-        helper.both(_softmax_rows, (adjusted[:h], first, probs[:h], per_sample[:h]),
-                    (adjusted[h:], second, probs[h:], per_sample[h:]))
+        halves(helper, _softmax_rows, (adjusted, targets, probs, per_sample), adjusted)
     else:
         probs, per_sample = _softmax_rows(adjusted, targets)
     total = np.add.reduce(per_sample, axis=-1) / n + cfg.lam * reg_value  # (P,) for a stack
@@ -369,13 +366,10 @@ def _backward(ctx: LossContext,
     adjustments in both the data term and the regularizer; it is 0.0
     without them. Rows that hit the zero-norm guard have no dependence on
     their raw vector, so their gradient is zero. The prototype gradient is
-    written into the plan's ``grad_prototypes``. With a ``helper``, its two
-    matmuls run at once when each takes at least ``SPLIT_WORK``
-    multiply-adds.
+    written into the plan's ``grad_prototypes``. Its two matmuls run at
+    once when each is a kernel that ``parallel.shares`` with the ``helper``.
     """
     cfg, plan, g = ctx.cfg, ctx.plan, ctx.probs
-    if g.ndim != 2:
-        raise ValueError("margin_loss: a stacked forward has no backward pass")
     g.reshape(-1)[plan.row_starts + ctx.labels] -= 1.0
     g /= g.shape[0]  # batch-mean reduction
 
@@ -390,8 +384,8 @@ def _backward(ctx: LossContext,
     g *= plan.s  # now the gradient wrt the unscaled logits
     units, n = ctx.units, g.shape[0]
     grad = np.empty_like(units)
-    if helper is not None and g.size * units.shape[1] >= SPLIT_WORK:
-        helper.both(np.matmul, (g.T, units[:n], grad[n:]), (g, units[n:], grad[:n]))
+    if shares(helper, g.size * units.shape[1]):
+        helper.both(np.matmul, (g.T, units[:n], grad[n:]), np.matmul, (g, units[n:], grad[:n]))
     else:
         np.matmul(g.T, units[:n], out=grad[n:])
         np.matmul(g, units[n:], out=grad[:n])
@@ -452,12 +446,14 @@ def margin_loss(
     ``LossPlan`` built by ``loss_plan`` from the same config (gamma aside).
     With a plan, the inputs are taken as checked: float64 arrays, and int
     labels in range with one per plan row. A ``helper`` splits the work of
-    a large unstacked batch (``_forward``, ``_backward``).
+    a large batch (``_forward``, ``_backward``); a stacked one is rejected.
     """
     if isinstance(deltas, LossPlan):
         args = (embeddings, labels, prototypes, deltas)
     else:
         args = _checked("margin_loss", embeddings, labels, prototypes, deltas, cfg)
+    if args[0].ndim != 2:
+        raise ValueError("margin_loss: a stacked forward has no backward pass")
     out, ctx = _forward(*args, cfg, helper)
     out.grad_embeddings, out.grad_prototypes, out.grad_gamma = _backward(ctx, helper)
     return out

@@ -2,18 +2,13 @@
 
 ``train`` makes one ``Helper`` and passes it to the step's kernels: the
 encoder's forward and backward passes, the loss's forward and backward
-passes and ``AdamW.step``. A large kernel is computed as two parts, row
-halves or two independent calls: it hands the helper one part (``run``),
-makes the other itself, then waits for the helper, or makes the handed-off
-part too if the helper has not started it (``wait``). NumPy releases the
-interpreter lock inside its kernels, so on two CPUs the parts run at once,
-on disjoint outputs. BLAS stays on one thread in each.
-
-On a host with fewer than two usable CPUs the helper starts no thread and
-``wait`` makes each handed-off part in the calling thread, so a run
-computes the same parts, with the same bits, on any CPU count. Row halves
-of a BLAS product may have other bits than the whole product; a halved
-kernel's bits are its halves'.
+passes and ``AdamW.step``. ``shares`` is the one rule for whether a kernel
+is computed as two parts at once (``Helper.both``): its row halves
+(``halves``, the one code that slices them) or two independent calls.
+NumPy releases the interpreter lock inside its kernels, so on two CPUs the
+parts run at once, on disjoint outputs. BLAS stays on one thread in each.
+The parts, and so a run's bits, are the same on any CPU count; a halved
+kernel's bits are its halves', which a BLAS may make differ from the whole's.
 
 A kernel is shared only when its work is at least ``SPLIT_WORK``
 multiply-adds. Below that the hand-off, about 22 µs of lock ping-pong on
@@ -46,16 +41,15 @@ def usable_cpus() -> int:
 class Helper:
     """A daemon thread that runs one handed-off call at a time.
 
-    Two locks carry the hand-off: ``run`` stores the call and releases
-    ``_go``, which the thread waits on; the thread releases ``_done`` when
-    the call returns, which ``wait`` takes. An exception in the call is
-    raised again by ``wait``. If the thread has not taken ``_go`` by the
-    time ``wait`` is called (on a busy host its CPU may not run for
-    milliseconds), ``wait`` takes it back and makes the call itself, so the
-    caller never waits for a thread that has not started. The thread starts
-    at the first ``run``, so a run that shares no kernel stays a
+    Two locks carry the hand-off in ``both``: the caller stores the call and
+    releases ``_go``, which the thread waits on; the thread releases
+    ``_done`` when the call returns. If the thread has not taken ``_go`` by
+    the time the caller's own part has returned (on a busy host its CPU may
+    not run for milliseconds), the caller takes it back and makes the call
+    itself, so it never waits for a thread that has not started. The thread
+    starts at the first ``both``, so a run that shares no kernel stays a
     single-threaded process, and only where two or more CPUs are usable;
-    with fewer, ``wait`` makes every call. ``close`` stops and joins the
+    with fewer, the caller makes every call. ``close`` stops and joins the
     thread.
     """
 
@@ -66,7 +60,6 @@ class Helper:
         self._done.acquire()
         self._task: tuple | None = None
         self._error: Exception | None = None
-        self._pending = False
         self._threaded = usable_cpus() >= 2
         self._thread: threading.Thread | None = None
 
@@ -78,47 +71,55 @@ class Helper:
             fn, args = self._task
             try:
                 fn(*args)
-            except Exception as exc:  # raised again in the caller's thread by wait()
+            except Exception as exc:  # raised again in the caller's thread by both()
                 self._error = exc
             finally:
                 self._done.release()
 
-    def run(self, fn, *args) -> None:
-        """Hand ``fn(*args)`` to the helper thread; ``wait`` must follow."""
+    def both(self, fn1, args1: tuple, fn2, args2: tuple):
+        """``fn1(*args1)`` on the helper thread and ``fn2(*args2)`` here, at once;
+        return ``fn2``'s result once both have returned, or raise either's
+        exception. If ``fn2`` raises, ``fn1`` has returned first."""
         if self._thread is None and self._threaded:
             self._thread = threading.Thread(target=self._loop, name="dualmargin-helper",
                                             daemon=True)
             self._thread.start()
-        self._task = (fn, args)
-        self._pending = True
+        self._task = (fn1, args1)
         self._go.release()
-
-    def wait(self) -> None:
-        """Return when the call ``run`` handed off has returned, making it
-        here if the thread has not started it; raise its exception."""
-        self._pending = False
-        if self._go.acquire(blocking=False):
-            fn, args = self._task
-            fn(*args)
-            return
-        self._done.acquire()
-        error, self._error = self._error, None
-        if error is not None:
+        try:
+            result = fn2(*args2)
+        finally:
+            taken_back = self._go.acquire(blocking=False)
+            if not taken_back:
+                self._done.acquire()
+            error, self._error = self._error, None
+        if taken_back:
+            fn1(*args1)
+        elif error is not None:
             raise error
-
-    def both(self, fn, first: tuple, second: tuple) -> None:
-        """``fn(*first)`` on the helper thread and ``fn(*second)`` here, at once."""
-        self.run(fn, *first)
-        fn(*second)
-        self.wait()
+        return result
 
     def close(self) -> None:
-        """Let a call still running finish, then stop and join the thread."""
+        """Stop and join the thread."""
         if self._thread is None:
             return
-        if self._pending and not self._go.acquire(blocking=False):
-            self._done.acquire()
-        self._pending = False
         self._task = None
         self._go.release()
         self._thread.join()
+
+
+def shares(helper: Helper | None, work: int) -> bool:
+    """The split rule: a kernel of ``work`` multiply-adds is computed as two
+    parts at once when there is a ``helper`` and ``work >= SPLIT_WORK``."""
+    return helper is not None and work >= SPLIT_WORK
+
+
+def halves(helper: Helper, fn, rows: tuple | list, *shared) -> None:
+    """``fn(*rows, *shared)`` as two calls at once, the first on the helper:
+    each takes one row half of every entry of ``rows`` (an array, or a list
+    of arrays sliced alike), split at half the first entry's rows, and all
+    of ``shared``."""
+    h = len(rows[0]) // 2
+    first = [[a[:h] for a in r] if isinstance(r, list) else r[:h] for r in rows]
+    second = [[a[h:] for a in r] if isinstance(r, list) else r[h:] for r in rows]
+    helper.both(fn, (*first, *shared), fn, (*second, *shared))

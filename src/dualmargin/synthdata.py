@@ -137,6 +137,10 @@ def generate(spec: SyntheticSpec) -> Dataset:
         feats.append(means[j] + noise)
         labels.append(np.full(int(n_j), j, dtype=np.int64))
     features = np.concatenate(feats)
+    # Finite iff its extremes are (NaN propagates), so nothing is allocated.
+    if not (np.isfinite(features.min()) and np.isfinite(features.max())):
+        raise ValueError(f"data.cluster_spread = {spec.cluster_spread} makes non-finite "
+                         f"features; lower it")
     labels = np.concatenate(labels)
     return Dataset(
         features=features,

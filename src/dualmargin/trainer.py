@@ -24,10 +24,10 @@ Computed once per run:
   ``best_*`` parameters are views of it. With no validation rows no epoch
   could be chosen, so ``train`` rejects such a dataset before the first step;
 * one helper (``parallel.Helper``), to which the encoder, the loss and the
-  optimizer hand one of the two parts of each kernel of at least
-  ``SPLIT_WORK`` multiply-adds. Its thread, where two or more CPUs are
-  usable, starts at the first split and is joined before ``train`` returns
-  or raises; the parts, and so the run's bits, do not depend on it.
+  optimizer hand one of the two parts of each kernel that
+  ``parallel.shares``. Its thread, where two or more CPUs are usable,
+  starts at the first split and is joined before ``train`` returns or
+  raises; the parts, and so the run's bits, do not depend on it.
 
 Computed once per step: one gather of the batch's features and labels,
 base and extra rows together (the base rows alone when oversampling did not
@@ -69,7 +69,7 @@ from . import encoder
 from .core import NumericalError, row_norms
 from .evaluation import prototype_scores
 from .loss import DIVERGENCE_LIMIT, MarginConfig, loss_plan, margin_loss
-from .parallel import SPLIT_WORK, Helper
+from .parallel import Helper, halves, shares
 from .priors import compute_class_stats, partition_classes
 from .sampler import lowest_norm_indices, perturb, plan_batch, tail_pool
 from .synthdata import TRAIN, VAL, Dataset, _class_pools
@@ -176,10 +176,11 @@ class AdamW:
 
     Each parameter's moments and two scratch buffers are made at its first
     step; the update writes every temporary into the scratch buffers, in
-    the order of the textbook expression, so it allocates nothing. With a
-    ``helper``, a parameter of at least ``SPLIT_WORK / ADAMW_COST`` elements
-    is updated in two halves at once, one on the helper thread; the update
-    is elementwise, so the halves' bits are the whole update's.
+    the order of the textbook expression, so it allocates nothing. A
+    parameter whose update ``parallel.shares`` with the ``helper``, at
+    ``ADAMW_COST`` per element, is updated in two halves at once
+    (``parallel.halves``); the update is elementwise, so the halves' bits
+    are the whole update's.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -197,24 +198,21 @@ class AdamW:
         self.t += 1
         coeffs = (lr, 1.0 - lr * self.weight_decay,
                   1.0 - self.BETA1 ** self.t, 1.0 - self.BETA2 ** self.t)
-        helper = self.helper
         for name, p in params.items():
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
                 self.scratch[name] = (np.empty_like(p), np.empty_like(p))
             arrays = (p, grads[name], self.m[name], self.v[name], *self.scratch[name])
-            if helper is not None and p.size * ADAMW_COST >= SPLIT_WORK:
-                half = p.size // 2
-                helper.both(_adamw_update, (*[a.reshape(-1)[:half] for a in arrays], *coeffs),
-                            (*[a.reshape(-1)[half:] for a in arrays], *coeffs))
+            if shares(self.helper, p.size * ADAMW_COST):
+                halves(self.helper, _adamw_update, [a.reshape(-1) for a in arrays], *coeffs)
             else:
                 _adamw_update(*arrays, *coeffs)
 
 
-# The work of updating one element, in the units of ``SPLIT_WORK``: it takes
-# about as long as 25 multiply-adds of a BLAS layer (8.4 ns against 0.32 ns
-# on the 2-CPU host of CHANGES.md).
+# The work of updating one element, in the multiply-adds of ``parallel.shares``:
+# it takes about as long as 25 multiply-adds of a BLAS layer (8.4 ns against
+# 0.32 ns on the 2-CPU host of CHANGES.md).
 ADAMW_COST = 25
 
 

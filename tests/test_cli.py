@@ -424,6 +424,16 @@ class TestCliCommands:
         assert payload["exit_code"] == EXIT_CONFIG
         assert "cannot place" in payload["error"]
 
+    def test_non_finite_generated_data_is_config_error(self, tmp_path):
+        bad = tmp_path / "spread.ini"
+        bad.write_text("data.cluster_spread = 1e308\n")
+        for command in ("generate", "train"):
+            out = str(tmp_path / command)
+            assert main([command, "--config", str(bad), "--out", out]) == EXIT_CONFIG
+            assert os.listdir(out) == ["error.json"]
+            payload = json.loads(pathlib.Path(out, "error.json").read_text())
+            assert payload["error"].startswith("data.cluster_spread = 1e+308"), command
+
     def test_small_open_set_validation_split_is_config_error(self, tmp_path):
         # 15 known validation samples cannot calibrate the open-set
         # threshold; the run must stop before training, not after it.

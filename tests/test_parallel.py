@@ -1,5 +1,5 @@
-"""The helper thread: its hand-off, the split kernels' bits on one CPU and
-two, and its lifetime in a training run."""
+"""The helper thread: its hand-off, where each kernel splits, the split
+kernels' bits on one CPU and two, and its lifetime in a training run."""
 
 import pathlib
 import threading
@@ -10,7 +10,7 @@ import pytest
 
 from dualmargin import encoder, parallel
 from dualmargin.cli import EXIT_NUMERICAL, EXIT_OK, main
-from dualmargin.loss import MarginConfig, margin_loss
+from dualmargin.loss import MarginConfig, margin_loss, margin_loss_forward
 from dualmargin.parallel import SPLIT_WORK, Helper
 from dualmargin.trainer import ADAMW_COST, AdamW
 
@@ -72,26 +72,36 @@ def one_cpu(make_helper):
     return make_helper(1)
 
 
+@pytest.fixture
+def hand_offs(monkeypatch):
+    """The number of ``Helper.both`` calls made since the test began."""
+    seen, both = [0], Helper.both
+
+    def counting_both(self, *args):
+        seen[0] += 1
+        return both(self, *args)
+
+    monkeypatch.setattr(Helper, "both", counting_both)
+    return seen
+
+
 class TestHelper:
     def test_runs_the_call_and_waits_for_it(self, helper):
         out = np.zeros(3)
-        helper.run(np.add, np.ones(3), 2.0, out)
-        helper.wait()
+        assert helper.both(np.add, (np.ones(3), 2.0, out), int, ("7",)) == 7
         assert np.array_equal(out, [3.0, 3.0, 3.0])
 
-    def test_wait_raises_the_call_s_exception_and_the_thread_lives_on(self, helper):
+    def test_both_raises_the_helper_s_exception_and_the_thread_lives_on(self, helper):
         def fail():
             raise ValueError("in the helper")
 
-        helper.run(fail)
         with pytest.raises(ValueError, match="in the helper"):
-            helper.wait()
+            helper.both(fail, (), int, ())
         out = np.zeros(1)
-        helper.run(np.copyto, out, 5.0)
-        helper.wait()
+        helper.both(np.copyto, (out, 5.0), int, ())
         assert out[0] == 5.0
 
-    def test_wait_makes_the_call_itself_when_the_thread_has_not_started(self, monkeypatch):
+    def test_both_makes_the_call_itself_when_the_thread_has_not_started(self, monkeypatch):
         # A thread whose CPU does not run it yet: the caller does not wait.
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         gate = threading.Event()
@@ -103,18 +113,18 @@ class TestHelper:
 
         h, ran_on = Stalled(), []
         try:
-            h.run(lambda: ran_on.append(threading.get_ident()))
-            h.wait()
+            h.both(lambda: ran_on.append(threading.get_ident()), (), int, ())
             assert ran_on == [threading.get_ident()]
         finally:
             gate.set()
             h.close()
 
-    def test_close_joins_the_thread_even_with_a_call_running(self, monkeypatch):
+    def test_caller_s_exception_waits_for_the_helper_and_close_joins_at_once(
+            self, monkeypatch):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         before = threading.active_count()
         h = Helper()
-        assert threading.active_count() == before  # the thread starts at the first run
+        assert threading.active_count() == before  # the thread starts at the first both
         started, finished = threading.Event(), []
 
         def slow():
@@ -122,18 +132,25 @@ class TestHelper:
             time.sleep(0.05)
             finished.append(True)
 
-        h.run(slow)
-        assert threading.active_count() == before + 1
-        assert started.wait(timeout=10)
-        h.close()  # no wait() first: close lets slow() finish, then stops the thread
-        assert finished == [True]
+        def fail():
+            assert started.wait(timeout=10)
+            assert threading.active_count() == before + 1
+            raise ValueError("in the caller")
+
+        with pytest.raises(ValueError, match="in the caller"):
+            h.both(slow, (), fail, ())
+        assert finished == [True]  # both returned only after slow() had
+        h.close()
         assert threading.active_count() == before
 
     def test_one_cpu_makes_both_halves_here_and_starts_no_thread(self, make_helper):
         before = threading.active_count()
         h, ran_on = make_helper(1), []
-        h.both(lambda half: ran_on.append((half, threading.get_ident())), ("first",),
-               ("second",))
+
+        def record(half):
+            ran_on.append((half, threading.get_ident()))
+
+        h.both(record, ("first",), record, ("second",))
         assert sorted(ran_on) == [("first", threading.get_ident()),
                                   ("second", threading.get_ident())]
         assert threading.active_count() == before
@@ -154,6 +171,77 @@ def _buffers(params):
 
 # Widths as in wide_batch, and widths that are not multiples of 8.
 DIMS = ([64, 256, 128, 64], [61, 253, 131, 37])
+
+
+class TestEverySiteSplitsAtSplitWork:
+    """Each shared kernel hands off one part at SPLIT_WORK multiply-adds and
+    none one unit of work (a row, or an element) below it."""
+
+    @pytest.mark.parametrize("rows, expected", [(511, 0), (512, 1)])
+    def test_encoder_forward(self, helper, hand_offs, rows, expected):
+        params = _params([16, 64, 16], seed=0)  # 2,048 multiply-adds a row
+        encoder.forward(params, np.ones((rows, 16)), helper=helper)
+        assert hand_offs[0] == expected
+
+    @pytest.mark.parametrize("rows, expected", [(1023, 0), (1024, 1)])
+    def test_encoder_backward(self, helper, hand_offs, rows, expected):
+        # The top layer's dW is 1,024 multiply-adds a row; the first layer's
+        # dW has nothing to run beside.
+        params = _params([16, 64, 16], seed=0)
+        _, acts = encoder.forward(params, np.ones((rows, 16)))
+        encoder.backward(params, acts, np.ones((rows, 16)), _buffers(params), helper=helper)
+        assert hand_offs[0] == expected
+
+    @pytest.mark.parametrize("rows, expected", [(1023, 0), (1024, 3)])
+    def test_loss(self, helper, hand_offs, rows, expected):
+        # 64 classes of width 16: the logits and each gradient matmul are
+        # 1,024 multiply-adds a row, and the softmax splits with the logits.
+        rng = np.random.default_rng(rows)
+        margin_loss(rng.normal(size=(rows, 16)), rng.integers(0, 64, size=rows),
+                    rng.normal(size=(64, 16)), np.zeros(64), MarginConfig(), helper=helper)
+        assert hand_offs[0] == expected
+
+    @pytest.mark.parametrize("size, expected", [(41943, 0), (41944, 1)])
+    def test_adamw(self, helper, hand_offs, size, expected):
+        assert 41943 * ADAMW_COST < SPLIT_WORK <= 41944 * ADAMW_COST
+        AdamW(helper=helper).step({"flat": np.ones(size)}, {"flat": np.ones(size)}, lr=0.1)
+        assert hand_offs[0] == expected
+
+
+class TestSplitIsWholeCallsOnHalves:
+    """A split kernel's bits are those of whole calls, made without a helper,
+    on each row half: the split itself is checked, not only its two CPU
+    counts against each other."""
+
+    @pytest.mark.parametrize("rows", [511, 512, 513])
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_encoder_forward(self, helper, rows, dims):
+        params = _params(dims, seed=rows)
+        x = np.random.default_rng(rows).normal(size=(rows, dims[0]))
+        assert rows * sum(w.size for w in params.weights) >= SPLIT_WORK
+        _, split = encoder.forward(params, x, helper=helper)
+        h = rows // 2
+        for part, rows_of in ((encoder.forward(params, x[:h])[1], slice(None, h)),
+                              (encoder.forward(params, x[h:])[1], slice(h, None))):
+            assert all(np.array_equal(a[rows_of], b) for a, b in zip(split, part))
+
+    @pytest.mark.parametrize("rows", [511, 512, 513])
+    @pytest.mark.parametrize("mode", ["dual_margin", "ce"])
+    def test_loss_per_sample(self, helper, rows, mode):
+        rng = np.random.default_rng(rows)
+        classes, dim = 130, 37
+        assert rows * classes * dim >= SPLIT_WORK
+        emb = rng.normal(size=(rows, dim))
+        protos = rng.normal(size=(classes, dim))
+        labels = rng.integers(0, classes, size=rows)
+        deltas = rng.uniform(0.0, 0.15, size=classes)
+        cfg = MarginConfig(mode=mode, gamma=0.3)
+        split = margin_loss(emb, labels, protos, deltas, cfg, helper=helper)
+        h = rows // 2
+        first, _ = margin_loss_forward(emb[:h], labels[:h], protos, deltas, cfg)
+        second, _ = margin_loss_forward(emb[h:], labels[h:], protos, deltas, cfg)
+        assert np.array_equal(split.per_sample, np.concatenate([first.per_sample,
+                                                                second.per_sample]))
 
 
 class TestSplitKernelsChangeNoBits:
@@ -223,50 +311,44 @@ def _train(tmp_path, name, text=SPLIT_CONFIG):
 
 class TestTrainRunsOneHelper:
     @pytest.fixture
-    def record(self, monkeypatch):
-        """Threads alive after each forward pass of a run, and its split calls."""
-        seen = {"threads": set(), "splits": 0}
-        forward, run = encoder.forward, Helper.run
+    def threads(self, monkeypatch):
+        """Threads alive after each forward pass of a run."""
+        seen, forward = set(), encoder.forward
 
         def counting_forward(*args, **kwargs):
             result = forward(*args, **kwargs)
-            seen["threads"].add(threading.active_count())
+            seen.add(threading.active_count())
             return result
 
-        def counting_run(self, fn, *args):
-            seen["splits"] += 1
-            run(self, fn, *args)
-
         monkeypatch.setattr(encoder, "forward", counting_forward)
-        monkeypatch.setattr(Helper, "run", counting_run)
         return seen
 
     def test_threaded_run_equals_one_cpu_run_byte_for_byte(self, tmp_path, monkeypatch,
-                                                          record):
+                                                          threads, hand_offs):
         # Each run splits its kernels into the same halves on one CPU and two.
         before = threading.active_count()
         for name, text in (("split", SPLIT_CONFIG), ("halves_differ", HALVES_DIFFER_CONFIG)):
-            record["threads"].clear()
-            record["splits"] = 0
+            threads.clear()
+            hand_offs[0] = 0
             monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
             assert _train(tmp_path, f"{name}_one", text)[0] == EXIT_OK
-            assert record["threads"] == {before} and record["splits"] > 0
+            assert threads == {before} and hand_offs[0] > 0
             assert threading.active_count() == before
 
             monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
             code, out = _train(tmp_path, f"{name}_two", text)
             assert code == EXIT_OK
-            assert {before + 1} <= record["threads"] <= {before, before + 1}
+            assert {before + 1} <= threads <= {before, before + 1}
             assert threading.active_count() == before
             for file in RUN_FILES:
                 one = tmp_path / f"{name}_one" / file
                 assert (out / file).read_bytes() == one.read_bytes(), (name, file)
 
-    def test_diverged_run_stops_its_helper(self, tmp_path, monkeypatch, record):
+    def test_diverged_run_stops_its_helper(self, tmp_path, monkeypatch, threads):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         before = threading.active_count()
         code, out = _train(tmp_path, "bad", SPLIT_CONFIG + "margin.s = 1e200\n")
         assert code == EXIT_NUMERICAL
         assert pathlib.Path(out, "error.json").exists()
-        assert record["threads"] == {before + 1}
+        assert threads == {before + 1}
         assert threading.active_count() == before

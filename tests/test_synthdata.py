@@ -115,6 +115,11 @@ class TestGenerate:
             mean = ds.features[ds.labels == j].mean(axis=0)
             assert abs(np.linalg.norm(mean) - 1.0) < 0.05
 
+    def test_non_finite_features_name_the_spread(self):
+        # The spread itself is finite; the features it scales overflow.
+        with pytest.raises(ValueError, match=r"data\.cluster_spread = 1e\+308 makes non-finite"):
+            generate(SyntheticSpec(num_classes=3, dim=4, head_count=20, cluster_spread=1e308))
+
     def test_infeasible_separation(self):
         spec = SyntheticSpec(num_classes=50, dim=2, min_angle=1.5, head_count=5)
         with pytest.raises(ValueError, match="raise data.dim or lower data.min_angle"):
