@@ -17,9 +17,10 @@ of its flat gradient buffer, so a step allocates no gradient arrays and
 gathers none. Only parameter gradients are computed; nothing needs the
 gradient wrt the input features.
 
-Given the training run's helper (``parallel.Helper``), a pass that
-``parallel.shares`` runs as two parts: the forward pass in row halves, and
-a layer's weight gradient beside the propagation below it.
+Each pass hands its kernels to ``parallel``, which, given the training
+run's helper (``parallel.Helper``), computes a large one as two parts: the
+forward pass in row halves (``parallel.halves``), and a layer's weight
+gradient beside the propagation below it (``parallel.pair``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError
-from .parallel import Helper, halves, shares
+from .parallel import Helper, halves, pair
 
 
 @dataclass
@@ -57,13 +58,13 @@ def init_params(dims: list[int], seed: int) -> EncoderParams:
     return EncoderParams(weights=weights, biases=biases)
 
 
-def _layers(x: np.ndarray, outs: list, params: EncoderParams) -> None:
-    """Every layer of the rows ``x``: layer l's output, ``a @ w.T + b`` and
-    then tanh in all but the last layer, is computed in ``outs[l]``, or in a
-    new array put there where it is None."""
-    last = len(outs) - 1
+def _layers(activations: list, params: EncoderParams) -> None:
+    """Every layer of the rows ``activations[0]``: layer l's output,
+    ``activations[l] @ w.T + b`` and then tanh in all but the last layer, is
+    computed in ``activations[l + 1]``."""
+    last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        x = outs[l] = np.matmul(x, w.T, out=outs[l])
+        x = np.matmul(activations[l], w.T, out=activations[l + 1])
         x += b
         if l < last:
             np.tanh(x, out=x)
@@ -73,9 +74,9 @@ def forward(params: EncoderParams, features: np.ndarray,
             helper: Helper | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Map (n, input_dim) features to (n, d) raw embeddings and the activations.
 
-    An encoder that ``parallel.shares`` with the ``helper`` is computed in
-    two row halves at once (``parallel.halves``); its bits are the halves',
-    which a BLAS may make differ from the whole's.
+    ``parallel.halves`` computes it whole, or, given the ``helper`` and
+    enough work, in two row halves at once, whose bits a BLAS may make
+    differ from the whole's.
     """
     features = np.asarray(features, dtype=np.float64)
     if not np.logical_and.reduce(np.isfinite(features), axis=None):
@@ -86,14 +87,12 @@ def forward(params: EncoderParams, features: np.ndarray,
         raise ValueError(
             f"encoder.forward: feature width {features.shape[1]} != input dim {params.weights[0].shape[1]}"
         )
-    rows = features.shape[0]
-    if shares(helper, rows * sum(w.size for w in params.weights)):
-        outs = [np.empty((rows, w.shape[0])) for w in params.weights]
-        halves(helper, _layers, (features, outs), params)
-    else:
-        outs = [None] * len(params.weights)
-        _layers(features, outs, params)
-    return outs[-1], [features, *outs]
+    rows, work, activations = features.shape[0], 0, [features]
+    for w in params.weights:
+        activations.append(np.empty((rows, w.shape[0])))
+        work += rows * w.size
+    halves(helper, work, _layers, (activations,), params)
+    return activations[-1], activations
 
 
 def _param_grads(delta: np.ndarray, a: np.ndarray, dw: np.ndarray, db: np.ndarray) -> None:
@@ -123,9 +122,9 @@ def backward(
 
     ``out[l]`` is the ``(dW, db)`` pair of layer l: C-contiguous float64
     arrays shaped like ``params.weights[l]`` and ``params.biases[l]``.
-    A ``dW`` that ``parallel.shares`` with the ``helper`` is computed on the
-    helper thread while the gradient propagates to the layer below
-    (``Helper.both``); the first layer's, with nothing to propagate, is not.
+    Each layer's ``dW`` and the propagation to the layer below are two
+    independent calls (``parallel.pair``), made at once given the ``helper``
+    and enough work; the first layer's, with nothing to propagate, is alone.
     """
     grad_embeddings = np.asarray(grad_embeddings, dtype=np.float64)
     if grad_embeddings.shape != activations[-1].shape:
@@ -135,11 +134,7 @@ def backward(
         dw, db = out[l]
         a = activations[l]
         # dW and db read delta, and propagating it makes a new array.
-        if shares(helper, delta.shape[0] * dw.size):
-            delta = helper.both(_param_grads, (delta, a, dw, db),
-                                _propagate, (delta, a, params.weights[l]))
-        else:
-            _param_grads(delta, a, dw, db)
-            delta = _propagate(delta, a, params.weights[l])
+        delta = pair(helper, delta.shape[0] * dw.size, _param_grads, (delta, a, dw, db),
+                     _propagate, (delta, a, params.weights[l]))
     _param_grads(delta, activations[0], *out[0])  # nothing to propagate beside it
     return out

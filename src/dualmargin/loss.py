@@ -31,12 +31,13 @@ logits, formed in the logits' buffer as the logits minus the margins by
 broadcast, with each target entry rewritten as
 ``logits[i, y] - (margin[y] + m)``; and one max-shifted exp whose row sums
 give both the log-sum-exp and the softmax. The forward pass leaves the
-softmax in its ``LossContext``; the fused ``margin_loss`` turns it into its
-gradient in place, and chains it back through the stack (and its
-normalization, in a cosine mode). Given the training run's helper thread
-(``parallel.Helper``), ``margin_loss`` computes a batch that
-``parallel.shares`` as two parts at once (its logits and softmax in row
-halves, its two gradient matmuls), with the same bits on any CPU count.
+softmax, written over the adjusted logits, in its ``LossContext``; the
+fused ``margin_loss`` turns it into its gradient in place, and chains it
+back through the stack (and its normalization, in a cosine mode). Each
+pass hands its kernels to ``parallel`` (``halves`` for the logits and the
+softmax, ``pair`` for the two gradient matmuls), which, given the training
+run's helper thread (``parallel.Helper``), computes a large batch as two
+parts at once, with the same bits on any CPU count.
 
 ``train`` builds the plan once and passes it to ``margin_loss`` in place of
 the adjustments; its training labels were range-checked once, by the class
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError, check_labels, rows_normalize, sigmoid, softplus
-from .parallel import Helper, halves, shares
+from .parallel import Helper, halves, pair
 
 MODES = ("dual_margin", "am_softmax", "ce")
 SIGN_CHOICES = ("literal", "magnitude")
@@ -162,8 +163,8 @@ class LossContext:
     # The embedding rows, then the prototype rows, as one stack: unit rows
     # in a cosine mode (with their norms and zero-norm mask), raw rows in ce.
     units: np.ndarray
-    # The softmax of the adjusted logits; ``margin_loss``'s backward pass
-    # turns it into the logit gradient in place.
+    # The softmax of the adjusted logits, in their array; ``margin_loss``'s
+    # backward pass turns it into the logit gradient in place.
     probs: np.ndarray
     norms: np.ndarray | None = None
     degenerate: np.ndarray | None = None
@@ -267,38 +268,34 @@ def _checked(caller: str, embeddings, labels, prototypes, deltas,
 
 
 def _adjusted_rows(emb_units: np.ndarray, target_margins: np.ndarray, targets: np.ndarray,
-                   out: np.ndarray | None, proto_units: np.ndarray, scaled: np.ndarray,
-                   s: float, whole: np.ndarray | None = None) -> np.ndarray:
-    """The adjusted logits of a block of embedding rows, in ``out`` (a new
-    array where None): entry (i, j) is s * (logits[i, j] - scaled[j]), and
-    the target entry s * (logits[i, y] - target_margins[i]). ``targets``
-    index the target entries of ``whole`` viewed flat, the logit array that
-    ``out`` is a row block of, or ``out`` itself where None."""
-    out = np.matmul(emb_units, proto_units.swapaxes(-1, -2), out=out)
-    flat = (out if whole is None else whole).reshape(-1)
+                   out: np.ndarray, proto_units: np.ndarray, scaled: np.ndarray,
+                   s: float, whole: np.ndarray) -> None:
+    """The adjusted logits of a block of embedding rows, in ``out``: entry
+    (i, j) is s * (logits[i, j] - scaled[j]), and the target entry
+    s * (logits[i, y] - target_margins[i]). ``targets`` index the target
+    entries of ``whole`` viewed flat, the logit array that ``out`` is a row
+    block of (or is)."""
+    np.matmul(emb_units, proto_units.swapaxes(-1, -2), out=out)
+    flat = whole.reshape(-1)
     at_targets = flat[targets]
     out -= scaled
     flat[targets] = at_targets - target_margins
     out *= s
-    return out
 
 
-def _softmax_rows(adjusted: np.ndarray, targets: np.ndarray, probs: np.ndarray | None = None,
-                  per_sample: np.ndarray | None = None,
-                  whole: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's softmax of the adjusted logits, and its loss: log-sum-exp
-    minus the target entry. One max-shifted exp and its row sums serve
-    both. They are computed in ``probs`` and ``per_sample``, or in new
-    arrays where those are None. ``targets`` index the target entries as in
-    ``_adjusted_rows``."""
+def _softmax_rows(adjusted: np.ndarray, targets: np.ndarray, per_sample: np.ndarray,
+                  whole: np.ndarray) -> None:
+    """Each row's softmax of the adjusted logits, written over them, and its
+    loss, log-sum-exp minus the target entry, in ``per_sample``. One
+    max-shifted exp and its row sums serve both. ``targets`` index the
+    target entries as in ``_adjusted_rows``; they are read before the exp."""
     peak = np.maximum.reduce(adjusted, axis=-1, keepdims=True)
-    probs = np.subtract(adjusted, peak, out=probs)
-    np.exp(probs, out=probs)
-    sums = np.add.reduce(probs, axis=-1, keepdims=True)
-    at_targets = (adjusted if whole is None else whole).reshape(-1)[targets]
-    per_sample = np.subtract((np.log(sums) + peak)[..., 0], at_targets, out=per_sample)
-    probs /= sums
-    return probs, per_sample
+    at_targets = whole.reshape(-1)[targets]
+    adjusted -= peak
+    np.exp(adjusted, out=adjusted)
+    sums = np.add.reduce(adjusted, axis=-1, keepdims=True)
+    np.subtract((np.log(sums) + peak)[..., 0], at_targets, out=per_sample)
+    adjusted /= sums
 
 
 def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
@@ -307,10 +304,11 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     """The forward half of the step kernel, on checked inputs: (n, d) and
     (c, d), or stacks (P, n, d) and (P, c, d) sharing the labels and gamma.
 
-    A batch whose logits ``parallel.shares`` with the ``helper`` (only
-    ``margin_loss``, whose batch is unstacked, passes one) is computed in
-    two row halves at once (``parallel.halves``): the adjusted logits, whose
-    bits are the halves' BLAS products', then the softmax.
+    The adjusted logits, then their softmax, are each one
+    ``parallel.halves`` call: whole, or, given the ``helper`` (only
+    ``margin_loss``, whose batch is unstacked, passes one) and enough work,
+    in two row halves at once; the logits' bits are then the halves' BLAS
+    products'.
     """
     targets = plan.row_starts + labels  # flat indices of the target logits
     n = embeddings.shape[-2]
@@ -326,14 +324,9 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     emb_units, proto_units = units[..., :n, :], units[..., n:, :]
     target_margins = scaled[labels] + plan.m
     c, d = proto_units.shape[-2:]
-    split = shares(helper, n * c * d)
-    if split:
-        adjusted, probs, per_sample = np.empty((n, c)), np.empty((n, c)), np.empty(n)
-        halves(helper, _adjusted_rows, (emb_units, target_margins, targets, adjusted),
-               proto_units, scaled, plan.s, adjusted)
-    else:
-        adjusted = _adjusted_rows(emb_units, target_margins, targets, None, proto_units,
-                                  scaled, plan.s)
+    adjusted, per_sample = np.empty((*targets.shape, c)), np.empty(targets.shape)
+    halves(helper, n * c * d, _adjusted_rows, (emb_units, target_margins, targets, adjusted),
+           proto_units, scaled, plan.s, adjusted)
 
     # The one finiteness check of the loss: a NaN or inf embedding or
     # prototype row shows up here as a non-finite logit row.
@@ -342,13 +335,10 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
         raise NumericalError(f"margin_loss: non-finite logits at sample {int(sample)}"
                              + (f" of stack entry {int(entry[0])}" if entry else ""))
 
-    if split:
-        halves(helper, _softmax_rows, (adjusted, targets, probs, per_sample), adjusted)
-    else:
-        probs, per_sample = _softmax_rows(adjusted, targets)
+    halves(helper, n * c * d, _softmax_rows, (adjusted, targets, per_sample), adjusted)
     total = np.add.reduce(per_sample, axis=-1) / n + cfg.lam * reg_value  # (P,) for a stack
     out = LossOutput(total=float(total) if total.ndim == 0 else total, per_sample=per_sample)
-    ctx = LossContext(cfg=cfg, labels=labels, plan=plan, units=units, probs=probs,
+    ctx = LossContext(cfg=cfg, labels=labels, plan=plan, units=units, probs=adjusted,
                       norms=norms, degenerate=degenerate, dscaled_dgamma=dscaled,
                       dreg_dgamma=dreg)
     return out, ctx
@@ -366,8 +356,9 @@ def _backward(ctx: LossContext,
     adjustments in both the data term and the regularizer; it is 0.0
     without them. Rows that hit the zero-norm guard have no dependence on
     their raw vector, so their gradient is zero. The prototype gradient is
-    written into the plan's ``grad_prototypes``. Its two matmuls run at
-    once when each is a kernel that ``parallel.shares`` with the ``helper``.
+    written into the plan's ``grad_prototypes``. Its two matmuls are one
+    ``parallel.pair`` call, made at once given the ``helper`` and enough
+    work.
     """
     cfg, plan, g = ctx.cfg, ctx.plan, ctx.probs
     g.reshape(-1)[plan.row_starts + ctx.labels] -= 1.0
@@ -384,11 +375,8 @@ def _backward(ctx: LossContext,
     g *= plan.s  # now the gradient wrt the unscaled logits
     units, n = ctx.units, g.shape[0]
     grad = np.empty_like(units)
-    if shares(helper, g.size * units.shape[1]):
-        helper.both(np.matmul, (g.T, units[:n], grad[n:]), np.matmul, (g, units[n:], grad[:n]))
-    else:
-        np.matmul(g.T, units[:n], out=grad[n:])
-        np.matmul(g, units[n:], out=grad[:n])
+    pair(helper, g.size * units.shape[1],
+         np.matmul, (g.T, units[:n], grad[n:]), np.matmul, (g, units[n:], grad[:n]))
     if plan.cosine:
         _chain_through_normalization(grad, units, ctx.norms, ctx.degenerate)
     plan.grad_prototypes[...] = grad[n:]

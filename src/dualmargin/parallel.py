@@ -2,18 +2,21 @@
 
 ``train`` makes one ``Helper`` and passes it to the step's kernels: the
 encoder's forward and backward passes, the loss's forward and backward
-passes and ``AdamW.step``. ``shares`` is the one rule for whether a kernel
-is computed as two parts at once (``Helper.both``): its row halves
-(``halves``, the one code that slices them) or two independent calls.
-NumPy releases the interpreter lock inside its kernels, so on two CPUs the
-parts run at once, on disjoint outputs. BLAS stays on one thread in each.
-The parts, and so a run's bits, are the same on any CPU count; a halved
-kernel's bits are its halves', which a BLAS may make differ from the whole's.
+passes and ``AdamW.step``. Each makes one call, to ``halves`` (a kernel
+over rows) or ``pair`` (two independent kernels), and those two alone
+choose, by one rule, whether it is computed whole or as two parts at once
+(``Helper.both``): its row halves, which only ``halves`` slices, or the two
+calls. The kernels write into outputs their caller made. NumPy releases
+the interpreter lock inside its kernels, so on two CPUs the parts run at
+once, on disjoint outputs. BLAS stays on one thread in each. The parts,
+and so a run's bits, are the same on any CPU count; a halved kernel's bits
+are its halves', which a BLAS may make differ from the whole's.
 
-A kernel is shared only when its work is at least ``SPLIT_WORK``
-multiply-adds. Below that the hand-off, about 22 µs of lock ping-pong on
-a 2-CPU host, and the second core's cache misses cost more than half the
-kernel saves; the default 32-row step is far below it and shares none.
+The rule: a kernel is shared only given a helper and work of at least
+``SPLIT_WORK`` multiply-adds. Below that the hand-off, about 22 µs of lock
+ping-pong on a 2-CPU host, and the second core's cache misses cost more
+than half the kernel saves; the default 32-row step is far below it and
+shares none.
 
 The helper runs only NumPy functions and its callers' private kernels,
 never a public function of the package, which a profiler may wrap with
@@ -79,7 +82,9 @@ class Helper:
     def both(self, fn1, args1: tuple, fn2, args2: tuple):
         """``fn1(*args1)`` on the helper thread and ``fn2(*args2)`` here, at once;
         return ``fn2``'s result once both have returned, or raise either's
-        exception. If ``fn2`` raises, ``fn1`` has returned first."""
+        exception. Whether it returns or raises, no handed-off call is still
+        running. If ``fn2`` raises and ``fn1`` was not taken by the thread
+        (one CPU, or a take-back), ``fn1`` is never run."""
         if self._thread is None and self._threaded:
             self._thread = threading.Thread(target=self._loop, name="dualmargin-helper",
                                             daemon=True)
@@ -108,18 +113,27 @@ class Helper:
         self._thread.join()
 
 
-def shares(helper: Helper | None, work: int) -> bool:
-    """The split rule: a kernel of ``work`` multiply-adds is computed as two
-    parts at once when there is a ``helper`` and ``work >= SPLIT_WORK``."""
-    return helper is not None and work >= SPLIT_WORK
-
-
-def halves(helper: Helper, fn, rows: tuple | list, *shared) -> None:
-    """``fn(*rows, *shared)`` as two calls at once, the first on the helper:
-    each takes one row half of every entry of ``rows`` (an array, or a list
-    of arrays sliced alike), split at half the first entry's rows, and all
-    of ``shared``."""
-    h = len(rows[0]) // 2
+def halves(helper: Helper | None, work: int, fn, rows: tuple | list, *shared) -> None:
+    """``fn(*rows, *shared)``, as one call, or as two calls at once, the first
+    on the helper, when there is a ``helper`` and the kernel's ``work``, in
+    multiply-adds, is at least ``SPLIT_WORK``. Each of the two takes one row
+    half of every entry of ``rows`` (an array, or a list of arrays sliced
+    alike), split at half the rows of the first array, and all of
+    ``shared``."""
+    if helper is None or work < SPLIT_WORK:
+        fn(*rows, *shared)
+        return
+    h = len(rows[0][0] if isinstance(rows[0], list) else rows[0]) // 2
     first = [[a[:h] for a in r] if isinstance(r, list) else r[:h] for r in rows]
     second = [[a[h:] for a in r] if isinstance(r, list) else r[h:] for r in rows]
     helper.both(fn, (*first, *shared), fn, (*second, *shared))
+
+
+def pair(helper: Helper | None, work: int, fn1, args1: tuple, fn2, args2: tuple):
+    """``fn1(*args1)`` and then ``fn2(*args2)``, two independent calls, or the
+    two at once (``Helper.both``) under the rule of ``halves``, with ``work``
+    the multiply-adds of each; ``fn2``'s result."""
+    if helper is None or work < SPLIT_WORK:
+        fn1(*args1)
+        return fn2(*args2)
+    return helper.both(fn1, args1, fn2, args2)

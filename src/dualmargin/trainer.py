@@ -23,9 +23,10 @@ Computed once per run:
   every earlier validation recall copies the flat buffer into; the state's
   ``best_*`` parameters are views of it. With no validation rows no epoch
   could be chosen, so ``train`` rejects such a dataset before the first step;
-* one helper (``parallel.Helper``), to which the encoder, the loss and the
-  optimizer hand one of the two parts of each kernel that
-  ``parallel.shares``. Its thread, where two or more CPUs are usable,
+* one helper (``parallel.Helper``), which the encoder, the loss and the
+  optimizer pass with each kernel to ``parallel.halves`` or
+  ``parallel.pair``, the one place that chooses whether the helper makes
+  one of its two parts. Its thread, where two or more CPUs are usable,
   starts at the first split and is joined before ``train`` returns or
   raises; the parts, and so the run's bits, do not depend on it.
 
@@ -69,7 +70,7 @@ from . import encoder
 from .core import NumericalError, row_norms
 from .evaluation import prototype_scores
 from .loss import DIVERGENCE_LIMIT, MarginConfig, loss_plan, margin_loss
-from .parallel import Helper, halves, shares
+from .parallel import Helper, halves
 from .priors import compute_class_stats, partition_classes
 from .sampler import lowest_norm_indices, perturb, plan_batch, tail_pool
 from .synthdata import TRAIN, VAL, Dataset, _class_pools
@@ -176,11 +177,11 @@ class AdamW:
 
     Each parameter's moments and two scratch buffers are made at its first
     step; the update writes every temporary into the scratch buffers, in
-    the order of the textbook expression, so it allocates nothing. A
-    parameter whose update ``parallel.shares`` with the ``helper``, at
-    ``ADAMW_COST`` per element, is updated in two halves at once
-    (``parallel.halves``); the update is elementwise, so the halves' bits
-    are the whole update's.
+    the order of the textbook expression, so it allocates nothing. Each
+    parameter's update is one ``parallel.halves`` call, at ``ADAMW_COST``
+    per element: whole, or, given the ``helper`` and enough work, in two
+    halves along the first axis at once. The update is elementwise, so the
+    halves' bits are the whole update's.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -203,14 +204,11 @@ class AdamW:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
                 self.scratch[name] = (np.empty_like(p), np.empty_like(p))
-            arrays = (p, grads[name], self.m[name], self.v[name], *self.scratch[name])
-            if shares(self.helper, p.size * ADAMW_COST):
-                halves(self.helper, _adamw_update, [a.reshape(-1) for a in arrays], *coeffs)
-            else:
-                _adamw_update(*arrays, *coeffs)
+            halves(self.helper, p.size * ADAMW_COST, _adamw_update,
+                   (p, grads[name], self.m[name], self.v[name], *self.scratch[name]), *coeffs)
 
 
-# The work of updating one element, in the multiply-adds of ``parallel.shares``:
+# The work of updating one element, in the multiply-adds of ``parallel.halves``:
 # it takes about as long as 25 multiply-adds of a BLAS layer (8.4 ns against
 # 0.32 ns on the 2-CPU host of CHANGES.md).
 ADAMW_COST = 25

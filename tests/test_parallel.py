@@ -1,6 +1,8 @@
-"""The helper thread: its hand-off, where each kernel splits, the split
-kernels' bits on one CPU and two, and its lifetime in a training run."""
+"""The helper thread: its hand-off, the one place that chooses whether a
+kernel splits, where each kernel splits, the split kernels' bits on one CPU
+and two, and its lifetime in a training run."""
 
+import ast
 import pathlib
 import threading
 import time
@@ -11,7 +13,7 @@ import pytest
 from dualmargin import encoder, parallel
 from dualmargin.cli import EXIT_NUMERICAL, EXIT_OK, main
 from dualmargin.loss import MarginConfig, margin_loss, margin_loss_forward
-from dualmargin.parallel import SPLIT_WORK, Helper
+from dualmargin.parallel import SPLIT_WORK, Helper, halves, pair
 from dualmargin.trainer import ADAMW_COST, AdamW
 
 RUN_FILES = ("checkpoint.json", "history.jsonl", "plans.jsonl", "metrics.csv",
@@ -143,6 +145,18 @@ class TestHelper:
         h.close()
         assert threading.active_count() == before
 
+    def test_caller_s_exception_on_one_cpu_never_runs_the_handed_off_call(self, one_cpu):
+        before, ran = threading.active_count(), []
+
+        def fail():
+            raise ValueError("in the caller")
+
+        with pytest.raises(ValueError, match="in the caller"):
+            one_cpu.both(ran.append, ("first",), fail, ())
+        assert ran == [] and threading.active_count() == before
+        assert one_cpu.both(ran.append, ("next",), int, ("3",)) == 3
+        assert ran == ["next"]
+
     def test_one_cpu_makes_both_halves_here_and_starts_no_thread(self, make_helper):
         before = threading.active_count()
         h, ran_on = make_helper(1), []
@@ -154,6 +168,61 @@ class TestHelper:
         assert sorted(ran_on) == [("first", threading.get_ident()),
                                   ("second", threading.get_ident())]
         assert threading.active_count() == before
+
+
+def _record(calls):
+    def fn(*args):
+        calls.append((threading.get_ident(), args))
+        return len(calls)
+    return fn
+
+
+class TestOneChoice:
+    """``halves`` and ``pair`` alone choose between the whole call and its
+    parts, and no other module knows the rule."""
+
+    @pytest.mark.parametrize("with_helper, work", [(False, SPLIT_WORK), (True, SPLIT_WORK - 1)])
+    def test_below_the_rule_halves_makes_one_whole_call(self, helper, hand_offs, with_helper,
+                                                        work):
+        rows, calls = np.arange(6.0), []
+        halves(helper if with_helper else None, work, _record(calls), (rows, [rows]), "shared")
+        assert hand_offs[0] == 0 and len(calls) == 1
+        ident, (whole, (listed,), shared) = calls[0]
+        assert ident == threading.get_ident() and shared == "shared"
+        assert whole is rows and listed is rows
+
+    @pytest.mark.parametrize("list_first", [False, True])
+    def test_at_the_rule_halves_makes_two_calls_on_the_halves(self, helper, hand_offs,
+                                                              list_first):
+        # The split is at half the first array's rows, also where it is in a list.
+        rows, calls = np.arange(7.0), []
+        entries = ([rows], rows) if list_first else (rows, [rows])
+        halves(helper, SPLIT_WORK, _record(calls), entries, "shared")
+        assert hand_offs[0] == 1
+        parts = sorted((tuple(np.concatenate([np.ravel(a), np.ravel(b)])), shared)
+                       for _, (a, b, shared) in calls)
+        assert parts == [((0.0, 1.0, 2.0) * 2, "shared"), ((3.0, 4.0, 5.0, 6.0) * 2, "shared")]
+
+    @pytest.mark.parametrize("with_helper, work", [(False, SPLIT_WORK), (True, SPLIT_WORK - 1)])
+    def test_below_the_rule_pair_makes_both_calls_here_in_order(self, helper, hand_offs,
+                                                                with_helper, work):
+        calls = []
+        fn = _record(calls)
+        assert pair(helper if with_helper else None, work, fn, ("first",), fn, ("second",)) == 2
+        assert hand_offs[0] == 0
+        assert calls == [(threading.get_ident(), ("first",)),
+                         (threading.get_ident(), ("second",))]
+
+    def test_no_other_module_knows_the_rule(self):
+        package = pathlib.Path(parallel.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            if path.name == "parallel.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                assert not (isinstance(node, ast.Name) and node.id == "SPLIT_WORK"), path.name
+                assert not (isinstance(node, ast.alias) and node.name == "SPLIT_WORK"), path.name
+                assert not (isinstance(node, ast.Attribute)
+                            and node.attr in ("both", "SPLIT_WORK")), path.name
 
 
 def _params(dims, seed):
