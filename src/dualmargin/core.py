@@ -3,7 +3,8 @@ of a numerical failure, row norms and row normalization, label range
 checks, the softmax, and the scalar softplus and logistic functions of
 the loss's margin exponent.
 
-All routines work in double precision and are pure functions of their
+The array routines compute in their input's floating dtype: float32 in
+the training step, float64 everywhere else. All are pure functions of their
 inputs, so they can be called from anywhere without synchronization.
 """
 
@@ -37,7 +38,7 @@ def rows_normalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     boundaries (encoder input, loss logits), and a NaN or inf row yields
     NaN units there.
     """
-    mat = np.asarray(mat, dtype=np.float64)
+    mat = np.asarray(mat)
     norms = row_norms(mat)
     degenerate = norms <= NORM_EPS
     if not np.logical_or.reduce(degenerate, axis=None):

@@ -9,7 +9,9 @@ each layer, then the embeddings, so ``activations[l]`` feeds layer l and
 ``backward`` reads the list back. Each layer's output is computed in
 place: the bias is added into the matmul result and the tanh is written
 over it, so a layer allocates one array and the list holds exactly those
-arrays. The caller's features are never written.
+arrays. The caller's features are never written. Both passes compute in
+the dtype of their inputs: float32 in the training step (whose parameters
+are a float32 working copy), float64 in evaluation.
 
 The backward pass writes each layer's weight and bias gradients into
 buffers the caller provides: the trainer makes them once per run, as views
@@ -76,9 +78,10 @@ def forward(params: EncoderParams, features: np.ndarray,
 
     ``parallel.halves`` computes it whole, or, given the ``helper`` and
     enough work, in two row halves at once, whose bits a BLAS may make
-    differ from the whole's.
+    differ from the whole's. The activations take the dtype the features
+    and weights promote to.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     if not np.logical_and.reduce(np.isfinite(features), axis=None):
         bad = ~np.isfinite(features).all(axis=1)
         raise NumericalError(
@@ -88,8 +91,9 @@ def forward(params: EncoderParams, features: np.ndarray,
             f"encoder.forward: feature width {features.shape[1]} != input dim {params.weights[0].shape[1]}"
         )
     rows, work, activations = features.shape[0], 0, [features]
+    dtype = np.result_type(features, params.weights[0])
     for w in params.weights:
-        activations.append(np.empty((rows, w.shape[0])))
+        activations.append(np.empty((rows, w.shape[0]), dtype))
         work += rows * w.size
     halves(helper, work, _layers, (activations,), params)
     return activations[-1], activations
@@ -120,13 +124,13 @@ def backward(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact gradients wrt the parameters, written into ``out`` and returned.
 
-    ``out[l]`` is the ``(dW, db)`` pair of layer l: C-contiguous float64
-    arrays shaped like ``params.weights[l]`` and ``params.biases[l]``.
+    ``out[l]`` is the ``(dW, db)`` pair of layer l: C-contiguous arrays
+    shaped like ``params.weights[l]`` and ``params.biases[l]``, of the
+    activations' dtype.
     Each layer's ``dW`` and the propagation to the layer below are two
     independent calls (``parallel.pair``), made at once given the ``helper``
     and enough work; the first layer's, with nothing to propagate, is alone.
     """
-    grad_embeddings = np.asarray(grad_embeddings, dtype=np.float64)
     if grad_embeddings.shape != activations[-1].shape:
         raise ValueError("encoder.backward: upstream gradient shape mismatch")
     delta = grad_embeddings

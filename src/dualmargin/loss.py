@@ -23,8 +23,10 @@ gamma and the batch change. Computed once per run, into a ``LossPlan``:
 the adjustments, their ratio |delta|/m and its log (zero where delta is
 zero), where each batch row's logits start in a flat view, and the buffer
 that receives the prototype gradient
-(in training, a view of the flat gradient buffer). Computed once per step:
-the gamma terms (the scaled margins ``m * ratio**zeta``, their gamma
+(in training, a view of the flat gradient buffer). The plan's arrays take
+that buffer's dtype, the step's: float32 in training, float64 through the
+public entry points, so every kernel line runs in one dtype. Computed once
+per step: the gamma terms (the scaled margins ``m * ratio**zeta``, their gamma
 derivative, the regularizer and its gamma gradient); the embedding and
 prototype rows as one stack, normalized in a cosine mode; the adjusted
 logits, formed in the logits' buffer as the logits minus the margins by
@@ -139,7 +141,8 @@ class LossPlan:
     ``deltas`` are the raw adjustments, ``ratio`` = |delta|/m and
     ``log_ratio`` = log(ratio), zero where the ratio is (``dual_margin``
     only; None otherwise). Each step computes the scaled adjustments from
-    them. ``grad_prototypes`` (classes, dim) receives the prototype gradient.
+    them. ``grad_prototypes`` (classes, dim) receives the prototype gradient;
+    the plan's float arrays have its dtype.
     """
 
     row_starts: np.ndarray
@@ -228,21 +231,24 @@ def loss_plan(deltas: np.ndarray | None, cfg: MarginConfig, batch_size: int | tu
     It holds for every gamma, so one plan serves a run whose config copy
     changes only ``gamma``. ``deltas`` are read in ``dual_margin`` mode only,
     and need one entry per class. A stacked forward passes its (P, n) shape
-    as ``batch_size``.
+    as ``batch_size``. The plan's arrays are cast to the dtype of
+    ``grad_prototypes``, in which the step computes.
     """
     num_classes = grad_prototypes.shape[-2]
     row_starts = np.arange(np.prod(batch_size)).reshape(batch_size) * num_classes
     s, m = (cfg.s, cfg.m) if cfg.cosine else (1.0, 0.0)
+    dtype = grad_prototypes.dtype
     if cfg.mode != "dual_margin":
         return LossPlan(row_starts=row_starts, grad_prototypes=grad_prototypes,
-                        cosine=cfg.cosine, s=s, m=m, margins=np.zeros(num_classes))
+                        cosine=cfg.cosine, s=s, m=m, margins=np.zeros(num_classes, dtype))
     if deltas is None:
         raise ValueError("loss_plan: dual_margin mode requires deltas")
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.shape != (num_classes,):
         raise ValueError(f"loss_plan: deltas shape {deltas.shape} does not match "
                          f"{num_classes} classes")
-    ratio, log_ratio = _ratio_terms(deltas, m)
+    deltas, ratio, log_ratio = (a.astype(dtype, copy=False)
+                                for a in (deltas, *_ratio_terms(deltas, m)))
     return LossPlan(row_starts=row_starts, grad_prototypes=grad_prototypes, cosine=True,
                     s=s, m=m, deltas=deltas, ratio=ratio, log_ratio=log_ratio)
 
@@ -324,7 +330,8 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     emb_units, proto_units = units[..., :n, :], units[..., n:, :]
     target_margins = scaled[labels] + plan.m
     c, d = proto_units.shape[-2:]
-    adjusted, per_sample = np.empty((*targets.shape, c)), np.empty(targets.shape)
+    adjusted = np.empty((*targets.shape, c), units.dtype)
+    per_sample = np.empty(targets.shape, units.dtype)
     halves(helper, n * c * d, _adjusted_rows, (emb_units, target_margins, targets, adjusted),
            proto_units, scaled, plan.s, adjusted)
 
@@ -432,9 +439,10 @@ def margin_loss(
 
     ``deltas`` is either the per-class adjustments, or the run's
     ``LossPlan`` built by ``loss_plan`` from the same config (gamma aside).
-    With a plan, the inputs are taken as checked: float64 arrays, and int
-    labels in range with one per plan row. A ``helper`` splits the work of
-    a large batch (``_forward``, ``_backward``); a stacked one is rejected.
+    With a plan, the inputs are taken as checked: arrays of the plan's
+    dtype (float32 in training), and int labels in range with one per plan
+    row. A ``helper`` splits the work of a large batch (``_forward``,
+    ``_backward``); a stacked one is rejected.
     """
     if isinstance(deltas, LossPlan):
         args = (embeddings, labels, prototypes, deltas)

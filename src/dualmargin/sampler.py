@@ -102,9 +102,9 @@ def perturb(
     Each row is convexly mixed toward a same-class partner row with a
     random weight in [0, min(strength, 1)] and receives additive
     Gaussian noise of scale ``strength``. Zero strength is the identity.
+    The rows are computed in the dtype the two inputs promote to.
     """
-    features = np.asarray(features, dtype=np.float64)
-    partners = np.asarray(partners, dtype=np.float64)
+    features, partners = np.asarray(features), np.asarray(partners)
     if not math.isfinite(strength) or strength < 0:
         raise ValueError(f"perturb: strength must be finite and >= 0, got {strength}")
     if features.shape != partners.shape:
@@ -123,7 +123,7 @@ def perturb(
 
 def lowest_norm_indices(norms: np.ndarray, keep: int) -> np.ndarray:
     """Positions of the ``keep`` smallest norms; ties by ascending index."""
-    norms = np.asarray(norms, dtype=np.float64)
+    norms = np.asarray(norms)
     if norms.size < keep:
         raise ValueError(f"lowest_norm_indices: need >= {keep} candidates, have {norms.size}")
     kept = norms.argsort(kind="stable")[:keep]

@@ -137,10 +137,12 @@ def generate(spec: SyntheticSpec) -> Dataset:
         feats.append(means[j] + noise)
         labels.append(np.full(int(n_j), j, dtype=np.int64))
     features = np.concatenate(feats)
-    # Finite iff its extremes are (NaN propagates), so nothing is allocated.
-    if not (np.isfinite(features.min()) and np.isfinite(features.max())):
+    # Training casts the features to float32, so they must be finite there:
+    # checked on the extremes (a NaN fails both tests), allocating nothing.
+    limit = float(np.finfo(np.float32).max)
+    if not (features.min() >= -limit and features.max() <= limit):
         raise ValueError(f"data.cluster_spread = {spec.cluster_spread} makes non-finite "
-                         f"features; lower it")
+                         f"features, or features beyond float32's range; lower it")
     labels = np.concatenate(labels)
     return Dataset(
         features=features,

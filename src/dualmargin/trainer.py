@@ -2,6 +2,21 @@
 manual backprop, adaptive optimizer with decoupled weight decay, step-decay
 schedule.
 
+The step computes in float32 from float64 master parameters (mixed
+precision):
+
+* float64: the flat parameter buffer (the master), the optimizer's moments,
+  the best-epoch buffer, gamma, validation and the checkpoint;
+* float32: a working copy of the flat buffer, with the same views, which
+  one ``np.copyto`` refreshes after each optimizer step; each step's
+  gathered rows, cast once; the encoder's and the loss's forward and
+  backward passes, the perturbed rows written into the batch and
+  retention; the flat gradient buffer, which the optimizer reads into its
+  float64 update.
+
+The master is float64 because the decay factor ``1 - lr * wd`` (1 - 1e-9 at
+the defaults) is 1.0 in float32: a float32 master would never decay.
+
 Computed once per run:
 
 * the class statistics, whose tally rejects a training label outside
@@ -36,11 +51,13 @@ fire), into which the perturbed extra rows are written; the gamma terms of
 the loss (the scaled margins, their gamma derivative and the regularizer),
 shared by its forward and backward pass.
 Finiteness is checked at the boundaries only: encoder input, the loss's
-adjusted logits, the batch loss and the gradients. The gradient check is
-made once per step, in ``train`` on the flat gradient buffer before the
-optimizer step; the optimizer checks nothing. Only after it fails is the
-first bad element traced back to its parameter (gamma, an encoder weight or
-bias, or the prototypes) for the error and its snapshot.
+adjusted logits, the batch loss and the gradients. A non-finite input row
+or adjusted logit, a float32 overflow included, ends the run as a
+divergence, with its snapshot. The gradient check is made once per step, in ``train`` on the
+flat gradient buffer before the optimizer step; the optimizer checks
+nothing. Only after it fails is the first bad element traced back to its
+parameter (gamma, an encoder weight or bias, or the prototypes) for the
+error and its snapshot.
 
 The last step's batch arrays (features, embeddings, the encoder's
 activations, loss output) are released before each epoch's validation, so
@@ -173,7 +190,9 @@ class AdamW:
 
     Decay multiplies parameters by (1 - lr * wd) before the moment-based
     update; it is never folded into the gradients. ``weight_decay`` is one
-    value for every element (in training, gamma's included).
+    value for every element (in training, gamma's included). The update
+    runs in the parameters' dtype, whatever the gradients' (in training,
+    float64 parameters and moments with float32 gradients).
 
     Each parameter's moments and two scratch buffers are made at its first
     step; the update writes every temporary into the scratch buffers, in
@@ -219,8 +238,12 @@ def _adamw_update(p, g, m, v, s1, s2, lr: float, decay: float, bc1: float,
     """One AdamW update of ``p`` and its moments ``m`` and ``v`` in place, with
     scratch ``s1`` and ``s2``: bit for bit ``m = b1 m + (1 - b1) g``,
     ``v = b2 v + (1 - b2) g g``, then ``p = decay p - lr (m / bc1) /
-    (sqrt(v / bc2) + eps)``, each operation in the textbook order."""
+    (sqrt(v / bc2) + eps)``, each operation in the textbook order. The
+    gradient is first read into ``s2``, so every operation is in the
+    parameters' dtype."""
     b1, b2 = AdamW.BETA1, AdamW.BETA2
+    s2[...] = g
+    g = s2
     m *= b1
     m += np.multiply(1 - b1, g, out=s1)
     v *= b2
@@ -315,9 +338,15 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     flat, views = _flat_layout([*enc.weights, *enc.biases, prototypes, np.array([mcfg.gamma])])
     enc = replace(enc, weights=views[:num_layers], biases=views[num_layers:-2])
     prototypes = views[-2]
-    # The gradients land in views of a matching buffer: the encoder's (dW, db)
-    # pairs and the loss plan's prototype gradient; gamma's is set by hand.
-    grad_flat = np.empty_like(flat)
+    # The step computes in float32, from a working copy of the float64 master
+    # buffer with the same views, refreshed after every optimizer step.
+    step_flat = flat.astype(np.float32)
+    step_views = _views(step_flat, views)
+    step_enc = replace(enc, weights=step_views[:num_layers], biases=step_views[num_layers:-2])
+    # The gradients land in views of a matching float32 buffer: the encoder's
+    # (dW, db) pairs and the loss plan's prototype gradient; gamma's is set
+    # by hand.
+    grad_flat = np.empty_like(step_flat)
     grad_views = _views(grad_flat, views)
     enc_grads = list(zip(grad_views[:num_layers], grad_views[num_layers:-2]))
     margin_plan = loss_plan(stats.deltas, mcfg, cfg.batch_size, grad_views[-2])
@@ -353,7 +382,8 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                 # Extra rows exist only when oversampling fired.
                 rows = (np.concatenate([plan.base_indices, plan.extra_indices])
                         if plan.oversample_fired else plan.base_indices)
-                feats, labels = dataset.features[rows], dataset.labels[rows]
+                feats = dataset.features[rows].astype(step_flat.dtype)
+                labels = dataset.labels[rows]
                 if plan.oversample_fired:
                     # Views of the gathered copy: the dataset is never written.
                     extra, extra_labels = feats[cfg.batch_size:], labels[cfg.batch_size:]
@@ -363,24 +393,31 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                     mixed = perturb(extra, partners, cfg.perturb_strength, rng)
                     np.copyto(extra, mixed, where=plan.perturbation_mask[:, None])
 
-                emb, cache = encoder.forward(enc, feats, helper=helper)
-                if len(labels) > cfg.batch_size:
-                    if norm_guided:
-                        keep = lowest_norm_indices(row_norms(emb), cfg.batch_size)
-                    else:
-                        keep = np.sort(rng.choice(len(labels), size=cfg.batch_size, replace=False))
-                    cache = [a[keep] for a in cache]
-                    emb, labels = cache[-1], labels[keep]
-
                 mcfg.gamma = float(flat[-1])
-                out = margin_loss(emb, labels, prototypes, margin_plan, mcfg, helper=helper)
+                try:
+                    emb, cache = encoder.forward(step_enc, feats, helper=helper)
+                    if len(labels) > cfg.batch_size:
+                        if norm_guided:
+                            keep = lowest_norm_indices(row_norms(emb), cfg.batch_size)
+                        else:
+                            keep = np.sort(rng.choice(len(labels), size=cfg.batch_size,
+                                                      replace=False))
+                        cache = [a[keep] for a in cache]
+                        emb, labels = cache[-1], labels[keep]
+                    out = margin_loss(emb, labels, step_views[-2], margin_plan, mcfg,
+                                      helper=helper)
+                except NumericalError as exc:  # a non-finite input row or adjusted logit
+                    raise TrainingDiverged(
+                        f"{exc} at epoch {epoch} step {state.step}",
+                        {"epoch": epoch, "step": state.step, "lr": lr, "gamma": mcfg.gamma},
+                    ) from exc
                 if not math.isfinite(out.total) or out.total > DIVERGENCE_LIMIT:
                     raise TrainingDiverged(
                         f"loss diverged at epoch {epoch} step {state.step}: {out.total}",
                         {"epoch": epoch, "step": state.step, "loss": out.total,
                          "lr": lr, "gamma": mcfg.gamma},
                     )
-                encoder.backward(enc, cache, out.grad_embeddings, enc_grads, helper=helper)
+                encoder.backward(step_enc, cache, out.grad_embeddings, enc_grads, helper=helper)
                 grad_flat[-1] = out.grad_gamma
                 if not np.logical_and.reduce(np.isfinite(grad_flat), axis=None):
                     name = _first_non_finite_param(grad_flat, views, num_layers)
@@ -391,6 +428,7 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                          "lr": lr, "gamma": mcfg.gamma},
                     )
                 opt.step(params, grads, lr)
+                np.copyto(step_flat, flat)
                 state.step += 1
                 epoch_losses.append(out.total)
 

@@ -120,6 +120,12 @@ class TestGenerate:
         with pytest.raises(ValueError, match=r"data\.cluster_spread = 1e\+308 makes non-finite"):
             generate(SyntheticSpec(num_classes=3, dim=4, head_count=20, cluster_spread=1e308))
 
+    def test_features_beyond_float32_name_the_spread(self):
+        # Finite in float64, but infinite once training casts them to float32.
+        with pytest.raises(ValueError, match=r"data\.cluster_spread = 1e\+300 makes .* "
+                                             r"beyond float32's range"):
+            generate(SyntheticSpec(num_classes=3, dim=4, head_count=20, cluster_spread=1e300))
+
     def test_infeasible_separation(self):
         spec = SyntheticSpec(num_classes=50, dim=2, min_angle=1.5, head_count=5)
         with pytest.raises(ValueError, match="raise data.dim or lower data.min_angle"):

@@ -9,10 +9,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dualmargin.loss
+import dualmargin.trainer
 from dualmargin import encoder as encoder_module
 from dualmargin.core import NumericalError
 from dualmargin.evaluation import prototype_scores
-from dualmargin.loss import MarginConfig, margin_loss, margin_loss_forward
+from dualmargin.loss import MarginConfig, loss_plan, margin_loss, margin_loss_forward
 from dualmargin.synthdata import TRAIN, VAL, SyntheticSpec, generate, split
 from dualmargin.trainer import (
     AdamW,
@@ -94,6 +96,21 @@ class TestAdamW:
         p = {"flat": np.array([1.0, -2.0, 1.0])}
         opt.step(p, {"flat": np.zeros(3)}, lr=0.1)
         np.testing.assert_array_equal(p["flat"], [0.95, -1.9, 0.95])
+
+    def test_decay_of_the_float64_master_is_exact(self):
+        # The training step's gradients are float32, but the update runs on
+        # the float64 master: with zero gradients one step multiplies it by
+        # exactly 1 - lr * wd, a factor that float32 rounds to 1.0.
+        cfg = TrainConfig()
+        decay = 1.0 - cfg.base_lr * cfg.weight_decay
+        assert np.float32(decay) == 1.0
+        p0 = np.random.default_rng(2).normal(size=1000)
+        opt = AdamW(weight_decay=cfg.weight_decay)
+        p = {"flat": p0.copy()}
+        opt.step(p, {"flat": np.zeros(1000, dtype=np.float32)}, lr=cfg.base_lr)
+        assert np.array_equal(p["flat"], p0 * decay)
+        assert not np.array_equal(p["flat"], p0)
+        assert p["flat"].dtype == opt.m["flat"].dtype == opt.v["flat"].dtype == np.float64
 
     def test_matches_the_textbook_expression(self):
         # Five steps, against the update written out with fresh
@@ -262,8 +279,8 @@ class TestTrainLoop:
         dataset = _small_dataset(seed=12, ratio=80.0)
         cfg = _fast_config(seed=12, epochs=2, oversample_prob=1.0)
         _, history = train(cfg, dataset)
-        assert [rec["train_loss"] for rec in history] == [10.097163493582725,
-                                                          10.727874049299244]
+        assert [rec["train_loss"] for rec in history] == [10.097163836161295,
+                                                          10.727874120076498]
 
     def test_random_retention_matches_frozen_oracle(self):
         # Frozen oracle: every step oversamples, perturbs about half of the
@@ -276,19 +293,19 @@ class TestTrainLoop:
         cfg = _fast_config(seed=13, oversample_prob=1.0, selection="random", perturb_prob=0.5)
         _, history = train(cfg, dataset)
         assert [rec["train_loss"] for rec in history] == [
-            18.917439698778733, 15.72760483647697, 14.57114336311846]
+            18.917439937591553, 15.72760534286499, 14.571144580841064]
         assert [rec["gamma"] for rec in history] == [
-            -0.003621119002743715, -0.0015293070207061164, -0.0011830491104973557]
+            -0.0036211194944230055, -0.001529307946651392, -0.0011830500831978524]
         assert np.array_equal(dataset.features, features)
 
     @pytest.mark.parametrize("seed, overrides, losses, gammas", [
         (16, dict(margin=MarginConfig(mode="am_softmax")),
-         [19.235526499056, 14.539776457762319, 13.070734498480507], [0.0, 0.0, 0.0]),
+         [19.23552703857422, 14.539776802062988, 13.070734447903103], [0.0, 0.0, 0.0]),
         (17, dict(margin=MarginConfig(mode="ce")),
-         [1.5312287065815111, 1.416381477755627, 1.4053383281990424], [0.0, 0.0, 0.0]),
+         [1.5312286880281236, 1.4163814783096313, 1.4053382873535156], [0.0, 0.0, 0.0]),
         (18, dict(base_lr=0.01, margin=MarginConfig(eq5_sign="magnitude")),
-         [3.164018016641668, 1.854884665702773, 0.8741791575658304],
-         [-0.012472145233718163, -0.0034931667030141285, -0.005485361500750509]),
+         [3.1640179256598153, 1.8548845851586924, 0.8741792581147618],
+         [-0.01247214589077867, -0.0034931728516156215, -0.005485368485225488]),
     ], ids=["am_softmax", "ce", "magnitude"])
     def test_mode_matches_frozen_losses(self, seed, overrides, losses, gammas):
         # Frozen oracles for the modes and sign besides literal dual_margin:
@@ -322,6 +339,17 @@ class TestTrainLoop:
         assert snapshot["lr"] == cfg.base_lr
         assert np.isfinite(snapshot["gamma"])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    def test_row_overflowing_float32_ends_the_run_with_its_snapshot(self):
+        # Perturbed rows finite in float64 but not in the float32 batch: the
+        # encoder's input check stops the run as a divergence at step 0.
+        cfg = _fast_config(seed=3, oversample_prob=1.0, perturb_prob=1.0,
+                           perturb_strength=1e300)
+        with pytest.raises(TrainingDiverged, match="non-finite input at sample 16 at "
+                                                   "epoch 0 step 0") as err:
+            train(cfg, _small_dataset(seed=3))
+        assert err.value.snapshot == {"epoch": 0, "step": 0, "lr": cfg.base_lr, "gamma": 0.0}
+
     def test_out_of_range_training_label_rejected_before_training(self):
         # The class statistics check the training labels once per run,
         # before the first step; the message names the bad label.
@@ -345,6 +373,114 @@ class TestTrainLoop:
         cfg = _fast_config(batch_size=512)
         with pytest.raises(ValueError, match="smaller than one batch"):
             train(cfg, dataset)
+
+
+class _Stop(Exception):
+    """Raised by a wrapped kernel to end a run after its first step."""
+
+
+def _first_step(monkeypatch, cfg, dataset):
+    """What the first training step of ``train(cfg, dataset)`` computed: its
+    inputs, the activations, the adjusted logits' array (the softmax written
+    over them) and the gradients, captured by wrapping the step's kernels
+    where ``train`` looks them up. The run stops after that step's backward
+    pass, and the kernels are unwrapped."""
+    seen = {}
+    forward, loss_forward = encoder_module.forward, dualmargin.loss._forward
+    margin_loss_, backward = dualmargin.trainer.margin_loss, encoder_module.backward
+    lowest = dualmargin.trainer.lowest_norm_indices
+
+    def record_forward(params, features, **kwargs):
+        seen["params"], seen["features"] = params, features.copy()
+        seen["forward"] = emb, acts = forward(params, features, **kwargs)
+        return emb, acts
+
+    def record_keep(norms, keep):
+        seen["keep"] = lowest(norms, keep)
+        return seen["keep"]
+
+    def record_loss_forward(*args):
+        out, ctx = loss_forward(*args)
+        seen["adjusted"] = ctx.probs
+        return out, ctx
+
+    def record_loss(emb, labels, prototypes, plan, cfg, **kwargs):
+        seen["loss_args"] = (emb, labels, prototypes.copy(), plan, replace(cfg))
+        seen["loss"] = margin_loss_(emb, labels, prototypes, plan, cfg, **kwargs)
+        return seen["loss"]
+
+    def record_backward(params, cache, grad_embeddings, out, **kwargs):
+        seen["grads"] = backward(params, cache, grad_embeddings, out, **kwargs)
+        raise _Stop
+
+    monkeypatch.setattr(encoder_module, "forward", record_forward)
+    monkeypatch.setattr(dualmargin.trainer, "lowest_norm_indices", record_keep)
+    monkeypatch.setattr(dualmargin.loss, "_forward", record_loss_forward)
+    monkeypatch.setattr(dualmargin.trainer, "margin_loss", record_loss)
+    monkeypatch.setattr(encoder_module, "backward", record_backward)
+    with pytest.raises(_Stop):
+        train(cfg, dataset)
+    monkeypatch.undo()
+    return seen
+
+
+# Every step oversamples, so retention runs on the float32 norms.
+_PRECISION_CASES = {
+    "literal": _fast_config(seed=5, oversample_prob=1.0, hidden_dims=(32, 16)),
+    "magnitude": _fast_config(seed=6, oversample_prob=1.0, hidden_dims=(32, 16),
+                              margin=MarginConfig(eq5_sign="magnitude", gamma=0.3)),
+}
+
+
+class TestPrecision:
+    def test_the_step_computes_in_float32(self, monkeypatch):
+        # A float64 operand anywhere in the step (an np.float64 scalar
+        # included, under NumPy 2's promotion rules) would turn these float64.
+        seen = _first_step(monkeypatch, _PRECISION_CASES["literal"], _small_dataset(seed=5))
+        emb, acts = seen["forward"]
+        assert [a.dtype for a in acts] == [np.float32] * len(acts)
+        assert all(a.dtype == np.float32 for a in seen["params"].weights + seen["params"].biases)
+        assert seen["adjusted"].dtype == np.float32
+        out = seen["loss"]
+        assert out.grad_embeddings.dtype == out.grad_prototypes.dtype == np.float32
+        assert isinstance(out.total, float) and isinstance(out.grad_gamma, float)
+        grad_buffer = seen["grads"][0][0].base
+        assert grad_buffer.dtype == np.float32
+        assert all(g.base is grad_buffer for pair in seen["grads"] for g in pair)
+        assert out.grad_prototypes.base is grad_buffer
+
+    @pytest.mark.parametrize("sign", sorted(_PRECISION_CASES))
+    def test_float32_step_matches_a_float64_shadow(self, monkeypatch, sign):
+        # The first step again, from the same parameters and rows, in
+        # float64: every gradient agrees within 1e-4 relative. The 1e-5
+        # gradient check stays on the float64 entry points.
+        cfg = _PRECISION_CASES[sign]
+        seen = _first_step(monkeypatch, cfg, _small_dataset(seed=cfg.seed))
+        emb32, labels, protos32, plan32, mcfg = seen["loss_args"]
+        out32, params32 = seen["loss"], seen["params"]
+        params = encoder_module.EncoderParams(
+            weights=[w.astype(np.float64) for w in params32.weights],
+            biases=[b.astype(np.float64) for b in params32.biases])
+        _, cache = encoder_module.forward(params, seen["features"].astype(np.float64))
+        cache = [a[seen["keep"]] for a in cache]
+        prototypes = protos32.astype(np.float64)
+        plan = loss_plan(plan32.deltas.astype(np.float64), mcfg, cfg.batch_size,
+                         np.empty_like(prototypes))
+        out = margin_loss(cache[-1], labels, prototypes, plan, mcfg)
+        grads = encoder_module.backward(params, cache, out.grad_embeddings,
+                                        [(np.empty_like(w), np.empty_like(b))
+                                         for w, b in zip(params.weights, params.biases)])
+
+        def relative(got, want):
+            return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+        assert relative(emb32, cache[-1]) < 1e-5
+        for (dw32, db32), (dw, db) in zip(seen["grads"], grads):
+            assert relative(dw32, dw) < 1e-4 and relative(db32, db) < 1e-4
+        assert relative(out32.grad_prototypes, out.grad_prototypes) < 1e-4
+        assert out.grad_gamma != 0.0
+        assert abs(out32.grad_gamma - out.grad_gamma) < 1e-4 * abs(out.grad_gamma)
+        assert out32.total == pytest.approx(out.total, rel=1e-5)
 
 
 class TestValidate:

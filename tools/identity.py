@@ -1,7 +1,7 @@
 """Byte-identity oracle: the run files of this checkout against another
 revision's, or of this checkout on one CPU against all CPUs.
 
-    python3 tools/identity.py --parent REV
+    python3 tools/identity.py --parent REV [--expect-change FILE...]
     python3 tools/identity.py --same-tree
 
 ``--parent REV`` extracts REV's ``src/`` with ``git archive`` and runs both
@@ -17,7 +17,9 @@ Every run has BLAS on one thread. The files compared are those of
 ``RUN_FILES`` that either run wrote; a file only one run wrote is a
 difference. For the first difference in a file the report gives its line
 and, for a JSON file, the key path of the first value that differs (in
-``checkpoint.json``, the parameter). The exit code is 0 when every file is
+``checkpoint.json``, the parameter). ``--expect-change`` names the run files
+that a change alters on purpose: their differences from REV are reported as
+expected and do not count. The exit code is 0 when every other file is
 byte-identical and every run exited 0, and 1 otherwise.
 """
 
@@ -85,19 +87,22 @@ def first_difference(a: pathlib.Path, b: pathlib.Path) -> str | None:
     return f"{where}: {shown[0][:160]!r} against {shown[1][:160]!r}"
 
 
-def compare_runs(a: pathlib.Path, b: pathlib.Path) -> tuple[int, list[str]]:
-    """The number of run files compared between two run directories, and the
-    first difference of each file that differs."""
+def compare_runs(a: pathlib.Path, b: pathlib.Path,
+                 expect_change: frozenset[str] = frozenset()
+                 ) -> tuple[int, list[str], list[str]]:
+    """The number of run files compared between two run directories, the
+    first difference of each file that differs, and, apart, that of each
+    file named in ``expect_change`` that differs."""
     names = [n for n in RUN_FILES if (a / n).exists() or (b / n).exists()]
-    found = []
+    found, expected = [], []
     for name in names:
         if not ((a / name).exists() and (b / name).exists()):
-            found.append(f"{name} is in {a if (a / name).exists() else b} only")
+            difference = f"{name} is in {a if (a / name).exists() else b} only"
         else:
             difference = first_difference(a / name, b / name)
-            if difference:
-                found.append(difference)
-    return len(names), found
+        if difference:
+            (expected if name in expect_change else found).append(difference)
+    return len(names), found, expected
 
 
 def _run(src: pathlib.Path, one_cpu: bool, args: list[str], out: pathlib.Path) -> str | None:
@@ -150,13 +155,18 @@ def main(argv: list[str] | None = None) -> int:
                              "(default: default,7,42)")
     parser.add_argument("--verify-seeds", type=_seed_list, default=_seed_list("0,1,2"),
                         help="dualmargin verify seeds, empty for none (default: 0,1,2)")
+    parser.add_argument("--expect-change", nargs="+", default=[], choices=RUN_FILES,
+                        metavar="FILE", help="run files that may differ from REV "
+                        f"(any of {', '.join(RUN_FILES)})")
     args = parser.parse_args(argv)
+    if args.expect_change and not args.parent:
+        parser.error("--expect-change needs --parent")
     configs = args.config or [str(p) for p in WORKLOADS]
     taskset = shutil.which("taskset") is not None
     if not taskset:
         print("taskset not found: every run uses all CPUs")
 
-    compared, differing, failed = 0, 0, 0
+    compared, differing, changed, failed = 0, 0, 0, 0
     with tempfile.TemporaryDirectory(prefix="identity-") as work:
         work, src = pathlib.Path(work), ROOT / "src"
         if args.parent:
@@ -180,12 +190,16 @@ def main(argv: list[str] | None = None) -> int:
                     failed += 1
                     print(f"{name}, {label}: RUN FAILED: " + "; ".join(e for e in errors if e))
                     continue
-                count, found = compare_runs(*outs)
+                count, found, expected = compare_runs(*outs, frozenset(args.expect_change))
                 compared += count
                 differing += len(found)
+                changed += len(expected)
                 print(f"{name}, {label}: "
-                      + ("DIFFERS: " + "; ".join(found) if found else f"{count} files identical"))
-    print(f"{compared} file comparisons, {differing} differ, {failed} case(s) failed to run")
+                      + ("DIFFERS: " + "; ".join(found) if found else
+                         f"{count - len(expected)} files identical")
+                      + "".join(f"; changed as expected: {e}" for e in expected))
+    print(f"{compared} file comparisons, {differing} differ, {changed} changed as expected, "
+          f"{failed} case(s) failed to run")
     return 0 if differing == 0 and failed == 0 and compared > 0 else 1
 
 if __name__ == "__main__":
