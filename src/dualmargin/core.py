@@ -1,14 +1,17 @@
 """Numerically stable primitives shared across the package: the error type
 of a numerical failure, row norms and row normalization, label range
-checks, the softmax, and the scalar softplus and logistic functions of
-the loss's margin exponent.
+checks, the softmax, the scalar softplus and logistic functions of the
+loss's margin exponent, and the carving of work arrays out of one buffer.
 
 The array routines compute in their input's floating dtype: float32 in
 the training step, float64 everywhere else. All are pure functions of their
-inputs, so they can be called from anywhere without synchronization.
+inputs and of the buffers the caller passes, so they can be called from
+anywhere without synchronization.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,13 +23,46 @@ class NumericalError(ValueError):
     """A non-finite value where a finite one is needed; the CLI's exit 3."""
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
+# Work arrays carved out of one buffer start at multiples of this many bytes.
+ALIGN = 64
+
+
+def _extents(specs) -> list[tuple[int, int]]:
+    """The byte range of each ``(shape, dtype)`` in ``specs``, laid out in
+    order, each starting at a multiple of ``ALIGN``."""
+    extents, end = [], 0
+    for shape, dtype in specs:
+        start = -(-end // ALIGN) * ALIGN
+        end = start + math.prod(shape) * np.dtype(dtype).itemsize
+        extents.append((start, end))
+    return extents
+
+
+def carved_bytes(specs) -> int:
+    """The bytes ``carve`` needs for ``specs``."""
+    return max((end for _, end in _extents(specs)), default=0)
+
+
+def carve(buffer: np.ndarray | None, specs) -> list[np.ndarray]:
+    """An array for each ``(shape, dtype)`` in ``specs``: C-contiguous views
+    of consecutive parts of the byte ``buffer`` (at least ``carved_bytes``
+    long), or fresh arrays where ``buffer`` is None. A view's contents are
+    whatever the buffer held."""
+    if buffer is None:
+        return [np.empty(shape, dtype) for shape, dtype in specs]
+    return [buffer[start:end].view(dtype).reshape(shape)
+            for (start, end), (shape, dtype) in zip(_extents(specs), specs)]
+
+
+def row_norms(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """L2 norms along the last axis; bit-equal to ``np.linalg.norm(x, axis=-1)``
-    for real input, which evaluates the same expression."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+    for real input, which evaluates the same expression. The squares are
+    written into ``scratch``, shaped like ``x``, where one is given."""
+    return np.sqrt(np.add.reduce(np.multiply(x, x, out=scratch), axis=-1))
 
 
-def rows_normalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def rows_normalize(mat: np.ndarray,
+                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise L2 normalization with a zero-guard.
 
     Rows run along the last axis, so a stack (P, rows, d) is normalized
@@ -36,14 +72,15 @@ def rows_normalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     to the first basis vector e1, so downstream code never sees NaNs from it.
     Non-finite entries are not checked here: callers check at their own
     boundaries (encoder input, loss logits), and a NaN or inf row yields
-    NaN units there.
+    NaN units there. ``out``, shaped like ``mat`` and apart from it, holds
+    the squares and then the units, so no array of ``mat``'s size is made.
     """
     mat = np.asarray(mat)
-    norms = row_norms(mat)
+    norms = row_norms(mat, out)
     degenerate = norms <= NORM_EPS
     if not np.logical_or.reduce(degenerate, axis=None):
-        return mat / norms[..., None], norms, degenerate
-    units = mat / np.where(degenerate, 1.0, norms)[..., None]
+        return np.divide(mat, norms[..., None], out=out), norms, degenerate
+    units = np.divide(mat, np.where(degenerate, 1.0, norms)[..., None], out=out)
     units[degenerate] = 0.0
     units[degenerate, 0] = 1.0
     return units, norms, degenerate

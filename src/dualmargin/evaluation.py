@@ -5,12 +5,14 @@ test sample; group aggregates are means over member classes. The
 open-set score of a sample is its maximum cosine similarity to any known
 prototype.
 
-Scoring runs in row blocks of ``SCORE_BLOCK_ROWS`` rows: each block goes
-through the encoder, the row normalization and the prototype matmul, and
-its scores are written into one preallocated (rows, classes) output. The
-block's hidden layers are freed before the next block starts, so
-validation and evaluation hold at most one block of layer outputs,
-whatever the split size.
+Scoring (``prototype_scores``) runs in row blocks of ``SCORE_BLOCK_ROWS``
+rows, gathered from the features by index; each block goes through the
+encoder, the row normalization and the prototype matmul, and leaves each
+row's best class and score. One set of block arrays, sized for the largest
+block, serves every block: the gathered rows, and two regions that the
+layer outputs, the unit rows and the scores alternate between. So scoring
+holds one block's arrays whatever the split size, and no (rows, classes)
+matrix; the trainer carves them from its work buffer.
 
 Blocks start at multiples of ``SCORE_BLOCK_ROWS``, and a remainder shorter
 than a block joins the last block rather than forming its own: BLAS picks
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder
-from .core import rows_normalize
+from .core import carve, carved_bytes, rows_normalize
 from .priors import GROUP_NAMES
 
 # Rows per scoring block (the last block also takes a shorter remainder).
@@ -53,28 +55,73 @@ class EvalReport:
     open_set: dict[str, float] | None = None
 
 
-def prototype_scores(
-    enc: encoder.EncoderParams, prototypes: np.ndarray, features: np.ndarray, cosine: bool
-) -> np.ndarray:
-    """Score raw features against every class prototype.
+def _score_blocks(rows: int) -> list[tuple[int, int]]:
+    """The (start, stop) of each scoring block of ``rows`` rows."""
+    starts = list(range(0, max(rows - SCORE_BLOCK_ROWS, 0) + 1, SCORE_BLOCK_ROWS))
+    return list(zip(starts, [*starts[1:], rows]))
 
-    The features pass through the encoder. With ``cosine`` set, the
-    scores are cosines between unit embeddings and unit prototype rows;
-    otherwise they are raw dot products (the ``ce`` decision rule). The
-    prototypes are normalized once; the rest runs one row block at a time.
+
+def _outputs(dims: list[int], classes: int, cosine: bool) -> list[int]:
+    """The widths of what a block computes: each layer's output, the unit
+    rows (``cosine`` only), then the scores. The i-th goes into region
+    i % 2, over the (i - 2)-th, which is read by now."""
+    return [*dims[1:], *dims[-1:] * cosine, classes]
+
+
+def _block_specs(dims: list[int], classes: int, rows: int, cosine: bool,
+                 feature_dtype, dtype) -> list:
+    """``carve``'s specs of the block arrays for ``rows`` rows: the gathered
+    rows and the two flat regions."""
+    block = max(stop - start for start, stop in _score_blocks(rows))
+    outputs = _outputs(dims, classes, cosine)
+    return [((block, dims[0]), feature_dtype), ((block * max(outputs[0::2]),), dtype),
+            ((block * max(outputs[1::2]),), dtype)]
+
+
+def scoring_bytes(dims: list[int], classes: int, rows: int, cosine: bool) -> int:
+    """The length of the ``work`` buffer ``prototype_scores`` takes for
+    ``rows`` float64 rows and an encoder of widths ``dims``."""
+    return carved_bytes(_block_specs(dims, classes, rows, cosine, np.float64, np.float64))
+
+
+def prototype_scores(
+    enc: encoder.EncoderParams, prototypes: np.ndarray, features: np.ndarray,
+    index: np.ndarray, cosine: bool, work: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score the raw feature rows ``features[index]`` against every class
+    prototype; return each row's best class and best score.
+
+    The rows pass through the encoder. With ``cosine`` set, the scores are
+    cosines between unit embeddings and unit prototype rows; otherwise they
+    are raw dot products (the ``ce`` decision rule). A tie goes to the
+    lower class. The block arrays are views of the byte buffer ``work``, or
+    made here.
     """
-    rows = features.shape[0]
+    index = np.asarray(index, dtype=np.intp)
+    rows = index.size
+    if rows and not (index.min() >= 0 and index.max() < features.shape[0]):
+        raise IndexError(f"prototype_scores: index outside [0, {features.shape[0]})")
+    dtype = np.result_type(features, enc.weights[0])
     if cosine:
         prototypes = rows_normalize(prototypes)[0]
-    scores = np.empty((rows, prototypes.shape[0]))
-    starts = list(range(0, max(rows - SCORE_BLOCK_ROWS, 0) + 1, SCORE_BLOCK_ROWS))
-    for start, stop in zip(starts, [*starts[1:], rows]):
-        emb = encoder.forward(enc, features[start:stop])[0]  # the hidden layers are freed here
+    classes = prototypes.shape[0]
+    gathered, *regions = carve(work, _block_specs(
+        enc.dims, classes, rows, cosine, features.dtype, dtype))
+    best_class, best = np.empty(rows, np.intp), np.empty(rows, dtype)
+    for start, stop in _score_blocks(rows):
+        k = stop - start
+        outputs = [regions[i % 2][:k * w].reshape(k, w)
+                   for i, w in enumerate(_outputs(enc.dims, classes, cosine))]
+        # "clip" clips nothing here and, unlike "raise", copies nothing first.
+        x = features.take(index[start:stop], axis=0, out=gathered[:k], mode="clip")
+        # No helper: row halves at once would collide in the shared regions.
+        emb = encoder.forward(enc, x, out=outputs[:len(enc.weights)])[0]
         if cosine:
-            emb = rows_normalize(emb)[0]
-        np.matmul(emb, prototypes.T, out=scores[start:stop])
-        del emb  # not alive under the next block's layers
-    return scores
+            emb = rows_normalize(emb, out=outputs[-2])[0]
+        block = np.matmul(emb, prototypes.T, out=outputs[-1])
+        np.argmax(block, axis=1, out=best_class[start:stop])
+        np.maximum.reduce(block, axis=1, out=best[start:stop])
+    return best_class, best
 
 
 def open_set_scores(

@@ -10,8 +10,6 @@ import hashlib
 import json
 from typing import Callable
 
-import numpy as np
-
 from .config import ConfigError, ExperimentConfig, assemble
 from .evaluation import (MIN_CALIBRATION_SCORES, EvalReport, calibrate_threshold,
                          closed_set_metrics, open_set_eval, prototype_scores)
@@ -65,19 +63,18 @@ def evaluate_state(
 
     test_idx = dataset.indices(TEST)
     cosine = cfg.train.margin.cosine
-    logits = prototype_scores(enc, protos, dataset.features[test_idx], cosine=cosine)
-    preds = np.argmax(logits, axis=1)
+    preds, best = prototype_scores(enc, protos, dataset.features, test_idx, cosine)
     report = closed_set_metrics(preds, dataset.labels[test_idx], state.partition,
                                 dataset.num_classes)
 
     unknown_idx = dataset.indices(UNKNOWN)
     if unknown_idx.size:
         def novelty(idx):  # each row's max cosine to a known prototype
-            return prototype_scores(enc, protos, dataset.features[idx], cosine=True).max(axis=1)
+            return prototype_scores(enc, protos, dataset.features, idx, cosine=True)[1]
 
         tau, _ = calibrate_threshold(novelty(dataset.indices(VAL)), cfg.eval.target_tpr)
-        # In a margin mode the closed-set logits are the test cosines already.
-        test_scores = logits.max(axis=1) if cosine else novelty(test_idx)
+        # In a margin mode the closed-set best scores are the test cosines already.
+        test_scores = best if cosine else novelty(test_idx)
         report.open_set = open_set_eval(test_scores, novelty(unknown_idx), tau)
     return report
 

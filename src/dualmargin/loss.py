@@ -21,16 +21,17 @@ can update raw parameters directly.
 The adjustments come from the training priors alone, so within a run only
 gamma and the batch change. Computed once per run, into a ``LossPlan``:
 the adjustments, their ratio |delta|/m and its log (zero where delta is
-zero), where each batch row's logits start in a flat view, and the buffer
-that receives the prototype gradient
-(in training, a view of the flat gradient buffer). The plan's arrays take
-that buffer's dtype, the step's: float32 in training, float64 through the
-public entry points, so every kernel line runs in one dtype. Computed once
-per step: the gamma terms (the scaled margins ``m * ratio**zeta``, their gamma
-derivative, the regularizer and its gamma gradient); the embedding and
-prototype rows as one stack, normalized in a cosine mode; the adjusted
-logits, formed in the logits' buffer as the logits minus the margins by
-broadcast, with each target entry rewritten as
+zero), where each batch row's logits start in a flat view, the buffer
+that receives the prototype gradient (in training, a view of the flat
+gradient buffer), and the kernel's work arrays (in training, views of the
+trainer's work buffer), which each call writes over. The plan's arrays
+take the prototype gradient's dtype, the step's: float32 in training,
+float64 through the public entry points, so every kernel line runs in one
+dtype. Computed once per step: the gamma terms (the scaled margins
+``m * ratio**zeta``, their gamma derivative, the regularizer and its gamma
+gradient); the embedding and prototype rows as one stack, normalized in a
+cosine mode; the adjusted logits, formed in the logits' buffer as the
+logits minus the margins by broadcast, with each target entry rewritten as
 ``logits[i, y] - (margin[y] + m)``; and one max-shifted exp whose row sums
 give both the log-sum-exp and the softmax. The forward pass leaves the
 softmax, written over the adjusted logits, in its ``LossContext``; the
@@ -66,7 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, check_labels, rows_normalize, sigmoid, softplus
+from .core import (NumericalError, carve, carved_bytes, check_labels, rows_normalize, sigmoid,
+                   softplus)
 from .parallel import Helper, halves, pair
 
 MODES = ("dual_margin", "am_softmax", "ce")
@@ -142,11 +144,20 @@ class LossPlan:
     ``log_ratio`` = log(ratio), zero where the ratio is (``dual_margin``
     only; None otherwise). Each step computes the scaled adjustments from
     them. ``grad_prototypes`` (classes, dim) receives the prototype gradient;
-    the plan's float arrays have its dtype.
+    the plan's float arrays have its dtype. The work arrays: ``stack``, the
+    embedding rows then the prototype rows (once normalized, the chain's
+    scratch); ``units``, their unit rows (``stack`` itself in ``ce``);
+    ``logits``, then their softmax and gradient; ``per_sample``; ``grad``,
+    the gradient wrt the stack.
     """
 
     row_starts: np.ndarray
     grad_prototypes: np.ndarray
+    stack: np.ndarray
+    units: np.ndarray
+    logits: np.ndarray
+    per_sample: np.ndarray
+    grad: np.ndarray
     cosine: bool
     s: float
     m: float
@@ -223,8 +234,25 @@ def power_scaled_margins(
     return _power_scaled(np.abs(np.asarray(deltas, dtype=np.float64)) / m, m, gamma, sign)
 
 
+def _work_specs(cfg: MarginConfig, batch_size: int | tuple[int, int],
+                grad_prototypes: np.ndarray) -> list:
+    """``carve``'s specs of a plan's stack, logits, per-sample losses, stack
+    gradient and (cosine modes) unit rows."""
+    *lead, n = np.atleast_1d(batch_size).tolist()
+    c, d = grad_prototypes.shape[-2:]
+    dtype = grad_prototypes.dtype
+    stack = ((*lead, n + c, d), dtype)
+    return [stack, ((*lead, n, c), dtype), ((*lead, n), dtype), stack,
+            *([stack] if cfg.cosine else [])]
+
+
+def work_bytes(cfg: MarginConfig, batch_size: int, grad_prototypes: np.ndarray) -> int:
+    """The length of the ``work`` buffer ``loss_plan`` takes."""
+    return carved_bytes(_work_specs(cfg, batch_size, grad_prototypes))
+
+
 def loss_plan(deltas: np.ndarray | None, cfg: MarginConfig, batch_size: int | tuple[int, int],
-              grad_prototypes: np.ndarray) -> LossPlan:
+              grad_prototypes: np.ndarray, work: np.ndarray | None = None) -> LossPlan:
     """The per-run plan of ``cfg``'s mode for batches of ``batch_size`` rows,
     writing the prototype gradient into ``grad_prototypes`` (classes, dim).
 
@@ -232,15 +260,21 @@ def loss_plan(deltas: np.ndarray | None, cfg: MarginConfig, batch_size: int | tu
     changes only ``gamma``. ``deltas`` are read in ``dual_margin`` mode only,
     and need one entry per class. A stacked forward passes its (P, n) shape
     as ``batch_size``. The plan's arrays are cast to the dtype of
-    ``grad_prototypes``, in which the step computes.
+    ``grad_prototypes``, in which the step computes. The work arrays are
+    views of the byte buffer ``work``, or made here.
     """
     num_classes = grad_prototypes.shape[-2]
     row_starts = np.arange(np.prod(batch_size)).reshape(batch_size) * num_classes
     s, m = (cfg.s, cfg.m) if cfg.cosine else (1.0, 0.0)
     dtype = grad_prototypes.dtype
+    stack, logits, per_sample, grad, *units = carve(
+        work, _work_specs(cfg, batch_size, grad_prototypes))
+    arrays = dict(row_starts=row_starts, grad_prototypes=grad_prototypes, stack=stack,
+                  units=units[0] if units else stack, logits=logits, per_sample=per_sample,
+                  grad=grad)
     if cfg.mode != "dual_margin":
-        return LossPlan(row_starts=row_starts, grad_prototypes=grad_prototypes,
-                        cosine=cfg.cosine, s=s, m=m, margins=np.zeros(num_classes, dtype))
+        return LossPlan(**arrays, cosine=cfg.cosine, s=s, m=m,
+                        margins=np.zeros(num_classes, dtype))
     if deltas is None:
         raise ValueError("loss_plan: dual_margin mode requires deltas")
     deltas = np.asarray(deltas, dtype=np.float64)
@@ -249,8 +283,8 @@ def loss_plan(deltas: np.ndarray | None, cfg: MarginConfig, batch_size: int | tu
                          f"{num_classes} classes")
     deltas, ratio, log_ratio = (a.astype(dtype, copy=False)
                                 for a in (deltas, *_ratio_terms(deltas, m)))
-    return LossPlan(row_starts=row_starts, grad_prototypes=grad_prototypes, cosine=True,
-                    s=s, m=m, deltas=deltas, ratio=ratio, log_ratio=log_ratio)
+    return LossPlan(**arrays, cosine=True, s=s, m=m, deltas=deltas, ratio=ratio,
+                    log_ratio=log_ratio)
 
 
 def _checked(caller: str, embeddings, labels, prototypes, deltas,
@@ -318,9 +352,10 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     """
     targets = plan.row_starts + labels  # flat indices of the target logits
     n = embeddings.shape[-2]
-    units, norms, degenerate = np.concatenate([embeddings, prototypes], axis=-2), None, None
+    units = np.concatenate([embeddings, prototypes], axis=-2, out=plan.stack)
+    norms = degenerate = None
     if plan.cosine:
-        units, norms, degenerate = rows_normalize(units)
+        units, norms, degenerate = rows_normalize(units, out=plan.units)
     if plan.ratio is None:
         scaled, dscaled, reg_value, dreg = plan.margins, None, 0.0, None
     else:
@@ -330,8 +365,7 @@ def _forward(embeddings: np.ndarray, labels: np.ndarray, prototypes: np.ndarray,
     emb_units, proto_units = units[..., :n, :], units[..., n:, :]
     target_margins = scaled[labels] + plan.m
     c, d = proto_units.shape[-2:]
-    adjusted = np.empty((*targets.shape, c), units.dtype)
-    per_sample = np.empty(targets.shape, units.dtype)
+    adjusted, per_sample = plan.logits, plan.per_sample
     halves(helper, n * c * d, _adjusted_rows, (emb_units, target_margins, targets, adjusted),
            proto_units, scaled, plan.s, adjusted)
 
@@ -380,12 +414,11 @@ def _backward(ctx: LossContext,
                            + cfg.lam * ctx.dreg_dgamma)
 
     g *= plan.s  # now the gradient wrt the unscaled logits
-    units, n = ctx.units, g.shape[0]
-    grad = np.empty_like(units)
+    units, n, grad = ctx.units, g.shape[0], plan.grad
     pair(helper, g.size * units.shape[1],
          np.matmul, (g.T, units[:n], grad[n:]), np.matmul, (g, units[n:], grad[:n]))
-    if plan.cosine:
-        _chain_through_normalization(grad, units, ctx.norms, ctx.degenerate)
+    if plan.cosine:  # only the stack's norms are read from here on
+        _chain_through_normalization(grad, units, ctx.norms, ctx.degenerate, plan.stack)
     plan.grad_prototypes[...] = grad[n:]
     return grad[:n], plan.grad_prototypes, grad_gamma
 
@@ -395,10 +428,12 @@ def _chain_through_normalization(
     units: np.ndarray,
     norms: np.ndarray,
     degenerate: np.ndarray,
+    scratch: np.ndarray,
 ) -> None:
-    """Pull gradients wrt unit rows back to raw rows through x/||x||, in place."""
-    radial = np.add.reduce(grad_units * units, axis=1, keepdims=True)
-    grad_units -= radial * units
+    """Pull gradients wrt unit rows back to raw rows through x/||x||, in
+    place; ``scratch``, shaped like them, holds the products."""
+    radial = np.add.reduce(np.multiply(grad_units, units, out=scratch), axis=1, keepdims=True)
+    grad_units -= np.multiply(radial, units, out=scratch)
     if not np.logical_or.reduce(degenerate, axis=None):
         grad_units /= norms[:, None]
         return

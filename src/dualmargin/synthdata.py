@@ -127,26 +127,31 @@ def _sphere_means(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
-    """Generate features and labels; splits are unassigned (-1)."""
+    """Generate features and labels; splits are unassigned (-1).
+
+    Each class's noise is drawn, in class order, and added to its mean
+    straight into that class's rows of one preallocated feature matrix, so
+    the matrix exists once and at most one class's noise beside it; the
+    labels are one ``np.repeat``.
+    """
     rng = np.random.default_rng(spec.seed)
     means = _sphere_means(spec, rng)
     counts = class_count_schedule(spec)
-    feats, labels = [], []
-    for j, n_j in enumerate(counts):
-        noise = rng.normal(0.0, spec.cluster_spread, size=(int(n_j), spec.dim))
-        feats.append(means[j] + noise)
-        labels.append(np.full(int(n_j), j, dtype=np.int64))
-    features = np.concatenate(feats)
+    ends = np.cumsum(counts)
+    features = np.empty((int(ends[-1]), spec.dim))
+    for j, (start, stop) in enumerate(zip((ends - counts).tolist(), ends.tolist())):
+        noise = rng.normal(0.0, spec.cluster_spread, size=(stop - start, spec.dim))
+        np.add(means[j], noise, out=features[start:stop])
+    del noise  # the last class's, not alive beside the labels and split
     # Training casts the features to float32, so they must be finite there:
     # checked on the extremes (a NaN fails both tests), allocating nothing.
     limit = float(np.finfo(np.float32).max)
     if not (features.min() >= -limit and features.max() <= limit):
         raise ValueError(f"data.cluster_spread = {spec.cluster_spread} makes non-finite "
                          f"features, or features beyond float32's range; lower it")
-    labels = np.concatenate(labels)
     return Dataset(
         features=features,
-        labels=labels,
+        labels=np.repeat(np.arange(spec.num_classes, dtype=np.int64), counts),
         split=np.full(features.shape[0], -1, dtype=np.int64),
         known_mask=np.ones(spec.num_classes, dtype=bool),
         num_classes=spec.num_classes,

@@ -43,12 +43,19 @@ Computed once per run:
   ``parallel.pair``, the one place that chooses whether the helper makes
   one of its two parts. Its thread, where two or more CPUs are usable,
   starts at the first split and is joined before ``train`` returns or
-  raises; the parts, and so the run's bits, do not depend on it.
+  raises; the parts, and so the run's bits, do not depend on it;
+* one work buffer, sized exactly for the larger of its two uses, which
+  never run at once: the step's arrays (the gathered batch and each
+  layer's output for both row counts, each hidden layer's delta, a spare
+  region and the loss plan's work arrays) and validation's scoring block.
+  The kernels write into its views, so after the first step and
+  validation a run allocates no array of a batch's or a block's size.
 
 Computed once per step: one gather of the batch's features and labels,
 base and extra rows together (the base rows alone when oversampling did not
-fire), into which the perturbed extra rows are written; the gamma terms of
-the loss (the scaled margins, their gamma derivative and the regularizer),
+fire), into which the perturbed extra rows are written; retention, which
+compacts the kept rows of every layer in place; the gamma terms of the
+loss (the scaled margins, their gamma derivative and the regularizer),
 shared by its forward and backward pass.
 Finiteness is checked at the boundaries only: encoder input, the loss's
 adjusted logits, the batch loss and the gradients. A non-finite input row
@@ -58,11 +65,6 @@ flat gradient buffer before the optimizer step; the optimizer checks
 nothing. Only after it fails is the first bad element traced back to its
 parameter (gamma, an encoder weight or bias, or the prototypes) for the
 error and its snapshot.
-
-The last step's batch arrays (features, embeddings, the encoder's
-activations, loss output) are released before each epoch's validation, so
-they do not sit under its working set. Validation scores in row blocks
-(``evaluation.prototype_scores``), so it holds one block of layer outputs.
 
 ``save_checkpoint`` writes the JSON one array row at a time, each row
 through ``json.dumps`` (the C encoder), so no list of all parameters is
@@ -84,9 +86,9 @@ from typing import Iterator
 import numpy as np
 
 from . import encoder
-from .core import NumericalError, row_norms
-from .evaluation import prototype_scores
-from .loss import DIVERGENCE_LIMIT, MarginConfig, loss_plan, margin_loss
+from .core import NumericalError, carve, carved_bytes, row_norms
+from .evaluation import prototype_scores, scoring_bytes
+from .loss import DIVERGENCE_LIMIT, MarginConfig, loss_plan, margin_loss, work_bytes
 from .parallel import Helper, halves
 from .priors import compute_class_stats, partition_classes
 from .sampler import lowest_norm_indices, perturb, plan_batch, tail_pool
@@ -288,13 +290,14 @@ def _flat_layout(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]
 
 
 def _validate(enc: encoder.EncoderParams, prototypes: np.ndarray, dataset: Dataset,
-              cfg: TrainConfig) -> float:
-    """Macro recall on the validation split with current parameters."""
+              cfg: TrainConfig, work: np.ndarray | None = None) -> float:
+    """Macro recall on the validation split with current parameters; the
+    scoring block is carved from the byte buffer ``work`` where one is given
+    (``evaluation.prototype_scores``)."""
     val_idx = dataset.indices(VAL)
     labels = dataset.labels[val_idx]
-    scores = prototype_scores(enc, prototypes, dataset.features[val_idx],
-                              cosine=cfg.margin.cosine)
-    preds = np.argmax(scores, axis=1)
+    preds = prototype_scores(enc, prototypes, dataset.features, val_idx, cfg.margin.cosine,
+                             work)[0]
     totals = np.bincount(labels, minlength=dataset.num_classes)
     hits = np.bincount(labels[preds == labels], minlength=dataset.num_classes)
     present = totals > 0
@@ -349,7 +352,28 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     grad_flat = np.empty_like(step_flat)
     grad_views = _views(grad_flat, views)
     enc_grads = list(zip(grad_views[:num_layers], grad_views[num_layers:-2]))
-    margin_plan = loss_plan(stats.deltas, mcfg, cfg.batch_size, grad_views[-2])
+
+    # The work buffer. Extra rows come only if they can fire, from a nonempty pool.
+    dims, batch = enc.dims, cfg.batch_size
+    most = batch + (cfg.oversample_size if cfg.oversample_prob > 0 and pool.size else 0)
+    dtype = step_flat.dtype
+    step_specs = [((most, dims[0]), dataset.features.dtype), ((most, dims[0]), dtype),
+                  *(((most, w), dtype) for w in dims[1:]),
+                  ((most * max(dims),), dtype),
+                  *(((batch, w), dtype) for w in dims[1:-1]),
+                  ((work_bytes(mcfg, batch, grad_views[-2]),), np.uint8)]
+    work = np.empty(max(carved_bytes(step_specs), scoring_bytes(
+        dims, dataset.num_classes, dataset.indices(VAL).size, mcfg.cosine)), np.uint8)
+    gathered, *arrays = carve(work, step_specs)
+    layers, spare = arrays[:num_layers + 1], arrays[num_layers + 1]
+    deltas, loss_work = arrays[num_layers + 2:-1], arrays[-1]
+    margin_plan = loss_plan(stats.deltas, mcfg, batch, grad_views[-2], loss_work)
+    # Per row count, the leading rows of the gather and of the activations.
+    row_views = {n: (gathered[:n], [a[:n] for a in layers]) for n in {batch, most}}
+    kept = row_views[batch][1]  # where retention compacts the kept rows
+    scratch = {w: spare[:batch * w].reshape(batch, w) for w in dims}
+    norm_squares = spare[:most * dims[-1]].reshape(most, dims[-1])
+    backward_work = [None, *((d, scratch[d.shape[1]]) for d in deltas)]
     params, grads = {"flat": flat}, {"flat": grad_flat}
     # Epoch 0 always fills it: its validation recall is >= 0 > the initial -1.
     best = np.empty_like(flat)
@@ -382,7 +406,11 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                 # Extra rows exist only when oversampling fired.
                 rows = (np.concatenate([plan.base_indices, plan.extra_indices])
                         if plan.oversample_fired else plan.base_indices)
-                feats = dataset.features[rows].astype(step_flat.dtype)
+                gather, cache = row_views[len(rows)]
+                # "clip" clips nothing here and, unlike "raise", copies nothing first.
+                dataset.features.take(rows, axis=0, out=gather, mode="clip")
+                feats = cache[0]
+                np.copyto(feats, gather)  # cast to the step's float32
                 labels = dataset.labels[rows]
                 if plan.oversample_fired:
                     # Views of the gathered copy: the dataset is never written.
@@ -395,15 +423,18 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
 
                 mcfg.gamma = float(flat[-1])
                 try:
-                    emb, cache = encoder.forward(step_enc, feats, helper=helper)
-                    if len(labels) > cfg.batch_size:
+                    emb, cache = encoder.forward(step_enc, feats, helper=helper, out=cache[1:])
+                    if len(labels) > batch:
                         if norm_guided:
-                            keep = lowest_norm_indices(row_norms(emb), cfg.batch_size)
+                            keep = lowest_norm_indices(row_norms(emb, norm_squares), batch)
                         else:
-                            keep = np.sort(rng.choice(len(labels), size=cfg.batch_size,
-                                                      replace=False))
-                        cache = [a[keep] for a in cache]
-                        emb, labels = cache[-1], labels[keep]
+                            keep = np.sort(rng.choice(len(labels), size=batch, replace=False))
+                        # Through the spare: a gather in place would copy first.
+                        for a, lead in zip(cache, kept):
+                            part = scratch[a.shape[1]]
+                            a.take(keep, axis=0, out=part, mode="clip")
+                            np.copyto(lead, part)
+                        cache, emb, labels = kept, kept[-1], labels[keep]
                     out = margin_loss(emb, labels, step_views[-2], margin_plan, mcfg,
                                       helper=helper)
                 except NumericalError as exc:  # a non-finite input row or adjusted logit
@@ -417,7 +448,8 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                         {"epoch": epoch, "step": state.step, "loss": out.total,
                          "lr": lr, "gamma": mcfg.gamma},
                     )
-                encoder.backward(step_enc, cache, out.grad_embeddings, enc_grads, helper=helper)
+                encoder.backward(step_enc, cache, out.grad_embeddings, enc_grads, helper=helper,
+                                 work=backward_work)
                 grad_flat[-1] = out.grad_gamma
                 if not np.logical_and.reduce(np.isfinite(grad_flat), axis=None):
                     name = _first_non_finite_param(grad_flat, views, num_layers)
@@ -432,9 +464,8 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                 state.step += 1
                 epoch_losses.append(out.total)
 
-            del feats, emb, cache, out  # not alive under validation's working set
             state.epoch = epoch + 1
-            val_recall = _validate(enc, prototypes, dataset, cfg)
+            val_recall = _validate(enc, prototypes, dataset, cfg, work)
             record = {"epoch": epoch, "lr": lr,
                       "train_loss": float(np.mean(epoch_losses)),
                       "val_macro_recall": val_recall,

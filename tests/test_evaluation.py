@@ -28,47 +28,52 @@ def _identity_encoder(dim):
 
 
 class TestPredict:
-    """Predictions are the argmax of ``prototype_scores``."""
+    """Each row's best class and score from ``prototype_scores``."""
 
     def test_self_prototype(self):
         protos = np.eye(4)
-        scores = prototype_scores(_identity_encoder(4), protos, protos[3][None, :], cosine=True)
-        assert np.argmax(scores[0]) == 3
-        assert scores[0].max() == pytest.approx(1.0)
+        best_class, best = prototype_scores(_identity_encoder(4), protos, protos, [3], cosine=True)
+        assert best_class.tolist() == [3]
+        assert best[0] == pytest.approx(1.0)
 
     def test_tie_goes_to_lower_index(self):
         units = np.array([[1.0, 0.0]])
         protos = np.array([[0.6, 0.8], [0.6, -0.8]])
-        scores = prototype_scores(_identity_encoder(2), protos, units, cosine=True)
-        assert np.argmax(scores, axis=1)[0] == 0
+        best_class, _ = prototype_scores(_identity_encoder(2), protos, units, [0], cosine=True)
+        assert best_class.tolist() == [0]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(50, 5))
         protos = rng.normal(size=(7, 5))
-        scores = prototype_scores(_identity_encoder(5), protos, feats, cosine=True)
-        preds = np.argmax(scores, axis=1)
+        index = rng.permutation(50)[:30]  # rows are gathered by index, in its order
+        best_class, best = prototype_scores(_identity_encoder(5), protos, feats, index,
+                                            cosine=True)
         units, _, _ = rows_normalize(feats)
         unit_protos, _, _ = rows_normalize(protos)
-        for i in range(50):
-            sims = unit_protos @ units[i]
-            assert preds[i] == np.argmax(sims)
-            assert scores[i, preds[i]] == pytest.approx(sims.max())
+        for i, row in enumerate(index):
+            sims = unit_protos @ units[row]
+            assert best_class[i] == np.argmax(sims)
+            assert best[i] == pytest.approx(sims.max())
 
     def test_ce_uses_raw_dot_products(self):
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(6, 3))
         protos = rng.normal(size=(4, 3)) * np.array([[0.1], [5.0], [1.0], [2.0]])
         enc = _identity_encoder(3)
-        scores = prototype_scores(enc, protos, feats, cosine=False)
-        np.testing.assert_array_equal(scores, feats @ protos.T)
-        assert not np.allclose(scores, prototype_scores(enc, protos, feats, cosine=True))
+        best_class, best = prototype_scores(enc, protos, feats, np.arange(6), cosine=False)
+        np.testing.assert_array_equal(best_class, np.argmax(feats @ protos.T, axis=1))
+        np.testing.assert_array_equal(best, (feats @ protos.T).max(axis=1))
+        _, cosines = prototype_scores(enc, protos, feats, np.arange(6), cosine=True)
+        assert not np.allclose(best, cosines)
 
 
 # The unblocked formula and the blocked path in one process whose BLAS runs
 # on one thread, as the benchmark runs it: a multi-threaded BLAS splits a
 # product at shape-dependent rows, so even the unblocked scores can change
-# bits with the thread count.
+# bits with the thread count. The rows are a shuffled subset of the feature
+# matrix, scored once with block arrays made by the call and once in a work
+# buffer filled with NaNs first (nothing is read before it is written).
 _BLOCKED_VS_UNBLOCKED = """
 import sys
 import numpy as np
@@ -77,18 +82,22 @@ from dualmargin.core import rows_normalize
 cosine, extra = sys.argv[1] == "True", int(sys.argv[2])
 block = evaluation.SCORE_BLOCK_ROWS
 rows = 2 * block + extra  # blocks of block and block + extra rows
-dims = [64, 256, 128, 64]
+dims, classes = [64, 256, 128, 64], 200
 enc = encoder.init_params(dims, seed=3)
 rng = np.random.default_rng(5)
-feats = rng.normal(size=(rows, dims[0]))
-protos = rng.normal(size=(200, dims[-1]))
-emb = encoder.forward(enc, feats)[0]
+feats = rng.normal(size=(rows + 500, dims[0]))
+index = rng.permutation(rows + 500)[:rows]
+protos = rng.normal(size=(classes, dims[-1]))
+emb = encoder.forward(enc, feats[index])[0]
 if cosine:
     expected = rows_normalize(emb)[0] @ rows_normalize(protos)[0].T
 else:
     expected = emb @ protos.T
-got = evaluation.prototype_scores(enc, protos, feats, cosine=cosine)
-print(got.shape == expected.shape and bool(np.array_equal(got, expected)))
+work = np.full(evaluation.scoring_bytes(dims, classes, rows, cosine), 255, np.uint8)
+for buffer in (None, work):
+    best_class, best = evaluation.prototype_scores(enc, protos, feats, index, cosine, buffer)
+    print(bool(np.array_equal(best_class, np.argmax(expected, axis=1))
+               and np.array_equal(best, expected.max(axis=1))))
 """
 
 
@@ -104,19 +113,31 @@ class TestPrototypeScoresBlocks:
             [sys.executable, "-c", _BLOCKED_VS_UNBLOCKED, str(cosine), str(extra)],
             capture_output=True, text=True, env=env, timeout=120)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["True"]
+        assert result.stdout.split() == ["True", "True"]
+
+    @pytest.mark.parametrize("index", [[0, 3], [-1]])
+    def test_index_out_of_range(self, index):
+        # Rows are gathered without NumPy's bounds check, which would copy
+        # each block first, so the call checks the index once.
+        with pytest.raises(IndexError, match=r"outside \[0, 3\)"):
+            prototype_scores(_identity_encoder(3), np.eye(3), np.eye(3), index, cosine=True)
 
     def test_empty_features(self):
-        scores = prototype_scores(_identity_encoder(3), np.eye(3), np.zeros((0, 3)), cosine=True)
-        assert scores.shape == (0, 3)
+        best_class, best = prototype_scores(_identity_encoder(3), np.eye(3), np.zeros((0, 3)),
+                                            [], cosine=True)
+        assert best_class.shape == best.shape == (0,)
 
 
 class TestPrototypeScoresMemory:
     @pytest.mark.parametrize("cosine", [True, False])
     def test_peak_stays_within_the_layer_outputs(self, cosine):
-        # Only the output and one block's layer outputs coexist: no layer
-        # allocates a second array, and no block's layers or embeddings
-        # outlive it. The last block also takes the 100-row remainder.
+        # Only one block's arrays (its gathered rows and the two regions its
+        # layer outputs, unit rows and scores alternate between: 256 and 128
+        # wide, or 256 and 200 in ce, where the scores follow the embeddings;
+        # the last block also takes the 100-row remainder),
+        # the encoder's one-byte finiteness mask of its input, the two
+        # per-row outputs and the unit prototypes coexist: no copy of the
+        # rows, no (rows, classes) matrix, no array per block or layer.
         dims = [64, 256, 128, 64]
         block = SCORE_BLOCK_ROWS
         rows = 3 * block + 100
@@ -124,16 +145,19 @@ class TestPrototypeScoresMemory:
         enc = encoder.init_params(dims, seed=0)
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(rows, dims[0]))
+        index = np.arange(rows)
         protos = rng.normal(size=(classes, dims[-1]))
-        output_bytes = rows * classes * 8
-        block_bytes = (block + 100) * sum(dims[1:]) * 8
+        widths = dims[0] + 256 + (128 if cosine else classes)
+        block_bytes = (block + 100) * widths * 8
+        allowed = block_bytes + (block + 100) * dims[0] + rows * 16 + protos.nbytes + 16 * 1024
         tracemalloc.start()
         try:
-            prototype_scores(enc, protos, feats, cosine=cosine)
+            prototype_scores(enc, protos, feats, index, cosine)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * (output_bytes + block_bytes), (peak, output_bytes, block_bytes)
+        assert peak <= allowed, (peak, allowed)
+        assert peak < block_bytes + rows * classes * 8 / 4  # far below a score matrix
 
 
 class TestOpenSetScores:

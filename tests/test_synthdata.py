@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
@@ -37,6 +38,18 @@ def _loop_sphere_means(spec, rng):
         if all(float(v @ u) <= max_cos for u in means):
             means.append(v)
     return np.stack(means)
+
+
+def _loop_generate(spec):
+    """Features and labels as one array per class, joined at the end."""
+    rng = np.random.default_rng(spec.seed)
+    means = _sphere_means(spec, rng)
+    feats, labels = [], []
+    for j, n_j in enumerate(class_count_schedule(spec)):
+        noise = rng.normal(0.0, spec.cluster_spread, size=(int(n_j), spec.dim))
+        feats.append(means[j] + noise)
+        labels.append(np.full(int(n_j), j, dtype=np.int64))
+    return np.concatenate(feats), np.concatenate(labels)
 
 
 def _loop_split(dataset, seed):
@@ -147,6 +160,25 @@ class TestGenerate:
                             ({"seed": -1}, "seed")):
             with pytest.raises(ValueError, match=rf"^data\.{key} must be >= 0, got -1$"):
                 SyntheticSpec(**kwargs)
+
+
+class TestGenerateMemory:
+    def test_peak_holds_the_dataset_once(self):
+        # The features, labels and split exist once, beside at most one
+        # class's noise (the largest, the head class's): no per-class copy
+        # of the features lives until a concatenation.
+        spec = SyntheticSpec(num_classes=50, dim=32, head_count=2000, imbalance_ratio=10.0)
+        counts = class_count_schedule(spec)
+        rows = int(counts.sum())
+        dataset_bytes = rows * spec.dim * 8 + 2 * rows * 8  # features, labels, split
+        noise_bytes = int(counts.max()) * spec.dim * 8
+        tracemalloc.start()
+        try:
+            generate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= dataset_bytes + noise_bytes + 64 * 1024, (peak, dataset_bytes, noise_bytes)
 
 
 class TestSplit:
@@ -301,6 +333,19 @@ class TestMatchesPerClassLoops:
         with pytest.raises(ValueError):
             _loop_sphere_means(spec, rng_b)
         assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("num_classes, dim, head_count, ratio, spread",
+                             [(20, 16, 100, 100.0, 0.3), (7, 3, 50, 1.0, 0.05),
+                              (40, 8, 30, 200.0, 2.0), (2, 2, 9, 3.0, 0.7)])
+    def test_generate(self, num_classes, dim, head_count, ratio, spread):
+        for seed in range(40):
+            spec = SyntheticSpec(num_classes=num_classes, dim=dim, head_count=head_count,
+                                 imbalance_ratio=ratio, cluster_spread=spread, seed=seed)
+            ds = generate(spec)
+            features, labels = _loop_generate(spec)
+            np.testing.assert_array_equal(ds.features, features)
+            np.testing.assert_array_equal(ds.labels, labels)
+            assert ds.labels.dtype == labels.dtype
 
     def test_split(self):
         for seed in range(40):

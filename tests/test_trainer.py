@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 import dualmargin.loss
 import dualmargin.trainer
 from dualmargin import encoder as encoder_module
-from dualmargin.core import NumericalError
-from dualmargin.evaluation import prototype_scores
+from dualmargin.core import NumericalError, rows_normalize
+from dualmargin.evaluation import SCORE_BLOCK_ROWS, scoring_bytes
 from dualmargin.loss import MarginConfig, loss_plan, margin_loss, margin_loss_forward
 from dualmargin.synthdata import TRAIN, VAL, SyntheticSpec, generate, split
 from dualmargin.trainer import (
@@ -497,14 +498,74 @@ class TestValidate:
 
         val_idx = dataset.indices(VAL)
         labels = dataset.labels[val_idx]
-        scores = prototype_scores(enc, prototypes, dataset.features[val_idx],
-                                  cosine=mode != "ce")
+        emb = encoder_module.forward(enc, dataset.features[val_idx])[0]
+        if mode == "ce":  # the unblocked formula: one block holds the split
+            scores = emb @ prototypes.T
+        else:
+            scores = rows_normalize(emb)[0] @ rows_normalize(prototypes)[0].T
         preds = np.argmax(scores, axis=1)
         present = np.unique(labels)
         expected = float(np.mean([float(np.mean(preds[labels == j] == j)) for j in present]))
         assert 2 not in present and len(present) == 5
         assert 0.0 < expected < 1.0
         assert _validate(enc, prototypes, dataset, cfg) == expected
+        # In a work buffer that held other bytes before, as in training.
+        work = np.full(scoring_bytes(enc.dims, 6, val_idx.size, mode != "ce"), 255, np.uint8)
+        assert _validate(enc, prototypes, dataset, cfg, work) == expected
+
+    def test_peak_is_the_same_for_two_and_four_blocks(self):
+        # Validation holds one block's arrays (the largest block has the same
+        # rows in both splits) and per-row vectors, so two more blocks add
+        # only their rows' indices, labels, classes and scores: no copy of
+        # the split's features and no (rows, classes) matrix, which would
+        # add 8 * (32 + 40) bytes a row.
+        spec = SyntheticSpec(num_classes=40, dim=32, head_count=150, imbalance_ratio=1.0,
+                             seed=11)
+        dataset = generate(spec)
+        enc = encoder_module.init_params([32, 64, 16], seed=3)
+        prototypes = np.random.default_rng(4).normal(size=(40, 16))
+        cfg = _fast_config()
+        peaks = {}
+        for blocks in (2, 4):
+            assignment = np.full(len(dataset), TRAIN)
+            assignment[:blocks * SCORE_BLOCK_ROWS + 100] = VAL
+            split_ds = replace(dataset, split=assignment)
+            tracemalloc.start()
+            try:
+                _validate(enc, prototypes, split_ds, cfg)
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4] - peaks[2] <= 2 * SCORE_BLOCK_ROWS * 48, peaks
+
+
+class TestWorkBuffer:
+    def test_steps_after_the_first_allocate_no_batch_array(self, monkeypatch):
+        # Every step oversamples, perturbs and retains. After the first step
+        # (and across the first validation) no step's traced peak reaches
+        # one float32 array of the batch by the widest layer: the batch,
+        # layer outputs, deltas and loss arrays are views of the work buffer.
+        cfg = _fast_config(batch_size=256, oversample_size=32, oversample_prob=1.0,
+                           hidden_dims=(256,), embed_dim=16, epochs=2)
+        dataset = _small_dataset(seed=12, head_count=400, ratio=20.0)
+        plan_batch, peaks, start = dualmargin.trainer.plan_batch, [], [0]
+
+        def measured(*args, **kwargs):  # each step starts with its plan
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - start[0])
+            tracemalloc.reset_peak()
+            start[0] = current
+            return plan_batch(*args, **kwargs)
+
+        monkeypatch.setattr(dualmargin.trainer, "plan_batch", measured)
+        tracemalloc.start()
+        try:
+            _, history = train(cfg, dataset)
+        finally:
+            tracemalloc.stop()
+        assert len(history) == 2 and len(peaks) >= 6
+        # peaks[0] is the set-up's, peaks[i] the step's before plan i.
+        assert max(peaks[2:]) < cfg.batch_size * 256 * 4, peaks
 
 
 class TestCheckpoint:
