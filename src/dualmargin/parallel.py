@@ -7,10 +7,13 @@ over rows) or ``pair`` (two independent kernels), and those two alone
 choose, by one rule, whether it is computed whole or as two parts at once
 (``Helper.both``): its row halves, which only ``halves`` slices, or the two
 calls. The kernels write into outputs their caller made. NumPy releases
-the interpreter lock inside its kernels, so on two CPUs the parts run at
-once, on disjoint outputs. BLAS stays on one thread in each. The parts,
-and so a run's bits, are the same on any CPU count; a halved kernel's bits
-are its halves', which a BLAS may make differ from the whole's.
+the interpreter lock inside its kernels, so the parts can run at once, on
+disjoint outputs; the helper is pinned to a CPU apart from its caller's so
+that they do (unpinned, the scheduler woke it on the caller's CPU, where it
+ran its part before the caller's, not beside it). BLAS stays on one thread
+in each. The parts, and so a run's bits, are the same on any CPU count; a
+halved kernel's bits are its halves', which a BLAS may make differ from
+the whole's.
 
 The rule: a kernel is shared only given a helper and work of at least
 ``SPLIT_WORK`` multiply-adds. Below that the hand-off, about 22 µs of lock
@@ -28,9 +31,11 @@ from __future__ import annotations
 import os
 import threading
 
-# A 16-to-64 tanh layer computed in row halves broke even at about 2^18.3
-# multiply-adds (320 rows) and ran 1.6x as fast at 2^20; AdamW broke even at
-# about 45,000 elements, about 2^20 in these units (CHANGES.md).
+# With the helper pinned, a 16-to-64 float32 tanh layer in row halves broke
+# even at about 2^19.7 multiply-adds (860 rows) and ran 1.1x as fast at 2^20;
+# AdamW broke even at 33,000-37,000 elements, 2^19.7-2^19.8 in these units,
+# and ran 1.75-1.9x as fast at 70,593 (two runs). Unpinned, both were still
+# slower split, the layer at 2^20 and AdamW at 70,593 (CHANGES.md).
 SPLIT_WORK = 1 << 20
 
 
@@ -52,8 +57,10 @@ class Helper:
     itself, so it never waits for a thread that has not started. The thread
     starts at the first ``both``, so a run that shares no kernel stays a
     single-threaded process, and only where two or more CPUs are usable;
-    with fewer, the caller makes every call. ``close`` stops and joins the
-    thread.
+    with fewer, the caller makes every call. As it starts, the thread is
+    pinned to the highest CPU of the caller's affinity mask and the caller
+    to the rest; where the OS lacks or refuses that, both run unpinned.
+    ``close`` stops and joins the thread and restores the caller's mask.
     """
 
     def __init__(self) -> None:
@@ -65,6 +72,7 @@ class Helper:
         self._error: Exception | None = None
         self._threaded = usable_cpus() >= 2
         self._thread: threading.Thread | None = None
+        self._mask: set[int] | None = None  # the caller's CPUs while it is pinned
 
     def _loop(self) -> None:
         while True:
@@ -89,6 +97,7 @@ class Helper:
             self._thread = threading.Thread(target=self._loop, name="dualmargin-helper",
                                             daemon=True)
             self._thread.start()
+            self._pin_apart()
         self._task = (fn1, args1)
         self._go.release()
         try:
@@ -104,13 +113,26 @@ class Helper:
             raise error
         return result
 
+    def _pin_apart(self) -> None:
+        """Pin the thread to the caller's highest CPU and the caller to the rest."""
+        try:
+            mask = os.sched_getaffinity(0)  # pid 0: the calling thread, on Linux
+            cpu = max(mask)
+            os.sched_setaffinity(self._thread.native_id, {cpu})
+            os.sched_setaffinity(0, mask - {cpu})
+            self._mask = mask
+        except (AttributeError, OSError):
+            pass
+
     def close(self) -> None:
-        """Stop and join the thread."""
+        """Stop and join the thread, then give the caller back its own mask."""
         if self._thread is None:
             return
         self._task = None
         self._go.release()
         self._thread.join()
+        if self._mask is not None:
+            os.sched_setaffinity(0, self._mask)
 
 
 def halves(helper: Helper | None, work: int, fn, rows: tuple | list, *shared) -> None:

@@ -1,8 +1,10 @@
-"""The helper thread: its hand-off, the one place that chooses whether a
-kernel splits, where each kernel splits, the split kernels' bits on one CPU
-and two, and its lifetime in a training run."""
+"""The helper thread: its hand-off, its CPU apart from the caller's, the one
+place that chooses whether a kernel splits, where each kernel splits, the
+split kernels' bits on one CPU and two, and its lifetime in a training
+run."""
 
 import ast
+import os
 import pathlib
 import threading
 import time
@@ -87,6 +89,37 @@ def hand_offs(monkeypatch):
     return seen
 
 
+class Affinity:
+    """``os.sched_getaffinity`` and ``os.sched_setaffinity`` on a recorded host:
+    each id's mask (0, the calling thread, starts with the host's), every
+    ``sched_setaffinity`` call in order, and, with ``refuse``, an ``OSError``
+    from each of them that changes no mask."""
+
+    def __init__(self, cpus, refuse=False):
+        self.masks, self.calls, self.refuse = {0: set(cpus)}, [], refuse
+
+    def get(self, pid):
+        return set(self.masks.get(pid, self.masks[0]))
+
+    def set(self, pid, cpus):
+        self.calls.append((pid, set(cpus)))
+        if self.refuse:
+            raise OSError("sched_setaffinity refused")
+        self.masks[pid] = set(cpus)
+
+
+@pytest.fixture
+def affinity(monkeypatch):
+    """Installs an ``Affinity`` of the given CPUs in ``os``."""
+    def install(cpus, refuse=False):
+        host = Affinity(cpus, refuse)
+        monkeypatch.setattr(os, "sched_getaffinity", host.get, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", host.set, raising=False)
+        return host
+
+    return install
+
+
 class TestHelper:
     def test_runs_the_call_and_waits_for_it(self, helper):
         out = np.zeros(3)
@@ -157,17 +190,86 @@ class TestHelper:
         assert one_cpu.both(ran.append, ("next",), int, ("3",)) == 3
         assert ran == ["next"]
 
-    def test_one_cpu_makes_both_halves_here_and_starts_no_thread(self, make_helper):
+    def test_one_cpu_makes_both_halves_here_and_starts_no_thread(self, affinity):
+        host = affinity({3})
         before = threading.active_count()
-        h, ran_on = make_helper(1), []
+        h, ran_on = Helper(), []
 
         def record(half):
             ran_on.append((half, threading.get_ident()))
 
         h.both(record, ("first",), record, ("second",))
+        h.close()
         assert sorted(ran_on) == [("first", threading.get_ident()),
                                   ("second", threading.get_ident())]
         assert threading.active_count() == before
+        assert host.calls == []  # a one-CPU mask pins nothing
+
+
+class TestPinning:
+    """The thread runs on a CPU of its own, apart from the caller's, from its
+    start until ``close``, which gives the caller back its mask."""
+
+    @pytest.mark.parametrize("cpus, alone", [({0, 1}, 1), ({0, 2, 5, 7}, 7)])
+    def test_first_split_pins_the_helper_to_one_cpu_and_the_caller_to_the_rest(
+            self, affinity, cpus, alone):
+        host = affinity(cpus)
+        h = Helper()
+        assert host.calls == []
+        h.both(int, (), int, ())
+        tid = h._thread.native_id
+        assert host.calls == [(tid, {alone}), (0, cpus - {alone})]
+        h.both(int, (), int, ())
+        assert len(host.calls) == 2  # pinned once, at the thread's start
+        h.close()
+        assert host.calls[2:] == [(0, cpus)] and host.masks[0] == cpus
+
+    def test_refused_or_missing_affinity_leaves_both_unpinned(self, affinity, monkeypatch):
+        host = affinity({0, 1}, refuse=True)
+        h = Helper()
+        out = np.zeros(1)
+        h.both(np.copyto, (out, 5.0), int, ())
+        h.close()
+        assert out[0] == 5.0 and host.masks == {0: {0, 1}} and len(host.calls) == 1
+
+        monkeypatch.delattr(os, "sched_setaffinity")
+        h = Helper()
+        h.both(np.copyto, (out, 6.0), int, ())
+        h.close()
+        assert out[0] == 6.0 and h._thread is not None
+
+    def test_default_size_train_never_pins(self, tmp_path, affinity, hand_offs):
+        host = affinity({0, 1})
+        assert _train(tmp_path, "default", "train.epochs = 1\n")[0] == EXIT_OK
+        assert hand_offs[0] == 0 and host.calls == []
+
+    def test_split_run_restores_the_caller_s_mask(self, tmp_path, affinity):
+        host = affinity({0, 1})
+        assert _train(tmp_path, "split")[0] == EXIT_OK
+        assert [cpus for _, cpus in host.calls] == [{1}, {0}, {0, 1}]
+        assert host.masks[0] == {0, 1}
+
+    def test_refused_pinning_run_equals_one_cpu_run_byte_for_byte(self, tmp_path, affinity):
+        host = affinity({0}, refuse=True)
+        assert _train(tmp_path, "one")[0] == EXIT_OK
+        host = affinity({0, 1}, refuse=True)
+        code, out = _train(tmp_path, "refused")
+        assert code == EXIT_OK and len(host.calls) == 1 and host.masks == {0: {0, 1}}
+        for file in RUN_FILES:
+            assert (out / file).read_bytes() == (tmp_path / "one" / file).read_bytes(), file
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+    def test_pins_apart_on_this_host_and_restores_the_mask(self):
+        before = os.sched_getaffinity(0)
+        h = Helper()
+        try:
+            h.both(int, (), int, ())
+            alone, caller = os.sched_getaffinity(h._thread.native_id), os.sched_getaffinity(0)
+            assert len(alone) == 1 and not alone & caller and alone | caller == before
+        finally:
+            h.close()
+        assert os.sched_getaffinity(0) == before
 
 
 def _record(calls):
@@ -413,11 +515,12 @@ class TestTrainRunsOneHelper:
                 one = tmp_path / f"{name}_one" / file
                 assert (out / file).read_bytes() == one.read_bytes(), (name, file)
 
-    def test_diverged_run_stops_its_helper(self, tmp_path, monkeypatch, threads):
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    def test_diverged_run_stops_its_helper(self, tmp_path, affinity, threads):
+        host = affinity({0, 1})
         before = threading.active_count()
         code, out = _train(tmp_path, "bad", SPLIT_CONFIG + "margin.s = 1e200\n")
         assert code == EXIT_NUMERICAL
         assert pathlib.Path(out, "error.json").exists()
         assert threads == {before + 1}
         assert threading.active_count() == before
+        assert [cpus for _, cpus in host.calls] == [{1}, {0}, {0, 1}]  # mask restored
