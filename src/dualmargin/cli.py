@@ -58,12 +58,8 @@ ABLATION_GRIDS = {
     "lambda": {f"lambda={lam}": {"margin.lambda": lam} for lam in (0.0, 0.0001, 1.0, 5.0)},
 }
 SCALES = (1.0, 32.0)  # the logit scales s the verification probes draw from
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+GRADCHECK_INSTANCES = 20  # random loss instances the gradient check draws
+PROP_PROBES = 2000  # probes drawn for each of the two inequality claims
 
 
 def write_metrics_csv(rows: list[dict], path: str) -> None:
@@ -71,15 +67,14 @@ def write_metrics_csv(rows: list[dict], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(rows[0])
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row.values()])
+        writer.writerows(row.values() for row in rows)
 
 
 def write_manifest(cfg: ExperimentConfig, out_dir: str) -> None:
     manifest = {
         "version": __version__,
         "run_id": run_id_for(cfg),
-        "config": {k: _fmt(v) for k, v in cfg.to_flat_dict().items()},
+        "config": {k: str(v) for k, v in cfg.to_flat_dict().items()},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -136,12 +131,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(row["passed"] for row in rows) else EXIT_VERIFY
 
 
-def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
-                      prop_probes: int = 2000) -> list[tuple]:
+def verification_rows(seed: int = 42) -> list[tuple]:
     """Gradient oracle plus both inequality probes, as report rows."""
     rng = np.random.default_rng(seed)
     max_err = 0.0
-    for _ in range(gradcheck_instances):
+    for _ in range(GRADCHECK_INSTANCES):
         n, c, d = rng.integers(2, 9), rng.integers(2, 6), rng.integers(2, 8)
         cfg = MarginConfig(s=float(rng.choice(SCALES)),
                            m=float(rng.uniform(0.05, 0.3)),
@@ -186,10 +180,10 @@ def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
     # padding, so each claim makes one probe call per scale.
     margin = MarginConfig().m
     configs = [MarginConfig(s=s) for s in SCALES]
-    n, c, d, scale_of = rng.integers([2, 2, 3, 0], [9, 6, 8, 2], size=(prop_probes, 4)).T
-    units = _unit_rows(rng.normal(size=(prop_probes, 8, 7)), n, d)
-    protos = _unit_rows(rng.normal(size=(prop_probes, 5, 7)), c, d)
-    deltas = rng.uniform(0, margin, size=(prop_probes, 5)) * _first_of(5, c)
+    n, c, d, scale_of = rng.integers([2, 2, 3, 0], [9, 6, 8, 2], size=(PROP_PROBES, 4)).T
+    units = _unit_rows(rng.normal(size=(PROP_PROBES, 8, 7)), n, d)
+    protos = _unit_rows(rng.normal(size=(PROP_PROBES, 5, 7)), c, d)
+    deltas = rng.uniform(0, margin, size=(PROP_PROBES, 5)) * _first_of(5, c)
     class_ids = rng.integers(0, c)
     viol1 = 0
     for si, cfg in enumerate(configs):
@@ -198,15 +192,15 @@ def verification_rows(seed: int = 42, gradcheck_instances: int = 20,
         viol1 += int(np.count_nonzero(probe.residual > probe.bound + 1e-9))
     rows.append(("prototype_alignment", "violations", viol1, 0, viol1 == 0))
 
-    c, d, scale_of = rng.integers([3, 3, 0], [7, 8, 2], size=(prop_probes, 3)).T
-    protos = _unit_rows(rng.normal(size=(prop_probes, 6, 7)), c, d)
+    c, d, scale_of = rng.integers([3, 3, 0], [7, 8, 2], size=(PROP_PROBES, 3)).T
+    protos = _unit_rows(rng.normal(size=(PROP_PROBES, 6, 7)), c, d)
     # Padded margins sort last, so each probe's tail is its last real class.
     padded = ~_first_of(6, c)
-    deltas = rng.uniform(0, margin, size=(prop_probes, 6))
+    deltas = rng.uniform(0, margin, size=(PROP_PROBES, 6))
     deltas[padded] = np.inf
     deltas.sort(axis=1)
     deltas[padded] = 0.0
-    noise = rng.normal(size=(prop_probes, 7)) * _first_of(7, d)
+    noise = rng.normal(size=(PROP_PROBES, 7)) * _first_of(7, d)
     # Each sample lies near its class-0 prototype.
     units = rows_normalize(protos[:, 0] + 0.3 * noise)[0]
     viol2 = 0

@@ -65,7 +65,6 @@ _REGISTRY: dict[str, tuple] = {
     "margin.s": (float, "margin", "s"),
     "margin.m": (float, "margin", "m"),
     "margin.beta": (float, "margin", "beta"),
-    "margin.epsilon": (float, "margin", "epsilon"),
     "margin.lambda": (float, "margin", "lam"),
     "margin.gamma": (float, "margin", "gamma"),
     "margin.mode": (str, "margin", "mode"),

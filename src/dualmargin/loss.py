@@ -89,7 +89,6 @@ class MarginConfig:
     s: float = 32.0
     m: float = 0.15
     beta: float = 0.9
-    epsilon: float = 1e-6
     lam: float = 5.0
     gamma: float = 0.0
     mode: str = "dual_margin"
@@ -103,8 +102,6 @@ class MarginConfig:
             raise ValueError(f"margin.m must be in (0, 1), got {self.m}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"margin.beta must be in [0, 1), got {self.beta}")
-        if self.epsilon <= 0:
-            raise ValueError(f"margin.epsilon must be > 0, got {self.epsilon}")
         if self.lam < 0:
             raise ValueError(f"margin.lambda must be >= 0, got {self.lam}")
         if self.mode not in MODES:

@@ -74,20 +74,25 @@ def effective_priors(priors: np.ndarray, eff_numbers: np.ndarray) -> np.ndarray:
     return 0.5 * (priors + eff_numbers / total)
 
 
-def margin_adjustments(priors_like: np.ndarray, base_margin: float, epsilon: float = 1e-6) -> np.ndarray:
+def margin_adjustments(priors_like: np.ndarray, base_margin: float) -> np.ndarray:
     """Map priors to per-class margin adjustments in [0, base_margin].
 
-    The log-transformed inverse prior u_j = -log(rho_j) + epsilon is
-    min-max normalized across classes and scaled by the base margin, so
-    the rarest class gets the full margin and the most frequent gets 0.
-    When all priors tie, every adjustment is 0.
+    The log-transformed inverse prior u_j = -log(rho_j) is min-max
+    normalized across classes and scaled by the base margin, so the rarest
+    class gets the full margin and the most frequent gets 0. When all
+    priors tie, every adjustment is 0.
+
+    The paper adds a small epsilon to u_j. There is none here: min-max
+    normalization cancels a constant offset, and only strictly positive
+    priors reach the log, so it is finite without one. An epsilon would
+    only move the float64 rounding, by an ulp.
     """
     priors_like = np.asarray(priors_like, dtype=np.float64)
     if base_margin <= 0:
         raise ValueError(f"margin_adjustments: base margin must be > 0, got {base_margin}")
     if np.any(priors_like <= 0):
         raise ValueError("margin_adjustments: priors must be strictly positive")
-    u = -np.log(priors_like) + epsilon
+    u = -np.log(priors_like)
     lo, hi = u.min(), u.max()
     if hi - lo <= 0:
         return np.zeros_like(u)
@@ -99,7 +104,6 @@ def compute_class_stats(
     num_classes: int,
     base_margin: float,
     beta: float = 0.9,
-    epsilon: float = 1e-6,
 ) -> ClassStats:
     """Full per-class statistics pipeline from raw training labels.
 
@@ -114,7 +118,7 @@ def compute_class_stats(
     deltas = np.full(num_classes, base_margin, dtype=np.float64)
     seen = counts > 0
     if seen.any():
-        deltas[seen] = margin_adjustments(eff_priors[seen], base_margin, epsilon)
+        deltas[seen] = margin_adjustments(eff_priors[seen], base_margin)
     return ClassStats(
         counts=counts,
         priors=priors,

@@ -63,9 +63,11 @@ class SyntheticSpec:
         for key, value in fractions.items():
             if value <= 0:
                 raise ValueError(f"{key} must be > 0, got {value}")
+        # ``split`` draws val and test and gives train every row they leave,
+        # so a sum other than 1 would not be the split that runs.
         total = sum(fractions.values())
-        if total > 1 + 1e-9:
-            raise ValueError(f"{' + '.join(fractions)} must be <= 1, got {total}")
+        if abs(total - 1) > 1e-9:
+            raise ValueError(f"{' + '.join(fractions)} must be 1, got {total}")
         known = self.num_classes - self.unknown_class_count
         if known < 2:
             raise ValueError(

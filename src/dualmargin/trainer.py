@@ -283,12 +283,6 @@ def _views(buffer: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
     return views
 
 
-def _flat_layout(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Copy ``arrays`` into one contiguous buffer; return it and a view per array."""
-    flat = np.concatenate(arrays, axis=None)
-    return flat, _views(flat, arrays)
-
-
 def _validate(enc: encoder.EncoderParams, prototypes: np.ndarray, dataset: Dataset,
               cfg: TrainConfig, work: np.ndarray | None = None) -> float:
     """Macro recall on the validation split with current parameters; the
@@ -324,7 +318,7 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     mcfg = replace(cfg.margin)
     stats = compute_class_stats(
         dataset.labels[train_idx], dataset.num_classes,
-        base_margin=mcfg.m, beta=mcfg.beta, epsilon=mcfg.epsilon)
+        base_margin=mcfg.m, beta=mcfg.beta)
     partition = partition_classes(stats.counts, cfg.head_threshold, cfg.tail_threshold)
     pool = tail_pool(train_idx, dataset.labels, partition)
 
@@ -338,7 +332,9 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     # Weights, biases, prototypes and gamma (the last element) live in one
     # flat buffer; the arrays the loop uses are views into it.
     num_layers = len(enc.weights)
-    flat, views = _flat_layout([*enc.weights, *enc.biases, prototypes, np.array([mcfg.gamma])])
+    arrays = [*enc.weights, *enc.biases, prototypes, np.array([mcfg.gamma])]
+    flat = np.concatenate(arrays, axis=None)
+    views = _views(flat, arrays)
     enc = replace(enc, weights=views[:num_layers], biases=views[num_layers:-2])
     prototypes = views[-2]
     # The step computes in float32, from a working copy of the float64 master

@@ -96,10 +96,10 @@ class TestConfigParsing:
     def test_run_id_pinned(self):
         # The run id hashes the flat config; moving a key's field must not
         # change it.
-        assert run_id_for(ExperimentConfig()) == "e97f5e926723"
+        assert run_id_for(ExperimentConfig()) == "0c6080e1b6c6"
         cfg = parse_config_text(
             "partition.head_threshold = 500\npartition.tail_threshold = 50")
-        assert run_id_for(cfg) == "c8b67570b68f"
+        assert run_id_for(cfg) == "4fd53c88db3b"
 
     def test_flat_dict_roundtrip(self):
         # ``with_seed`` and every ablation variant are built as
@@ -118,7 +118,7 @@ class TestConfigParsing:
 
     def test_valid_keys_cover_registry(self):
         keys = valid_keys()
-        assert len(keys) == 36
+        assert len(keys) == 35
         assert "margin.lambda" in keys
         assert "data.classes" in keys
         assert "eval.target_tpr" in keys
@@ -139,7 +139,7 @@ class TestConfigParsing:
 
     def test_non_finite_float_is_rejected_naming_its_key(self):
         float_keys = [key for key, (caster, *_) in config._REGISTRY.items() if caster is float]
-        assert len(float_keys) == 19
+        assert len(float_keys) == 18
         for key in float_keys:
             for value in ("nan", "inf", "-inf"):
                 with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be finite"):
@@ -289,7 +289,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("key", ["train.optimizer", "train.gamma_shares_schedule",
                                      "margin.use_effective_priors", "data.decay",
-                                     "eval.score"])
+                                     "eval.score", "margin.epsilon"])
     def test_deleted_key_is_unknown(self, tmp_path, key):
         bad = tmp_path / "bad.ini"
         bad.write_text(FAST_CONFIG + f"{key} = sgd\n")
@@ -348,6 +348,10 @@ class TestCliCommands:
         ("data.imbalance_ratio = 0.5", "imbalance_ratio must be >= 1, got 0.5"),
         ("data.cluster_spread = 0", "cluster_spread must be > 0, got 0.0"),
         ("data.test_frac = 0", "test_frac must be > 0, got 0.0"),
+        # Training gets every row validation and test leave, so a sum
+        # other than 1 is rejected, not silently changed.
+        ("data.train_frac = 0.5", "train_frac + data.val_frac + data.test_frac must be 1, "
+                                  "got 0.7"),
         ("data.unknown_classes = 3", "unknown_classes = 3 leaves 1 of data.classes = 4 "
                                      "known; training needs at least 2 known classes"),
         ("margin.mode = x", "mode must be one of ('dual_margin', 'am_softmax', 'ce'), got 'x'"),
@@ -576,14 +580,6 @@ class TestCliCommands:
 
 
 class TestVerificationRows:
-    def test_rows_pass(self):
-        rows = verification_rows(seed=0, gradcheck_instances=5, prop_probes=200)
-        by_name = {row[0]: row for row in rows}
-        assert by_name["gradcheck"][2] < 1e-5
-        assert by_name["prototype_alignment"][2] == 0
-        assert by_name["deviation_bound"][2] == 0
-        assert all(row[4] for row in rows)
-
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, *range(100, 110)])
     def test_full_rows_pass_across_seeds(self, seed):
         rows = verification_rows(seed=seed)

@@ -33,7 +33,6 @@ class TestMarginConfig:
             {"m": 0.0},
             {"m": 1.0},
             {"beta": 1.0},
-            {"epsilon": 0.0},
             {"lam": -1.0},
             {"mode": "banana"},
             {"eq5_sign": "banana"},

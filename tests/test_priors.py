@@ -128,10 +128,9 @@ class TestMarginAdjustments:
         assert deltas[1] == pytest.approx(0.15)
 
     def test_three_class_example(self):
-        # Frozen oracle: min-max of -log(rho) + 1e-6 scaled by m = 0.15;
-        # the constant offset cancels, so the middle value is
-        # m * log(0.7/0.2) / log(0.7/0.1) = 0.15 * ln(3.5)/ln(7).
-        deltas = margin_adjustments([0.7, 0.2, 0.1], 0.15, 1e-6)
+        # Frozen oracle: min-max of -log(rho) scaled by m = 0.15, so the
+        # middle value is m * log(0.7/0.2) / log(0.7/0.1) = 0.15 * ln(3.5)/ln(7).
+        deltas = margin_adjustments([0.7, 0.2, 0.1], 0.15)
         np.testing.assert_allclose(
             deltas, [0.0, 0.09656892193379667, 0.15], atol=1e-9
         )

@@ -1,6 +1,7 @@
 """Unit tests for the synthetic long-tailed dataset generator."""
 
 import csv
+import hashlib
 import json
 import tracemalloc
 import warnings
@@ -236,11 +237,20 @@ class TestSplit:
         np.testing.assert_array_equal(a.split, b.split)
 
     def test_bad_fractions(self):
-        with pytest.raises(ValueError, match=r"^data\.train_frac \+ data\.val_frac \+ "
-                                             r"data\.test_frac must be <= 1, got 1\.4"):
-            SyntheticSpec(val_frac=0.3, test_frac=0.3)
+        for val_frac, total in ((0.3, r"1\.2"), (0.05, r"0\.95")):
+            with pytest.raises(ValueError, match=r"^data\.train_frac \+ data\.val_frac \+ "
+                                                 rf"data\.test_frac must be 1, got {total}"):
+                SyntheticSpec(val_frac=val_frac)
         with pytest.raises(ValueError, match=r"^data\.test_frac must be > 0, got 0$"):
             SyntheticSpec(test_frac=0)
+
+    def test_default_split_is_pinned(self):
+        # Frozen oracle of the default spec's assignment (0.8/0.1/0.1): val
+        # and test are drawn, and train gets every row they leave.
+        ds = split(generate(SyntheticSpec()))
+        assert np.bincount(ds.split).tolist() == [3692, 460, 460]
+        assert hashlib.sha256(ds.split.tobytes()).hexdigest() == (
+            "ae26f7ae0de1a9a00731f72544596a84d0198a972f698ac51a004bbe69facc28")
 
     def test_fractions_come_from_the_spec(self):
         spec = SyntheticSpec(num_classes=3, head_count=100, imbalance_ratio=1.0, dim=4,

@@ -293,17 +293,16 @@ class TestVerifyOracle:
                 b"deviation_bound,violations,0,0,True\r\n")
 
     def test_probe_sums(self, monkeypatch):
-        rows, calls = _record_probes(monkeypatch, seed=0, gradcheck_instances=2,
-                                     prop_probes=200)
+        rows, calls = _record_probes(monkeypatch, seed=0)
         assert [row[2] for row in rows[1:]] == [0, 0]
         align = [probe for _, probe in calls["alignment"]]
         bound = [probe for _, probe in calls["bound"]]
-        assert sum(np.size(p.residual) for p in align) == 200
-        assert sum(np.sum(p.bound) for p in align) == pytest.approx(283.87388035999703, rel=1e-12)
-        assert sum(np.sum(p.residual) for p in align) == pytest.approx(86.48743834668032, rel=1e-12)
-        assert sum(np.size(p.condition_met) for p in bound) == 200
-        assert sum(int(np.sum(p.condition_met)) for p in bound) == 139
-        assert sum(np.sum(p.grad_norm) for p in bound) == pytest.approx(29.054391585519564, rel=1e-12)
+        assert sum(np.size(p.residual) for p in align) == 2000
+        assert sum(np.sum(p.bound) for p in align) == pytest.approx(3006.913705047632, rel=1e-12)
+        assert sum(np.sum(p.residual) for p in align) == pytest.approx(977.9656168905533, rel=1e-12)
+        assert sum(np.size(p.condition_met) for p in bound) == 2000
+        assert sum(int(np.sum(p.condition_met)) for p in bound) == 1380
+        assert sum(np.sum(p.grad_norm) for p in bound) == pytest.approx(317.59037307071014, rel=1e-12)
 
     def test_verification_rows_does_not_import_numpy_ma(self):
         # np.unique imports numpy.ma lazily, which costs a cold verify
@@ -329,7 +328,7 @@ class TestVerifyOracle:
         # A claim's stack holds one scale; each of its entries is a probe
         # zero-padded to the claim's largest shape, whose real rows are unit
         # rows, and gives what an unstacked call on those rows gives.
-        _, calls = _record_probes(monkeypatch, seed=0, gradcheck_instances=2, prop_probes=200)
+        _, calls = _record_probes(monkeypatch, seed=0)
         for key in ("alignment", "bound"):
             assert sorted(args[-1].s for args, _ in calls[key]) == sorted(cli.SCALES), key
         for (units, class_ids, protos, deltas, cfg), probe in calls["alignment"]:
