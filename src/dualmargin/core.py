@@ -1,7 +1,7 @@
 """Numerically stable primitives shared across the package: the error type
-of a numerical failure, row norms and row normalization, label range
-checks, the softmax, the scalar softplus and logistic functions of the
-loss's margin exponent, and the carving of work arrays out of one buffer.
+of a numerical failure, training's floating-point state, row norms and row
+normalization, label range checks, the softmax, the scalar softplus and
+logistic functions of the loss's margin exponent, and work-array carving.
 
 The array routines compute in their input's floating dtype: float32 in
 the training step, float64 everywhere else. All are pure functions of their
@@ -22,6 +22,9 @@ NORM_EPS = 1e-12
 class NumericalError(ValueError):
     """A non-finite value where a finite one is needed; the CLI's exit 3."""
 
+
+# Training's ``np.errstate``: overflow, invalid values and x / 0 raise where they happen.
+FP_RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 # Work arrays carved out of one buffer start at multiples of this many bytes.
 ALIGN = 64
@@ -70,10 +73,10 @@ def rows_normalize(mat: np.ndarray,
     and the mask have the input's shape without its last axis. A row whose
     norm is at or below ``NORM_EPS`` is degenerate: its unit row falls back
     to the first basis vector e1, so downstream code never sees NaNs from it.
-    Non-finite entries are not checked here: callers check at their own
-    boundaries (encoder input, loss logits), and a NaN or inf row yields
-    NaN units there. ``out``, shaped like ``mat`` and apart from it, holds
-    the squares and then the units, so no array of ``mat``'s size is made.
+    Non-finite entries are not checked here: a NaN or inf row yields NaN
+    units, which the loss's logit check reports. ``out``, shaped like
+    ``mat`` and apart from it, holds the squares and then the units, so no
+    array of ``mat``'s size is made.
     """
     mat = np.asarray(mat)
     norms = row_norms(mat, out)

@@ -20,7 +20,9 @@ The trainer makes them once per run, as views of its flat gradient buffer
 and of its work buffer, and evaluation once per scoring call, so a
 training step allocates no array of the batch's size and gathers no
 gradients. Only parameter gradients are computed; nothing needs the
-gradient wrt the input features.
+gradient wrt the input features. Neither pass checks for NaN or inf:
+``synthdata.generate`` rejects features beyond float32's range, and
+training runs under ``core.FP_RAISE``.
 
 Each pass hands its kernels to ``parallel``, which, given the training
 run's helper (``parallel.Helper``), computes a large one as two parts: the
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError
 from .parallel import Helper, halves, pair
 
 
@@ -88,10 +89,6 @@ def forward(params: EncoderParams, features: np.ndarray, helper: Helper | None =
     without it they are made here.
     """
     features = np.asarray(features)
-    if not np.logical_and.reduce(np.isfinite(features), axis=None):
-        bad = ~np.isfinite(features).all(axis=1)
-        raise NumericalError(
-            f"encoder.forward: non-finite input at sample {int(np.flatnonzero(bad)[0])}")
     if features.shape[1] != params.weights[0].shape[1]:
         raise ValueError(
             f"encoder.forward: feature width {features.shape[1]} != input dim {params.weights[0].shape[1]}"

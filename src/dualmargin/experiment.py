@@ -38,7 +38,8 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     n_val = ds.indices(VAL).size
     if ds.indices(UNKNOWN).size and n_val < MIN_CALIBRATION_SCORES:
         raise ConfigError(
-            f"open-set calibration needs >= {MIN_CALIBRATION_SCORES} validation "
+            f"open-set calibration (data.unknown_classes = {cfg.data.unknown_class_count}) "
+            f"needs >= {MIN_CALIBRATION_SCORES} validation "
             f"samples of known classes, the split has {n_val}; raise data.val_frac "
             f"or data.head_count")
     n_train = ds.indices(TRAIN).size

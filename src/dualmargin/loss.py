@@ -198,8 +198,11 @@ def _ratio_terms(deltas: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _power_scaled(ratio: np.ndarray, m: float, gamma: float, sign: str) -> np.ndarray:
-    """+/- m * ratio^zeta. The sign rides on m: (-m) * x is -(m * x) exactly."""
-    return (-m if sign == "literal" else m) * np.power(ratio, zeta(gamma))
+    """+/- m * ratio^zeta. The sign rides on m: (-m) * x is -(m * x) exactly.
+    A zeta beyond ratio's dtype, whose cast would overflow, is taken as the
+    dtype's largest value: with ratio in [0, 1] the power is the same."""
+    exponent = min(zeta(gamma), float(np.finfo(ratio.dtype).max))
+    return (-m if sign == "literal" else m) * np.power(ratio, exponent)
 
 
 def _gamma_terms(ratio: np.ndarray, log_ratio: np.ndarray, m: float, gamma: float,

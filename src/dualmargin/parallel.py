@@ -31,6 +31,10 @@ from __future__ import annotations
 import os
 import threading
 
+import numpy as np
+
+from .core import FP_RAISE
+
 # With the helper pinned, a 16-to-64 float32 tanh layer in row halves broke
 # even at about 2^19.7 multiply-adds (860 rows) and ran 1.1x as fast at 2^20;
 # AdamW broke even at 33,000-37,000 elements, 2^19.7-2^19.8 in these units,
@@ -61,6 +65,7 @@ class Helper:
     pinned to the highest CPU of the caller's affinity mask and the caller
     to the rest; where the OS lacks or refuses that, both run unpinned.
     ``close`` stops and joins the thread and restores the caller's mask.
+    The thread computes under ``core.FP_RAISE``, as ``train`` does.
     """
 
     def __init__(self) -> None:
@@ -75,6 +80,7 @@ class Helper:
         self._mask: set[int] | None = None  # the caller's CPUs while it is pinned
 
     def _loop(self) -> None:
+        np.seterr(**FP_RAISE)  # this thread's alone: a new thread starts at the defaults
         while True:
             self._go.acquire()
             if self._task is None:

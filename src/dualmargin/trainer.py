@@ -7,8 +7,9 @@ precision):
 
 * float64: the flat parameter buffer (the master), the optimizer's moments,
   the best-epoch buffer, gamma, validation and the checkpoint;
-* float32: a working copy of the flat buffer, with the same views, which
-  one ``np.copyto`` refreshes after each optimizer step; each step's
+* float32: a working copy of the flat buffer but gamma (which the loss reads
+  in float64), with the same views, which one ``np.copyto`` refreshes after
+  each optimizer step; each step's
   gathered rows, cast once; the encoder's and the loss's forward and
   backward passes, the perturbed rows written into the batch and
   retention; the flat gradient buffer, which the optimizer reads into its
@@ -57,19 +58,11 @@ fire), into which the perturbed extra rows are written; retention, which
 compacts the kept rows of every layer in place; the gamma terms of the
 loss (the scaled margins, their gamma derivative and the regularizer),
 shared by its forward and backward pass.
-Finiteness is checked at the boundaries only: encoder input, the loss's
-adjusted logits, the batch loss and the gradients. A non-finite input row
-or adjusted logit, a float32 overflow included, ends the run as a
-divergence, with its snapshot. The gradient check is made once per step, in ``train`` on the
-flat gradient buffer before the optimizer step; the optimizer checks
-nothing. Only after it fails is the first bad element traced back to its
-parameter (gamma, an encoder weight or bias, or the prototypes) for the
-error and its snapshot.
-
-``save_checkpoint`` writes the JSON one array row at a time, each row
-through ``json.dumps`` (the C encoder), so no list of all parameters is
-built; the bytes equal a one-shot ``json.dump`` of the payload with its
-arrays as lists.
+The epoch loop and the helper's thread run under ``core.FP_RAISE``, so an
+overflow raises where it happens and no array is scanned for NaN or inf.
+One handler turns that error, or a batch loss above ``DIVERGENCE_LIMIT``,
+into ``TrainingDiverged``, naming the stage that was running and the
+settings that scale it (``STAGE_KEYS``) in its message and snapshot.
 
 The loop is a single logical agent owning one RNG stream, so identical
 (config, dataset, seed) yields a bitwise-identical history.
@@ -81,12 +74,11 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 import numpy as np
 
 from . import encoder
-from .core import NumericalError, carve, carved_bytes, row_norms
+from .core import FP_RAISE, NumericalError, carve, carved_bytes, row_norms
 from .evaluation import prototype_scores, scoring_bytes
 from .loss import DIVERGENCE_LIMIT, MarginConfig, loss_plan, margin_loss, work_bytes
 from .parallel import Helper, halves
@@ -96,9 +88,17 @@ from .synthdata import TRAIN, VAL, Dataset, _class_pools
 
 SELECTIONS = ("norm_guided", "random")
 
+# The settings that scale each stage of a training step, which a divergence
+# there names, with the optimizer's from step 1 on: every stage reads its output.
+_MARGIN_KEYS = ("margin.s", "margin.lambda", "margin.gamma")
+STAGE_KEYS = {"perturbation": ("train.perturb_strength",),
+              "encoder": ("data.cluster_spread", "train.perturb_strength"),
+              "loss": _MARGIN_KEYS, "backward": _MARGIN_KEYS,
+              "optimizer": ("train.base_lr", "train.weight_decay"), "validation": ()}
+
 
 class TrainingDiverged(NumericalError):
-    """Batch loss exceeded the divergence limit or turned non-finite."""
+    """A floating-point error, or a batch loss above the limit, in training."""
 
     def __init__(self, message: str, snapshot: dict):
         super().__init__(message)
@@ -164,6 +164,16 @@ class TrainConfig:
             raise ValueError(f"train.seed must be >= 0, got {self.seed}")
         if min(self.lr_decay_epochs, default=0) < 0:
             raise ValueError(f"train.lr_decay_epochs must be >= 0, got {self.lr_decay_epochs}")
+        # The rate after every decay is the largest or the smallest of the run.
+        try:
+            last_lr = lr_at(max(self.lr_decay_epochs, default=0), self)
+        except OverflowError:
+            last_lr = math.inf
+        if not math.isfinite(last_lr):
+            raise ValueError(
+                f"train.lr_decay_factor = {self.lr_decay_factor} makes the learning rate "
+                f"non-finite after {len(self.lr_decay_epochs)} decays of "
+                f"train.base_lr = {self.base_lr}")
 
 
 @dataclass
@@ -262,18 +272,6 @@ def _adamw_update(p, g, m, v, s1, s2, lr: float, decay: float, bc1: float,
     p -= s1
 
 
-def _first_non_finite_param(flat: np.ndarray, views: list[np.ndarray],
-                            num_layers: int) -> str:
-    """Name of the parameter holding the first non-finite element of ``flat``,
-    a buffer in the training layout that ``views`` come from."""
-    names = ([f"encoder.weights[{i}]" for i in range(num_layers)]
-             + [f"encoder.biases[{i}]" for i in range(num_layers)]
-             + ["prototypes", "gamma"])
-    ends = np.cumsum([v.size for v in views])
-    index = np.flatnonzero(~np.isfinite(flat))[0]
-    return names[int(np.searchsorted(ends, index, side="right"))]
-
-
 def _views(buffer: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
     """Consecutive views of ``buffer`` shaped like ``arrays``."""
     views, start = [], 0
@@ -338,14 +336,15 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     enc = replace(enc, weights=views[:num_layers], biases=views[num_layers:-2])
     prototypes = views[-2]
     # The step computes in float32, from a working copy of the float64 master
-    # buffer with the same views, refreshed after every optimizer step.
-    step_flat = flat.astype(np.float32)
-    step_views = _views(step_flat, views)
-    step_enc = replace(enc, weights=step_views[:num_layers], biases=step_views[num_layers:-2])
-    # The gradients land in views of a matching float32 buffer: the encoder's
-    # (dW, db) pairs and the loss plan's prototype gradient; gamma's is set
-    # by hand.
-    grad_flat = np.empty_like(step_flat)
+    # buffer but gamma, with the same views, refreshed after every optimizer
+    # step.
+    step_flat = flat[:-1].astype(np.float32)
+    step_views = _views(step_flat, views[:-1])
+    step_enc = replace(enc, weights=step_views[:num_layers], biases=step_views[num_layers:-1])
+    # The gradients land in views of a float32 buffer shaped like the master:
+    # the encoder's (dW, db) pairs and the loss plan's prototype gradient;
+    # gamma's is set by hand.
+    grad_flat = np.empty_like(flat, dtype=np.float32)
     grad_views = _views(grad_flat, views)
     enc_grads = list(zip(grad_views[:num_layers], grad_views[num_layers:-2]))
 
@@ -390,35 +389,37 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     helper = Helper()
     try:
         opt = AdamW(weight_decay=cfg.weight_decay, helper=helper)
-        for epoch in range(cfg.epochs):
-            lr = lr_at(epoch, cfg)
-            epoch_losses = []
-            for _ in range(steps_per_epoch):
-                plan = plan_batch(train_idx, dataset.labels, partition,
-                                  cfg.batch_size, cfg.oversample_size,
-                                  cfg.oversample_prob, rng, cfg.perturb_prob, pool=pool)
-                if plan_fh:
-                    plan_fh.write(plan.json_line())
-                # Extra rows exist only when oversampling fired.
-                rows = (np.concatenate([plan.base_indices, plan.extra_indices])
-                        if plan.oversample_fired else plan.base_indices)
-                gather, cache = row_views[len(rows)]
-                # "clip" clips nothing here and, unlike "raise", copies nothing first.
-                dataset.features.take(rows, axis=0, out=gather, mode="clip")
-                feats = cache[0]
-                np.copyto(feats, gather)  # cast to the step's float32
-                labels = dataset.labels[rows]
-                if plan.oversample_fired:
-                    # Views of the gathered copy: the dataset is never written.
-                    extra, extra_labels = feats[cfg.batch_size:], labels[cfg.batch_size:]
-                    # One uniform same-class training sample per extra row.
-                    draw = rng.integers(0, pool_sizes[extra_labels])
-                    partners = dataset.features[by_class[pool_starts[extra_labels] + draw]]
-                    mixed = perturb(extra, partners, cfg.perturb_strength, rng)
-                    np.copyto(extra, mixed, where=plan.perturbation_mask[:, None])
+        with np.errstate(**FP_RAISE):
+            for epoch in range(cfg.epochs):
+                lr = lr_at(epoch, cfg)
+                epoch_losses = []
+                for _ in range(steps_per_epoch):
+                    stage, loss = "perturbation", None  # the stage running; the batch loss
+                    plan = plan_batch(train_idx, dataset.labels, partition,
+                                      cfg.batch_size, cfg.oversample_size,
+                                      cfg.oversample_prob, rng, cfg.perturb_prob, pool=pool)
+                    if plan_fh:
+                        plan_fh.write(plan.json_line())
+                    # Extra rows exist only when oversampling fired.
+                    rows = (np.concatenate([plan.base_indices, plan.extra_indices])
+                            if plan.oversample_fired else plan.base_indices)
+                    gather, cache = row_views[len(rows)]
+                    # "clip" clips nothing here and, unlike "raise", copies nothing first.
+                    dataset.features.take(rows, axis=0, out=gather, mode="clip")
+                    feats = cache[0]
+                    np.copyto(feats, gather)  # cast to the step's float32
+                    labels = dataset.labels[rows]
+                    if plan.oversample_fired:
+                        # Views of the gathered copy: the dataset is never written.
+                        extra, extra_labels = feats[cfg.batch_size:], labels[cfg.batch_size:]
+                        # One uniform same-class training sample per extra row.
+                        draw = rng.integers(0, pool_sizes[extra_labels])
+                        partners = dataset.features[by_class[pool_starts[extra_labels] + draw]]
+                        mixed = perturb(extra, partners, cfg.perturb_strength, rng)
+                        np.copyto(extra, mixed, where=plan.perturbation_mask[:, None])
 
-                mcfg.gamma = float(flat[-1])
-                try:
+                    mcfg.gamma = float(flat[-1])
+                    stage = "encoder"
                     emb, cache = encoder.forward(step_enc, feats, helper=helper, out=cache[1:])
                     if len(labels) > batch:
                         if norm_guided:
@@ -431,48 +432,45 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
                             a.take(keep, axis=0, out=part, mode="clip")
                             np.copyto(lead, part)
                         cache, emb, labels = kept, kept[-1], labels[keep]
-                    out = margin_loss(emb, labels, step_views[-2], margin_plan, mcfg,
+                    stage = "loss"
+                    out = margin_loss(emb, labels, step_views[-1], margin_plan, mcfg,
                                       helper=helper)
-                except NumericalError as exc:  # a non-finite input row or adjusted logit
-                    raise TrainingDiverged(
-                        f"{exc} at epoch {epoch} step {state.step}",
-                        {"epoch": epoch, "step": state.step, "lr": lr, "gamma": mcfg.gamma},
-                    ) from exc
-                if not math.isfinite(out.total) or out.total > DIVERGENCE_LIMIT:
-                    raise TrainingDiverged(
-                        f"loss diverged at epoch {epoch} step {state.step}: {out.total}",
-                        {"epoch": epoch, "step": state.step, "loss": out.total,
-                         "lr": lr, "gamma": mcfg.gamma},
-                    )
-                encoder.backward(step_enc, cache, out.grad_embeddings, enc_grads, helper=helper,
-                                 work=backward_work)
-                grad_flat[-1] = out.grad_gamma
-                if not np.logical_and.reduce(np.isfinite(grad_flat), axis=None):
-                    name = _first_non_finite_param(grad_flat, views, num_layers)
-                    raise TrainingDiverged(
-                        f"non-finite gradient for parameter {name!r} at epoch {epoch} "
-                        f"step {state.step}",
-                        {"param": name, "epoch": epoch, "step": state.step,
-                         "lr": lr, "gamma": mcfg.gamma},
-                    )
-                opt.step(params, grads, lr)
-                np.copyto(step_flat, flat)
-                state.step += 1
-                epoch_losses.append(out.total)
+                    loss = out.total
+                    # lambda times the regularizer is a Python float: inf, unraised.
+                    if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+                        raise NumericalError(f"batch loss {loss} above {DIVERGENCE_LIMIT:g}")
+                    stage = "backward"
+                    encoder.backward(step_enc, cache, out.grad_embeddings, enc_grads,
+                                     helper=helper, work=backward_work)
+                    grad_flat[-1] = out.grad_gamma
+                    stage = "optimizer"
+                    opt.step(params, grads, lr)
+                    np.copyto(step_flat, flat[:-1])
+                    state.step += 1
+                    epoch_losses.append(loss)
 
-            state.epoch = epoch + 1
-            val_recall = _validate(enc, prototypes, dataset, cfg, work)
-            record = {"epoch": epoch, "lr": lr,
-                      "train_loss": float(np.mean(epoch_losses)),
-                      "val_macro_recall": val_recall,
-                      "gamma": float(flat[-1])}
-            history.append(record)
-            if hist_fh:
-                hist_fh.write(json.dumps(record) + "\n")
-            if val_recall > state.best_val_recall:
-                state.best_val_recall = val_recall
-                best[...] = flat
-                state.best_gamma = float(best[-1])
+                stage, loss = "validation", None
+                state.epoch = epoch + 1
+                val_recall = _validate(enc, prototypes, dataset, cfg, work)
+                record = {"epoch": epoch, "lr": lr,
+                          "train_loss": float(np.mean(epoch_losses)),
+                          "val_macro_recall": val_recall,
+                          "gamma": float(flat[-1])}
+                history.append(record)
+                if hist_fh:
+                    hist_fh.write(json.dumps(record) + "\n")
+                if val_recall > state.best_val_recall:
+                    state.best_val_recall = val_recall
+                    best[...] = flat
+                    state.best_gamma = float(best[-1])
+    except (FloatingPointError, NumericalError) as exc:
+        later = STAGE_KEYS["optimizer"] if state.step else ()
+        keys = list(dict.fromkeys(STAGE_KEYS[stage] + later))
+        raise TrainingDiverged(
+            f"training diverged in the {stage} stage at epoch {epoch} step {state.step}: "
+            f"{exc}; settings that scale it: {', '.join(keys)}",
+            {"stage": stage, "keys": keys, "epoch": epoch, "step": state.step,
+             "loss": loss, "lr": lr, "gamma": mcfg.gamma}) from exc
     finally:
         helper.close()
         if hist_fh:
@@ -482,39 +480,8 @@ def train(cfg: TrainConfig, dataset: Dataset, history_path: str | None = None,
     return state, history
 
 
-def _json_chunks(obj) -> Iterator[str]:
-    """The text of ``json.dumps(obj)`` in pieces, for ``obj`` holding ndarrays.
-
-    An array is encoded as its ``tolist()``. An array of two or more
-    dimensions, and a list holding arrays, is encoded one item at a time,
-    so no list of all the parameters is built. Each piece comes from
-    ``json.dumps`` (its C encoder), so the pieces join to the one-shot
-    encoding with default separators, ``NaN`` included.
-    """
-    if isinstance(obj, dict):  # string keys, as in the checkpoint payload
-        yield "{"
-        for i, (key, value) in enumerate(obj.items()):
-            yield (", " if i else "") + json.dumps(key) + ": "
-            yield from _json_chunks(value)
-        yield "}"
-    elif (isinstance(obj, np.ndarray) and obj.ndim > 1
-          or isinstance(obj, list) and any(isinstance(x, np.ndarray) for x in obj)):
-        yield "["
-        for i, item in enumerate(obj):
-            if i:
-                yield ", "
-            yield from _json_chunks(item)
-        yield "]"
-    else:
-        yield json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj)
-
-
 def save_checkpoint(state: TrainState, path: str) -> None:
-    """Atomic JSON checkpoint of the best parameters.
-
-    The file is written one array row at a time; its bytes are those of
-    ``json.dump`` of the same payload with every array as a list.
-    """
+    """Atomic JSON checkpoint of the best parameters, each array as a list."""
     payload = {
         "encoder": {
             "activation": "tanh",  # the encoder's only hidden-layer nonlinearity
@@ -530,6 +497,6 @@ def save_checkpoint(state: TrainState, path: str) -> None:
     }
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        fh.writelines(_json_chunks(payload))
+        fh.write(json.dumps(payload, default=np.ndarray.tolist))
     os.replace(tmp, path)
 

@@ -33,6 +33,7 @@ from dualmargin.config import (
 from dualmargin.core import NumericalError
 from dualmargin.experiment import build_dataset, run_id_for
 from dualmargin.synthdata import SPLIT_NAMES, SyntheticSpec, generate, open_set_partition, split
+from dualmargin.trainer import STAGE_KEYS
 
 FAST_CONFIG = """
 # Small, fast experiment for harness tests.
@@ -389,14 +390,16 @@ class TestCliCommands:
          ("data.unknown_classes", "data.classes")),
         ("data.unknown_classes = -1\ntrain.epochs = 1", ("data.unknown_classes",)),
         ("train.lr_decay_epochs = -1\ntrain.epochs = 1", ("train.lr_decay_epochs",)),
+        ("train.lr_decay_epochs = 0,0\ntrain.lr_decay_factor = 1e200",
+         ("train.lr_decay_factor",)),
         ("data.head_count = -5\ntrain.epochs = 1", ("data.head_count",)),
         ("data.seed = -1\ntrain.epochs = 1", ("data.seed",)),
         ("train.seed = -1\ntrain.epochs = 1", ("train.seed",)),
     ], ids=["crossed_thresholds", "negative_perturb_strength", "non_finite_float",
             "batch_above_training_split", "non_positive_fraction", "fractions_above_one",
             "empty_test_split", "one_known_class", "negative_unknown_classes",
-            "negative_lr_decay_epoch", "negative_head_count", "negative_data_seed",
-            "negative_train_seed"])
+            "negative_lr_decay_epoch", "overflowing_lr_schedule", "negative_head_count",
+            "negative_data_seed", "negative_train_seed"])
     def test_bad_setting_stops_before_training(self, tmp_path, lines, keys):
         # Config validation, not a failure inside train(), must reject
         # these: exit 2, and nothing of a training run written.
@@ -460,8 +463,11 @@ class TestCliCommands:
         assert sorted(os.listdir(out)) == ["error.json", "history.jsonl", "plans.jsonl"]
         payload = json.loads(pathlib.Path(out, "error.json").read_text())
         assert payload["exit_code"] == EXIT_NUMERICAL
-        assert set(payload["snapshot"]) == {"epoch", "step", "loss", "lr", "gamma"}
-        assert payload["snapshot"]["step"] == 0
+        snapshot = payload["snapshot"]
+        assert set(snapshot) == {"stage", "keys", "epoch", "step", "loss", "lr", "gamma"}
+        assert snapshot["step"] == 0 and snapshot["loss"] > 1e6
+        assert snapshot["stage"] == "loss" and "margin.lambda" in snapshot["keys"]
+        assert "in the loss stage" in payload["error"] and "margin.lambda" in payload["error"]
 
     def test_huge_finite_scale_diverges_at_step_zero(self, tmp_path):
         # No static bound on s would also cover margin.lambda = 1e300 or
@@ -476,24 +482,33 @@ class TestCliCommands:
         assert (payload["snapshot"]["epoch"], payload["snapshot"]["step"]) == (0, 0)
         assert not os.path.exists(os.path.join(out, "checkpoint.json"))
 
-    def test_inf_gamma_gradient_snapshot_names_gamma(self, tmp_path, monkeypatch):
-        import dualmargin.trainer
-
-        margin_loss = dualmargin.trainer.margin_loss
-
-        def inf_gamma_grad(*args, **kwargs):
-            out = margin_loss(*args, **kwargs)
-            out.grad_gamma = float("inf")
-            return out
-
-        monkeypatch.setattr(dualmargin.trainer, "margin_loss", inf_gamma_grad)
+    # (setting, stage, epoch, step) of a run that overflows float32 or float64;
+    # the scans that looked for non-finite values after the fact ended these
+    # runs at the same step or later: at step 1, 7, 11 (epoch 1), 0 and 9.
+    @pytest.mark.parametrize("lines, stage, epoch, step", [
+        ("train.base_lr = 1e308", "optimizer", 0, 0),
+        ("train.weight_decay = 1e9", "loss", 0, 4),
+        ("train.base_lr = 1e9", "loss", 0, 4),
+        ("margin.s = 1e308\nmargin.lambda = 1e308", "loss", 0, 0),
+        ("train.perturb_strength = 1e308", "perturbation", 1, 9),
+    ], ids=["base_lr_1e308", "weight_decay_1e9", "base_lr_1e9", "s_and_lambda_1e308",
+            "perturb_strength_1e308"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_ends_the_run_where_it_happens(self, tmp_path, lines, stage, epoch, step):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("data.classes = 6\ndata.head_count = 120\ndata.imbalance_ratio = 10\n"
+                       "train.epochs = 2\n" + lines + "\n")
         out = str(tmp_path / "err")
-        cfg = self._write_config(tmp_path)
-        assert main(["train", "--config", cfg, "--out", out]) == EXIT_NUMERICAL
+        assert main(["train", "--config", str(bad), "--out", out]) == EXIT_NUMERICAL
+        assert sorted(os.listdir(out)) == ["error.json", "history.jsonl", "plans.jsonl"]
         payload = json.loads(pathlib.Path(out, "error.json").read_text())
-        assert "parameter 'gamma' at epoch 0 step 0" in payload["error"]
-        assert payload["snapshot"] == {"param": "gamma", "epoch": 0, "step": 0,
-                                       "lr": 0.001, "gamma": 0.0}
+        snapshot = payload["snapshot"]
+        assert (snapshot["stage"], snapshot["epoch"], snapshot["step"]) == (stage, epoch, step)
+        assert payload["error"].startswith(
+            f"training diverged in the {stage} stage at epoch {epoch} step {step}: ")
+        setting = lines.split(" = ")[0]
+        assert setting in snapshot["keys"]
+        assert payload["error"].endswith("settings that scale it: " + ", ".join(snapshot["keys"]))
 
     def test_late_failure_keeps_trained_model(self, tmp_path, monkeypatch):
         import dualmargin.experiment
@@ -577,6 +592,50 @@ class TestCliCommands:
             rows = list(csv.reader(fh))
         variants = {row[0] for row in rows[1:]}
         assert variants == {"A,C", "B,C", "B,D", "B,E", "B,E,F"}
+
+
+# A run small enough to train at each of the sweep's 455 settings in seconds.
+SWEEP_CONFIG = """
+data.classes = 3
+data.dim = 4
+data.head_count = 30
+data.imbalance_ratio = 2
+train.epochs = 1
+train.batch_size = 8
+train.oversample_size = 2
+train.hidden_dims = 4
+train.embed_dim = 2
+partition.head_threshold = 20
+partition.tail_threshold = 5
+"""
+SWEEP_VALUES = ("0", "-1", "0.5", "1", "2", "1e9", "1e308", "nan", "inf", "", "x", ",", "3,0")
+
+
+class TestConfigSweep:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_key_at_every_value_exits_as_the_readme_says(self, tmp_path):
+        # Every registry key at each value: the run succeeds (0), or stops as
+        # a config error naming that key (2), or as a divergence naming the
+        # stage and the settings that scale it (3). Nothing leaks a NumPy
+        # warning, and any other exception is a bug that fails the test.
+        stages = [f"in the {stage} stage" for stage in STAGE_KEYS]
+        wrong, seen = [], set()
+        for key in valid_keys():
+            for value in SWEEP_VALUES:
+                run = tmp_path / f"{key}={value}"
+                run.mkdir()
+                (run / "c.ini").write_text(SWEEP_CONFIG + f"{key} = {value}\n")
+                code = main(["train", "--config", str(run / "c.ini"), "--out", str(run)])
+                seen.add(code)
+                if code == EXIT_OK:
+                    continue
+                error = json.loads((run / "error.json").read_text())["error"]
+                if not (code == EXIT_CONFIG and key in error
+                        or code == EXIT_NUMERICAL and any(s in error for s in stages)
+                        and any(k in error.rsplit(": ", 1)[-1] for k in valid_keys())):
+                    wrong.append((key, value, code, error))
+        assert wrong == []
+        assert seen == {EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL}
 
 
 class TestVerificationRows:

@@ -4,6 +4,7 @@ split kernels' bits on one CPU and two, and its lifetime in a training
 run."""
 
 import ast
+import json
 import os
 import pathlib
 import threading
@@ -514,6 +515,28 @@ class TestTrainRunsOneHelper:
             for file in RUN_FILES:
                 one = tmp_path / f"{name}_one" / file
                 assert (out / file).read_bytes() == one.read_bytes(), (name, file)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_in_the_helper_s_half_ends_the_run_as_a_divergence(
+            self, tmp_path, monkeypatch, affinity):
+        # errstate is thread-local, so the helper enters train's own: a float32
+        # overflow in its row half of the encoder's layers raises there, and
+        # the run ends as a divergence, not with a warning or an inf.
+        affinity({0, 1})
+        layers, on_helper = encoder._layers, []
+
+        def overflow_on_the_helper(activations, params):
+            if threading.current_thread().name == "dualmargin-helper":
+                on_helper.append(True)
+                activations[0] *= np.float32(3e38)  # the step's float32 copy of the rows
+            layers(activations, params)
+
+        monkeypatch.setattr(encoder, "_layers", overflow_on_the_helper)
+        code, out = _train(tmp_path, "helper_overflow")
+        assert code == EXIT_NUMERICAL and on_helper
+        payload = json.loads((out / "error.json").read_text())
+        assert payload["snapshot"]["stage"] == "encoder"
+        assert "overflow encountered in multiply" in payload["error"]
 
     def test_diverged_run_stops_its_helper(self, tmp_path, affinity, threads):
         host = affinity({0, 1})

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -67,6 +68,21 @@ class TestLrSchedule:
     def test_negative_epoch(self):
         with pytest.raises(ValueError, match="epoch"):
             lr_at(-1, TrainConfig())
+
+    @pytest.mark.parametrize("base_lr, epochs, factor", [
+        (0.001, (0, 0), 1e200),  # the power overflows: Python raises OverflowError
+        (1e300, (5,), 1e10),  # the product overflows: Python gives inf
+    ], ids=["power", "product"])
+    def test_schedule_reaching_inf_is_rejected_naming_the_factor(self, base_lr, epochs, factor):
+        # The schedule depends only on the config, so a rate that would
+        # overflow at some epoch is a config error, not a failure mid-run.
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"train.lr_decay_factor = {factor} makes the learning rate non-finite "
+                f"after {len(epochs)} decays of train.base_lr = {base_lr}")):
+            TrainConfig(base_lr=base_lr, lr_decay_epochs=epochs, lr_decay_factor=factor)
+        # A huge but finite rate is left to the run, which ends as a divergence.
+        cfg = TrainConfig(lr_decay_epochs=(0, 0), lr_decay_factor=1e100)
+        assert lr_at(0, cfg) == 0.001 * 1e100 ** 2
 
 
 class TestAdamW:
@@ -316,40 +332,47 @@ class TestTrainLoop:
         assert [rec["train_loss"] for rec in history] == losses
         assert [rec["gamma"] for rec in history] == gammas
 
-    def test_nan_weight_gradient_names_its_layer(self, monkeypatch):
-        # A NaN in the gradient of the second weight matrix at the fifth
-        # step; the error names that matrix, not the flat buffer.
-        backward, calls = encoder_module.backward, []
-
-        def nan_at_fifth_step(params, cache, grad_embeddings, out, **kwargs):
-            param_grads = backward(params, cache, grad_embeddings, out, **kwargs)
-            calls.append(1)
-            if len(calls) == 5:
-                # The trainer reads this through its flat gradient buffer.
-                out[1][0][0, 0] = np.nan
-            return param_grads
-
-        monkeypatch.setattr(encoder_module, "backward", nan_at_fifth_step)
-        cfg = _fast_config(seed=15, hidden_dims=(16, 12))
-        with pytest.raises(TrainingDiverged, match=r"'encoder\.weights\[1\]' at epoch 0 step 4") as err:
+    def test_optimizer_overflow_ends_the_run_in_its_step(self):
+        # base_lr = 1e308 overflows float64 in step 0's update. The run ends
+        # there, naming the optimizer and its settings, before a parameter
+        # it wrote reaches a later step (the old gradient scan ended it at
+        # step 1, in the loss).
+        cfg = _fast_config(seed=15, base_lr=1e308)
+        with pytest.raises(TrainingDiverged, match="training diverged in the optimizer stage "
+                                                   "at epoch 0 step 0: overflow encountered in "
+                                                   "multiply; settings that scale it: "
+                                                   "train.base_lr, train.weight_decay$") as err:
             train(cfg, _small_dataset(seed=15))
         assert isinstance(err.value, NumericalError)
+        assert isinstance(err.value.__cause__, FloatingPointError)
         snapshot = err.value.snapshot
-        assert snapshot["param"] == "encoder.weights[1]"
-        assert (snapshot["epoch"], snapshot["step"]) == (0, 4)
-        assert snapshot["lr"] == cfg.base_lr
-        assert np.isfinite(snapshot["gamma"])
+        assert snapshot == {"stage": "optimizer", "keys": ["train.base_lr", "train.weight_decay"],
+                            "epoch": 0, "step": 0, "loss": snapshot["loss"], "lr": 1e308,
+                            "gamma": 0.0}
+        assert 0 < snapshot["loss"] < 100
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     def test_row_overflowing_float32_ends_the_run_with_its_snapshot(self):
-        # Perturbed rows finite in float64 but not in the float32 batch: the
-        # encoder's input check stops the run as a divergence at step 0.
+        # Perturbed rows finite in float64 but not in float32: their cast into
+        # the batch raises, and the run ends at step 0 in the perturbation.
         cfg = _fast_config(seed=3, oversample_prob=1.0, perturb_prob=1.0,
                            perturb_strength=1e300)
-        with pytest.raises(TrainingDiverged, match="non-finite input at sample 16 at "
-                                                   "epoch 0 step 0") as err:
+        with pytest.raises(TrainingDiverged, match="perturbation stage at epoch 0 step 0: "
+                                                   "overflow encountered in cast; settings that "
+                                                   "scale it: train.perturb_strength$") as err:
             train(cfg, _small_dataset(seed=3))
-        assert err.value.snapshot == {"epoch": 0, "step": 0, "lr": cfg.base_lr, "gamma": 0.0}
+        assert err.value.snapshot == {"stage": "perturbation", "keys": ["train.perturb_strength"],
+                                      "epoch": 0, "step": 0, "loss": None, "lr": cfg.base_lr,
+                                      "gamma": 0.0}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gamma_beyond_float32_trains(self):
+        # The loss reads gamma in float64, so neither the float32 working
+        # copy (which holds every parameter but gamma) nor the margin
+        # exponent's cast overflows; the margins are 0 or -m there.
+        cfg = _fast_config(seed=15, margin=MarginConfig(gamma=1e308))
+        state, history = train(cfg, _small_dataset(seed=15))
+        assert all(rec["gamma"] > float(np.finfo(np.float32).max) for rec in history)
+        assert np.isfinite(state.best_val_recall)
 
     def test_out_of_range_training_label_rejected_before_training(self):
         # The class statistics check the training labels once per run,
